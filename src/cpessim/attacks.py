@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -35,10 +35,6 @@ class AttackWindow:
 
     def contains(self, t: float) -> bool:
         return any(s <= t < e for s, e in self.intervals)
-
-    @classmethod
-    def single(cls, start: float, end: float) -> "AttackWindow":
-        return cls(((start, end),))
 
 
 EMPTY_WINDOW = AttackWindow(())
@@ -125,10 +121,10 @@ class LoadChange:
 
 @dataclass(frozen=True)
 class TimeDelay:
-    """Delay attack: link taps hold arrivals by seconds, signal taps by whole steps."""
+    """Delay attack on a link tap: packets sent inside the window arrive late."""
 
     tap: str
-    delay: float                # seconds on a link tap, step count on a signal tap
+    delay: float                # seconds added to each arrival
     window: AttackWindow = EMPTY_WINDOW
 
     def __post_init__(self):
@@ -196,20 +192,6 @@ def apply_load_change(grid: GridModel, t: float, spec: LoadChange) -> None:
             load.delta_demand = load.base_demand * spec.delta
         else:
             load.delta_demand = spec.delta
-
-
-def apply_delay(history: Sequence[float], k: int, d_steps: int,
-                window: AttackWindow, dt: float = 1.0):
-    """Delayed sample of a recorded signal: history[k - d] inside the window.
-
-    Requests reaching before the first recorded sample hold the earliest value
-    (zero-order hold at the history start).
-    """
-    if d_steps < 0:
-        raise ValueError("d_steps must be >= 0")
-    if window.contains(k * dt):
-        return history[max(k - d_steps, 0)]
-    return history[k]
 
 
 def dos_active(spec: DoS, send_time: float) -> bool:

@@ -68,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p_run.add_argument("--batch", action="store_true",
                        help="treat SCENARIO as a directory and run every *.json in it")
-    p_run.add_argument("--jobs", type=int, default=2, help="concurrent runs for --batch")
     p_run.add_argument("--json", action="store_true", help="print the report as JSON")
     p_run.add_argument("--emit-plot-data", action="store_true",
                        help="also write two-column .dat files per trace")
@@ -111,7 +110,7 @@ def _cmd_run(args) -> int:
             print(f"input error: no scenario files in {args.scenario}", file=sys.stderr)
             return EXIT_INPUT
         scenarios = [load_scenario(p) for p in paths]
-        results = engine.run_many(scenarios, jobs=args.jobs)
+        results = engine.run_many(scenarios)
         for sc, result in zip(scenarios, results):
             _export_run(result, sc, out_base / sc.name, args)
         return EXIT_OK

@@ -12,7 +12,6 @@ network to a scenario never perturbs the physical noise draws.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
 import os
@@ -35,7 +34,8 @@ from .physical import (GridModel, NodalBoundary, ProtectionAction,
                        StateSpaceGroup, demand_total, disconnect_machine,
                        group_step, lti_step, nodal_solve, protection_check,
                        solve_load_angle, swing_step)
-from .scenario import Scenario, ScenarioError, scenario_hash
+from .scenario import (Scenario, ScenarioError, TdSystemConfig, build_protection,
+                       scenario_hash)
 
 _TIME_EPS = 1e-12
 
@@ -63,21 +63,19 @@ def run(sc: Scenario, seed: Optional[int] = None) -> RunResult:
     return _Run(sc, seed).execute()
 
 
-def run_many(scenarios, jobs: int = 2) -> list[RunResult]:
-    """Execute scenarios concurrently; every run is fully isolated."""
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        return list(pool.map(run, scenarios))
+def run_many(scenarios) -> list[RunResult]:
+    """Execute scenarios one after another; every run is fully isolated."""
+    return [run(sc) for sc in scenarios]
 
 
 class _Run:
+    """Clock, boundary events, network glue and the traces every tier shares."""
+
     def __init__(self, sc: Scenario, seed: Optional[int]):
         self.sc = sc
         self.seed = sc.seed if seed is None else seed
         self.dt = sc.dt_phys
         self.grid: GridModel = sc.build_grid()
-        self.rng_phys = rng_for(self.seed, "phys.noise")
-        self.rng_net = rng_for(self.seed, "net")
-        self.rng_attack = rng_for(self.seed, "attack")
         self.log: list[dict] = []
         self.attack_samples: list[dict] = []
         self.staged_commands: list[tuple[str, str, object, float]] = []
@@ -87,22 +85,12 @@ class _Run:
         self._prev_action = ProtectionAction.NONE
         self._topology_dirty = False
 
-        self.bindings = {b.plant_name: b for b in sc.plant_bindings()}
-        self._last_meas = {p.name: None for p in self.grid.plants}
-
         # attack specs by tap
         self.load_attacks = [a for a in sc.attacks if isinstance(a, LoadChange)]
-        self.meas_attacks: dict[str, DiaCombined] = {}
-        self.ctrl_attacks: dict[str, ControlDia] = {}
-        link_specs = []
+        link_specs = [replace(spec, tap=spec.tap.partition(":")[2])
+                      for spec in sc.attacks if isinstance(spec, (DoS, TimeDelay))]
         for spec in sc.attacks:
-            if isinstance(spec, DiaCombined):
-                self.meas_attacks[spec.tap.partition(":")[2]] = spec
-            elif isinstance(spec, ControlDia):
-                self.ctrl_attacks[spec.tap.partition(":")[2]] = spec
-            elif isinstance(spec, (DoS, TimeDelay)):
-                link_specs.append(replace(spec, tap=spec.tap.partition(":")[2]))
-            elif isinstance(spec, BreakerAttack):
+            if isinstance(spec, BreakerAttack):
                 apply_breaker_attack(self.grid, spec)
 
         # pending boundary events
@@ -115,7 +103,7 @@ class _Run:
         self.net: Optional[NetworkSim] = None
         if sc.network is not None:
             cfg = sc.network
-            self.net = NetworkSim(cfg.nodes, cfg.links, rng=self.rng_net,
+            self.net = NetworkSim(cfg.nodes, cfg.links, rng=rng_for(self.seed, "net"),
                                   message_bytes=cfg.message_bytes)
             self.net.attach_attacks(link_specs)
             self.net.sensor_read = self._sensor_read
@@ -131,100 +119,16 @@ class _Run:
             raise ScenarioError("attacks", "link attacks need a network section")
 
         # physical tier
-        self.td_cfg = sc.td_system()
-        if self.td_cfg is not None:
-            self.mode = "td"
-            self._init_multimachine(extra_demand=self.td_cfg.dist_demand)
-            self._init_td()
+        td_cfg = sc.td_system()
+        if td_cfg is not None:
+            self.tier = _TdTier(self.grid, self.dt, td_cfg)
         elif len(self.grid.machines) > 1:
-            self.mode = "multi"
-            self._init_multimachine()
+            self.tier = _MultiMachineTier(self.grid, self.dt)
         elif len(self.grid.machines) == 1:
-            self.mode = "aggregate"
-            self._init_aggregate()
+            self.tier = _AggregateTier(sc, self.grid, self.dt, self.seed,
+                                       self.attack_samples)
         else:
             raise ScenarioError("grid.machines", "scenario needs at least one machine")
-
-    # -- initialization -----------------------------------------------------
-
-    def _init_aggregate(self):
-        self.pcc = None
-        pcc_id = self.sc.pcc_breaker()
-        if pcc_id:
-            self.pcc = self.grid.breaker(pcc_id)
-        if self.pcc is None or not self.pcc.closed:
-            # autonomous from the start: balance the machine against net demand
-            machine = self.grid.machines[0]
-            p_inject = sum(b.power_base for b in self.bindings.values())
-            machine.p_mech = demand_total(self.grid) - p_inject
-
-    def _init_multimachine(self, extra_demand: float = 0.0):
-        machines = self.grid.machines
-        d0 = demand_total(self.grid) + extra_demand
-        total_pm = sum(m.p_mech for m in machines)
-        machines[0].p_mech += d0 - total_pm  # first machine is the slack
-        self.theta = 0.0
-        for m in machines:
-            if m.p_mech > m.coupling:
-                raise ScenarioError(
-                    "grid.machines",
-                    f"machine {m.id!r} cannot transfer its setpoint {m.p_mech:.3f} pu "
-                    f"over coupling {m.coupling:.3f} pu")
-            m.delta = math.asin(m.p_mech / m.coupling)
-
-    def _init_td(self):
-        cfg = self.td_cfg
-        self.td_breaker = self.grid.breaker(cfg.feeder_breaker)
-        g_f = 1.0 / cfg.feeder_r if cfg.feeder_r > 0 else 0.0
-        g_src = [1.0 / s.r for s in cfg.sources]
-        # DC operating point: inductors shorted to their resistances, capacitor open
-        if self.td_breaker.closed:
-            y = np.array([[sum(g_src) + g_f, -g_f],
-                          [-g_f, g_f + cfg.load_conductance]])
-            i = np.array([sum(g * s.emf for g, s in zip(g_src, cfg.sources)), 0.0])
-        else:
-            y = np.array([[sum(g_src), 0.0], [0.0, cfg.load_conductance]])
-            i = np.array([sum(g * s.emf for g, s in zip(g_src, cfg.sources)), 0.0])
-        v = np.linalg.solve(y, i)
-        self.v1 = float(v[0])
-        self.v2 = float(v[1])
-        self.v1_nom = self.v1
-        self.v2_nom = self.v2
-        i_src = [g * (s.emf - self.v1) for g, s in zip(g_src, cfg.sources)]
-        i_f = (self.v1 - self.v2) / cfg.feeder_r if self.td_breaker.closed else 0.0
-        self.p_pcc0 = self.v1 * i_f
-        if self.p_pcc0 <= 0:
-            raise ScenarioError("grid.td_system", "nominal boundary transfer must be > 0")
-        self._p_norm = 1.0  # filtered boundary power, per unit of nominal transfer
-        self._trans_states = np.array(i_src)
-        self._dist_states = np.array([i_f, self.v2])
-        self._rebuild_td_groups()
-
-    def _rebuild_td_groups(self):
-        cfg = self.td_cfg
-        n = len(cfg.sources)
-        a_t = np.zeros((n, n))
-        d_t = np.zeros((n, 2))   # inputs: [v1, 1]
-        for idx, src in enumerate(cfg.sources):
-            if self.grid.machine(src.machine).connected:
-                a_t[idx, idx] = -src.r / src.l
-                d_t[idx, 0] = -1.0 / src.l
-                d_t[idx, 1] = src.emf / src.l
-        self.trans_group = StateSpaceGroup(
-            name="transmission", A=a_t, D=d_t, E=np.eye(n), F=np.zeros((n, 2)),
-            s=self._trans_states, boundary_ports=("pcc",))
-        if self.td_breaker.closed:
-            a_d = np.array([[-cfg.feeder_r / cfg.feeder_l, -1.0 / cfg.feeder_l],
-                            [1.0 / cfg.shunt_c, -cfg.load_conductance / cfg.shunt_c]])
-            d_d = np.array([[1.0 / cfg.feeder_l], [0.0]])
-        else:
-            a_d = np.array([[0.0, 0.0],
-                            [0.0, -cfg.load_conductance / cfg.shunt_c]])
-            d_d = np.zeros((2, 1))
-        self.dist_group = StateSpaceGroup(
-            name="distribution", A=a_d, D=d_d, E=np.eye(2), F=np.zeros((2, 1)),
-            s=self._dist_states, boundary_ports=("pcc", "dist_bus"))
-        self._topology_dirty = False
 
     # -- grid/network glue ----------------------------------------------------
 
@@ -244,7 +148,7 @@ class _Run:
         for fs in self.grid.fast_sources:
             if fs.id == asset:
                 return fs.power
-        return self._system_frequency()
+        raise KeyError(f"unknown asset {asset!r}")  # rejected at scenario load
 
     def _stage_command(self, asset: str, action: str, value, arrival: float) -> None:
         self.staged_commands.append((asset, action, value, arrival))
@@ -271,8 +175,6 @@ class _Run:
             return
         breaker.closed = closed
         self._topology_dirty = True
-        if self.mode == "td" and breaker is self.td_breaker and not closed:
-            self._dist_states = np.array([0.0, float(self.dist_group.s[1])])
         self._log(t, "breaker", breaker.id, {"action": "close" if closed else "open"})
 
     def _log(self, t: float, event: str, node: str, detail: dict) -> None:
@@ -294,12 +196,7 @@ class _Run:
             if self.net is not None:
                 self.net.run_until(t_next)
             self._apply_load_windows(t)
-            if self.mode == "aggregate":
-                self._step_aggregate(t, k)
-            elif self.mode == "multi":
-                self._step_multi(t, k)
-            else:
-                self._step_td(t, k)
+            self.tier.step(t, k)
             self._record(t_next)
 
         traces = {name: TimeSeries(t=np.array(self.trace_t), v=np.array(vals),
@@ -339,23 +236,73 @@ class _Run:
             if machine.connected:
                 disconnect_machine(machine)
                 self._topology_dirty = True
-                if self.mode == "td":
-                    for idx, src in enumerate(self.td_cfg.sources):
-                        if src.machine == machine_id:
-                            self._trans_states = np.array(self.trans_group.s)
-                            self._trans_states[idx] = 0.0
+                self.tier.on_disconnect(machine_id)
                 self._log(t, "contingency", machine_id, {"action": "disconnect"})
-        if self.mode == "td" and self._topology_dirty:
-            self._dist_states = np.array(self.dist_group.s)
-            if not self.td_breaker.closed:
-                self._dist_states[0] = 0.0
-            self._rebuild_td_groups()
+        if self._topology_dirty:
+            self.tier.on_topology_change()
+            self._topology_dirty = False
 
     def _apply_load_windows(self, t: float) -> None:
         for spec in self.load_attacks:
             apply_load_change(self.grid, t, spec)
 
-    # -- physical tiers ---------------------------------------------------------
+    # -- recording ---------------------------------------------------------------
+
+    def _push(self, name: str, value: float, unit: str) -> None:
+        self.traces.setdefault(name, []).append(float(value))
+        self.trace_units[name] = unit
+
+    def _record(self, t: float) -> None:
+        self.trace_t.append(t)
+        freq = self.tier.frequency()
+        self._push("freq", freq, "Hz")
+        self._push("demand_total", demand_total(self.grid), "pu")
+        self.tier.record(self._push)
+        for breaker in self.grid.breakers:
+            self._push(f"breaker_{breaker.id}", 1.0 if breaker.closed else 0.0, "state")
+        for load in self.grid.loads:
+            if load.sheddable:
+                self._push(f"shed_{load.id}", 1.0 if load.shed else 0.0, "state")
+
+        action = protection_check(freq, self.grid.protection)
+        if action is not self._prev_action:
+            self._log(t, "protection", "grid", {"action": action.value,
+                                                "frequency": freq})
+            self._prev_action = action
+
+
+# ---------------------------------------------------------------------------
+# Physical tiers.  Each advances the grid by one macro-step, reports the
+# system frequency, records its own traces and reacts to topology events.
+# A tier holds no reference back to its run, so a finished run's trace lists
+# are freed as soon as it returns.
+# ---------------------------------------------------------------------------
+
+class _AggregateTier:
+    """One equivalent machine, fast sources and sampled LTI control loops."""
+
+    def __init__(self, sc: Scenario, grid: GridModel, dt: float, seed: int,
+                 attack_samples: list[dict]):
+        self.grid = grid
+        self.dt = dt
+        self.rng_phys = rng_for(seed, "phys.noise")
+        self.rng_attack = rng_for(seed, "attack")
+        self.attack_samples = attack_samples
+        self.bindings = {b.plant_name: b for b in sc.plant_bindings()}
+        self._last_meas = {p.name: None for p in grid.plants}
+        self.meas_attacks = {spec.tap.partition(":")[2]: spec
+                             for spec in sc.attacks if isinstance(spec, DiaCombined)}
+        self.ctrl_attacks = {spec.tap.partition(":")[2]: spec
+                             for spec in sc.attacks if isinstance(spec, ControlDia)}
+        pcc_id = sc.pcc_breaker()
+        self.pcc = grid.breaker(pcc_id) if pcc_id else None
+        if self.pcc is None or not self.pcc.closed:
+            # autonomous from the start: balance the machine against net demand
+            p_inject = sum(b.power_base for b in self.bindings.values())
+            grid.machines[0].p_mech = demand_total(grid) - p_inject
+
+    def _pinned(self) -> bool:
+        return self.pcc is not None and self.pcc.closed
 
     def _plant_injection(self) -> float:
         total = 0.0
@@ -392,10 +339,10 @@ class _Run:
             plant.u = np.atleast_1d(u_cmd)
             self._last_meas[plant.name] = float(np.atleast_1d(y_att)[0])
 
-    def _step_aggregate(self, t: float, k: int) -> None:
+    def step(self, t: float, k: int) -> None:
         machine = self.grid.machines[0]
         p_inject = self._plant_injection()
-        pinned = self.pcc is not None and self.pcc.closed
+        pinned = self._pinned()
         f_now = self.grid.f_nom if pinned else machine.frequency
         p_fast = sum(fs.step(f_now, self.grid.f_nom, self.dt)
                      for fs in self.grid.fast_sources)
@@ -407,17 +354,153 @@ class _Run:
             self.grid.machines[0] = swing_step(machine, p_elec, self.dt, step_index=k)
         self._advance_plants(t, k)
 
-    def _step_multi(self, t: float, k: int) -> None:
+    def frequency(self) -> float:
+        return self.grid.f_nom if self._pinned() else self.grid.machines[0].frequency
+
+    def record(self, push) -> None:
+        machine = self.grid.machines[0]
+        push("p_gen", machine.p_mech + machine.gov_power, "pu")
+        if self.grid.fast_sources:
+            push("p_fast", sum(fs.power for fs in self.grid.fast_sources), "pu")
+        for plant in self.grid.plants:
+            b = self.bindings.get(plant.name)
+            op = b.operating_point if b else 0.0
+            signal = op + float((plant.C @ plant.x)[0])  # true output, noise-free
+            meas = self._last_meas[plant.name]
+            push(f"{plant.name}_signal", signal, "signal")
+            push(f"{plant.name}_meas", signal if meas is None else meas, "signal")
+            if b is not None and b.operating_point:
+                push(f"{plant.name}_signal_pu", signal / b.operating_point, "pu")
+            if b is not None:
+                push(f"{plant.name}_power",
+                     b.power_base + b.power_gain * float(plant.x[0]), "pu")
+
+    def on_disconnect(self, machine_id: str) -> None:
+        pass
+
+    def on_topology_change(self) -> None:
+        pass
+
+
+class _MultiMachineTier:
+    """Machines swinging against a common load bus balanced each step."""
+
+    def __init__(self, grid: GridModel, dt: float, extra_demand: float = 0.0):
+        self.grid = grid
+        self.dt = dt
+        machines = grid.machines
+        d0 = demand_total(grid) + extra_demand
+        total_pm = sum(m.p_mech for m in machines)
+        machines[0].p_mech += d0 - total_pm  # first machine is the slack
+        self.theta = 0.0
+        for m in machines:
+            if m.p_mech > m.coupling:
+                raise ScenarioError(
+                    "grid.machines",
+                    f"machine {m.id!r} cannot transfer its setpoint {m.p_mech:.3f} pu "
+                    f"over coupling {m.coupling:.3f} pu")
+            m.delta = math.asin(m.p_mech / m.coupling)
+
+    def _swing(self, d_total: float, k: int) -> None:
         machines = self.grid.machines
-        self.theta = solve_load_angle(machines, demand_total(self.grid), self.theta)
+        self.theta = solve_load_angle(machines, d_total, self.theta)
         for i, m in enumerate(machines):
             p_elec = m.coupling * math.sin(m.delta - self.theta)
             machines[i] = swing_step(m, p_elec, self.dt, step_index=k)
 
-    def _step_td(self, t: float, k: int) -> None:
-        cfg = self.td_cfg
+    def step(self, t: float, k: int) -> None:
+        self._swing(demand_total(self.grid), k)
+
+    def frequency(self) -> float:
+        machines = [m for m in self.grid.machines if m.connected]
+        if not machines:
+            return 0.0
+        h_total = sum(m.inertia_const for m in machines)
+        return sum(m.inertia_const * m.frequency for m in machines) / h_total
+
+    def record(self, push) -> None:
+        for m in self.grid.machines:
+            push(f"freq_{m.id}", m.frequency, "Hz")
+
+    def on_disconnect(self, machine_id: str) -> None:
+        pass
+
+    def on_topology_change(self) -> None:
+        pass
+
+
+class _TdTier(_MultiMachineTier):
+    """Transmission and distribution state-space groups over a nodal boundary,
+    feeding the lagged boundary transfer to the multi-machine swing."""
+
+    def __init__(self, grid: GridModel, dt: float, cfg: TdSystemConfig):
+        super().__init__(grid, dt, extra_demand=cfg.dist_demand)
+        self.cfg = cfg
+        self.breaker = grid.breaker(cfg.feeder_breaker)
+        g_f = 1.0 / cfg.feeder_r if cfg.feeder_r > 0 else 0.0
+        g_src = [1.0 / s.r for s in cfg.sources]
+        # DC operating point: inductors shorted to their resistances, capacitor open
+        if self.breaker.closed:
+            y = np.array([[sum(g_src) + g_f, -g_f],
+                          [-g_f, g_f + cfg.load_conductance]])
+        else:
+            y = np.array([[sum(g_src), 0.0], [0.0, cfg.load_conductance]])
+        i = np.array([sum(g * s.emf for g, s in zip(g_src, cfg.sources)), 0.0])
+        v = np.linalg.solve(y, i)
+        self.v1 = float(v[0])
+        self.v2 = float(v[1])
+        self.v1_nom = self.v1
+        self.v2_nom = self.v2
+        i_src = [g * (s.emf - self.v1) for g, s in zip(g_src, cfg.sources)]
+        i_f = (self.v1 - self.v2) / cfg.feeder_r if self.breaker.closed else 0.0
+        self.p_pcc0 = self.v1 * i_f
+        if self.p_pcc0 <= 0:
+            raise ScenarioError("grid.td_system", "nominal boundary transfer must be > 0")
+        self._p_norm = 1.0  # filtered boundary power, per unit of nominal transfer
+        self._trans_states = np.array(i_src)
+        self._dist_states = np.array([i_f, self.v2])
+        self._rebuild_td_groups()
+
+    def _rebuild_td_groups(self) -> None:
+        cfg = self.cfg
+        n = len(cfg.sources)
+        a_t = np.zeros((n, n))
+        d_t = np.zeros((n, 2))   # inputs: [v1, 1]
+        for idx, src in enumerate(cfg.sources):
+            if self.grid.machine(src.machine).connected:
+                a_t[idx, idx] = -src.r / src.l
+                d_t[idx, 0] = -1.0 / src.l
+                d_t[idx, 1] = src.emf / src.l
+        # init/contingency snapshot: stale after a breaker-only rebuild; references rely on it
+        self.trans_group = StateSpaceGroup(name="transmission", A=a_t, D=d_t,
+                                           s=self._trans_states)
+        if self.breaker.closed:
+            a_d = np.array([[-cfg.feeder_r / cfg.feeder_l, -1.0 / cfg.feeder_l],
+                            [1.0 / cfg.shunt_c, -cfg.load_conductance / cfg.shunt_c]])
+            d_d = np.array([[1.0 / cfg.feeder_l], [0.0]])
+        else:
+            a_d = np.array([[0.0, 0.0],
+                            [0.0, -cfg.load_conductance / cfg.shunt_c]])
+            d_d = np.zeros((2, 1))
+        self.dist_group = StateSpaceGroup(name="distribution", A=a_d, D=d_d,
+                                          s=self._dist_states)
+
+    def on_disconnect(self, machine_id: str) -> None:
+        for idx, src in enumerate(self.cfg.sources):
+            if src.machine == machine_id:
+                self._trans_states = np.array(self.trans_group.s)
+                self._trans_states[idx] = 0.0
+
+    def on_topology_change(self) -> None:
+        self._dist_states = np.array(self.dist_group.s)
+        if not self.breaker.closed:
+            self._dist_states[0] = 0.0
+        self._rebuild_td_groups()
+
+    def step(self, t: float, k: int) -> None:
+        cfg = self.cfg
         dt = self.dt
-        closed = self.td_breaker.closed
+        closed = self.breaker.closed
         y11 = 0.0
         i1 = 0.0
         i_src_total = 0.0
@@ -452,9 +535,8 @@ class _Run:
             i = np.array([i1, i2])
         v = nodal_solve(NodalBoundary(Y=y, I=i))
         v1_mid = 0.5 * (self.v1 + float(v[0]))
-        self.trans_group, _currents = group_step(self.trans_group, [v1_mid, 1.0], dt)
-        self.dist_group, _out = group_step(
-            self.dist_group, [v1_mid if closed else 0.0], dt)
+        self.trans_group = group_step(self.trans_group, [v1_mid, 1.0], dt)
+        self.dist_group = group_step(self.dist_group, [v1_mid if closed else 0.0], dt)
         self.v1 = float(v[0])
         self.v2 = float(self.dist_group.s[1])
         i_f_new = float(self.dist_group.s[0])
@@ -464,70 +546,12 @@ class _Run:
         p_target = min(max(p_pcc / self.p_pcc0, -1.0), 3.0)
         decay = math.exp(-dt / cfg.power_filter) if cfg.power_filter > 0 else 0.0
         self._p_norm = p_target + (self._p_norm - p_target) * decay
-        machines = self.grid.machines
-        d_total = demand_total(self.grid) + cfg.dist_demand * self._p_norm
-        self.theta = solve_load_angle(machines, d_total, self.theta)
-        for idx, m in enumerate(machines):
-            p_elec = m.coupling * math.sin(m.delta - self.theta)
-            machines[idx] = swing_step(m, p_elec, self.dt, step_index=k)
+        self._swing(demand_total(self.grid) + cfg.dist_demand * self._p_norm, k)
 
-    # -- recording ---------------------------------------------------------------
-
-    def _system_frequency(self) -> float:
-        machines = [m for m in self.grid.machines if m.connected]
-        if self.mode == "aggregate":
-            machine = self.grid.machines[0]
-            if self.pcc is not None and self.pcc.closed:
-                return self.grid.f_nom
-            return machine.frequency
-        if not machines:
-            return 0.0
-        h_total = sum(m.inertia_const for m in machines)
-        return sum(m.inertia_const * m.frequency for m in machines) / h_total
-
-    def _push(self, name: str, value: float, unit: str) -> None:
-        self.traces.setdefault(name, []).append(float(value))
-        self.trace_units[name] = unit
-
-    def _record(self, t: float) -> None:
-        self.trace_t.append(t)
-        freq = self._system_frequency()
-        self._push("freq", freq, "Hz")
-        self._push("demand_total", demand_total(self.grid), "pu")
-        if self.mode in ("multi", "td"):
-            for m in self.grid.machines:
-                self._push(f"freq_{m.id}", m.frequency, "Hz")
-        if self.mode == "aggregate":
-            machine = self.grid.machines[0]
-            self._push("p_gen", machine.p_mech + machine.gov_power, "pu")
-            if self.grid.fast_sources:
-                self._push("p_fast", sum(fs.power for fs in self.grid.fast_sources), "pu")
-        if self.mode == "td":
-            self._push("v_pcc", self.v1 / self.v1_nom, "pu")
-            self._push("v_dist", self.v2 / self.v2_nom, "pu")
-        for plant in self.grid.plants:
-            b = self.bindings.get(plant.name)
-            op = b.operating_point if b else 0.0
-            signal = op + float((plant.C @ plant.x)[0])  # true output, noise-free
-            meas = self._last_meas[plant.name]
-            self._push(f"{plant.name}_signal", signal, "signal")
-            self._push(f"{plant.name}_meas", signal if meas is None else meas, "signal")
-            if b is not None and b.operating_point:
-                self._push(f"{plant.name}_signal_pu", signal / b.operating_point, "pu")
-            if b is not None:
-                self._push(f"{plant.name}_power",
-                           b.power_base + b.power_gain * float(plant.x[0]), "pu")
-        for breaker in self.grid.breakers:
-            self._push(f"breaker_{breaker.id}", 1.0 if breaker.closed else 0.0, "state")
-        for load in self.grid.loads:
-            if load.sheddable:
-                self._push(f"shed_{load.id}", 1.0 if load.shed else 0.0, "state")
-
-        action = protection_check(freq, self.grid.protection)
-        if action is not self._prev_action:
-            self._log(t, "protection", "grid", {"action": action.value,
-                                                "frequency": freq})
-            self._prev_action = action
+    def record(self, push) -> None:
+        super().record(push)
+        push("v_pcc", self.v1 / self.v1_nom, "pu")
+        push("v_dist", self.v2 / self.v2_nom, "pu")
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +561,7 @@ class _Run:
 def compute_metrics(sc: Scenario, traces: dict[str, TimeSeries],
                     event_log: list[dict]) -> list[MetricReport]:
     """Evaluate every requested metric from traces and the event log."""
-    protection = sc.build_grid().protection
+    protection = build_protection(sc.grid)
     reports = []
     for req in sc.metrics_requested:
         kind = req["kind"]
@@ -575,9 +599,7 @@ def _cyber_report(sc: Scenario, event_log: list[dict]) -> MetricReport:
         for src, dst in sorted(flows):
             key = f"{src}->{dst}"
             baselines[key] = topo.baseline_delay(src, dst)
-            path = topo.route(src, dst)
-            flow_links[key] = [topo._link_by_pair[(a, b)].id
-                               for a, b in zip(path, path[1:])]
+            flow_links[key] = [link.id for link in topo.links_on(src, dst)]
     return cyber_metrics(event_log, horizon=sc.horizon, baselines=baselines,
                          flow_links=flow_links, bandwidths=bandwidths)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -34,14 +34,12 @@ class PacketKind(Enum):
     MEASUREMENT_REPORT = "measurement_report"
     CONTROL_COMMAND = "control_command"
     POLL = "poll"
-    ACK = "ack"
 
 
 @dataclass
 class NetNode:
     id: str
     role: NodeRole = NodeRole.ENDPOINT
-    interfaces: list[str] = field(default_factory=list)
     app: Optional["AppConfig"] = None
     processing_delay: float = 0.0
 
@@ -68,7 +66,6 @@ class NetLink:
     jitter: float = 0.0         # uniform +/- jitter, s (0 disables)
     loss_rate: float = 0.0
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY
-    endpoints: tuple[str, str] = ()   # interface ids, filled at construction
 
     def __post_init__(self):
         if self.bandwidth <= 0:
@@ -77,8 +74,6 @@ class NetLink:
             raise ValueError(f"link {self.id!r}: prop_delay must be >= 0")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError(f"link {self.id!r}: loss_rate must be in [0, 1]")
-        if not self.endpoints:
-            self.endpoints = (f"{self.a}:{self.id}", f"{self.b}:{self.id}")
 
     def tx_time(self, size_bytes: int) -> float:
         return size_bytes * 8.0 / self.bandwidth
@@ -97,11 +92,6 @@ class Packet:
     def __post_init__(self):
         if self.size <= 0:
             raise ValueError("packet size must be > 0")
-
-
-@dataclass
-class Dropped:
-    reason: str                 # "loss" | "dos" | "queue_full"
 
 
 @dataclass
@@ -131,30 +121,6 @@ class EventQueue:
             self.now = t
             fn()
         self.now = max(self.now, t_end)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-def transmit(pkt: Packet, link: NetLink, now: float,
-             rng: Optional[np.random.Generator] = None):
-    """Single-hop traversal: Dropped on a loss draw, else the arrival time.
-
-    Queuing is handled by the simulator; this is the bare link contract
-    (transmission time plus propagation plus jitter sample).
-    """
-    if link.loss_rate > 0:
-        if rng is None:
-            raise ValueError("lossy link transmission needs an rng")
-        if rng.random() < link.loss_rate:
-            return Dropped("loss")
-    delay = link.tx_time(pkt.size) + link.prop_delay
-    if link.jitter > 0:
-        if rng is None:
-            raise ValueError("jittery link transmission needs an rng")
-        delay += rng.uniform(-link.jitter, link.jitter)
-        delay = max(delay, link.tx_time(pkt.size))
-    return now + delay
 
 
 def min_hop_path(adjacency: dict[str, list[str]], src: str, dst: str) -> list[str]:
@@ -187,13 +153,6 @@ def min_hop_path(adjacency: dict[str, list[str]], src: str, dst: str) -> list[st
     return path
 
 
-@dataclass
-class FlowStats:
-    sent: int = 0
-    delivered: int = 0
-    dropped: int = 0
-
-
 class NetworkSim:
     """Event-driven network bound to a grid through sensor/command callbacks."""
 
@@ -208,7 +167,6 @@ class NetworkSim:
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.events = EventQueue()
         self.log: list[dict] = []
-        self.flows: dict[tuple[str, str], FlowStats] = {}
         self._packet_ids = itertools.count(1)
         self._link_by_pair: dict[tuple[str, str], NetLink] = {}
         self._adjacency: dict[str, list[str]] = {n: [] for n in self.nodes}
@@ -235,13 +193,11 @@ class NetworkSim:
             for direction in (pair, pair[::-1]):
                 self._queues[direction] = FifoQueue(capacity=link.queue_capacity)
                 self._busy_until[direction] = 0.0
-            for node_id, iface in zip((link.a, link.b), link.endpoints):
-                self.nodes[node_id].interfaces.append(iface)
         for nb_list in self._adjacency.values():
             nb_list.sort()
         for node in self.nodes.values():
-            if node.role is NodeRole.ENDPOINT and not node.interfaces:
-                raise ValueError(f"endpoint node {node.id!r} has no interfaces")
+            if node.role is NodeRole.ENDPOINT and not self._adjacency[node.id]:
+                raise ValueError(f"endpoint node {node.id!r} has no links")
             if node.app is not None and node.role is not NodeRole.ENDPOINT:
                 raise ValueError(f"node {node.id!r}: apps are only allowed on endpoints")
 
@@ -253,13 +209,16 @@ class NetworkSim:
             self._routes[key] = min_hop_path(self._adjacency, src, dst)
         return self._routes[key]
 
+    def links_on(self, src: str, dst: str) -> list[NetLink]:
+        """Links along the route from src to dst, in hop order."""
+        path = self.route(src, dst)
+        return [self._link_by_pair[(a, b)] for a, b in zip(path, path[1:])]
+
     def baseline_delay(self, src: str, dst: str, size_bytes: Optional[int] = None) -> float:
         """Deterministic end-to-end delay along the route: sum of tx + prop per hop."""
         size = size_bytes if size_bytes is not None else self.message_bytes
-        path = self.route(src, dst)
         total = 0.0
-        for a, b in zip(path, path[1:]):
-            link = self._link_by_pair[(a, b)]
+        for link in self.links_on(src, dst):
             total += link.tx_time(size) + link.prop_delay
         return total
 
@@ -292,9 +251,6 @@ class NetworkSim:
         self.log.append({"t": t, "event": event, "node": node,
                          "packet_id": packet_id, "detail": detail})
 
-    def _flow(self, src: str, dst: str) -> FlowStats:
-        return self.flows.setdefault((src, dst), FlowStats())
-
     # -- packet pipeline ----------------------------------------------------
 
     def send_packet(self, src: str, dst: str, kind: PacketKind, payload=None,
@@ -304,7 +260,6 @@ class NetworkSim:
                      size=size or self.message_bytes, created_at=t, kind=kind,
                      payload=payload)
         path = self.route(src, dst)
-        self._flow(src, dst).sent += 1
         self._log(t, "send", src, pkt.id,
                   {"kind": kind.value, "dst": dst, "size": pkt.size})
         if not path:
@@ -359,7 +314,6 @@ class NetworkSim:
         queue.occupancy -= 1
 
     def _drop(self, pkt: Packet, link_id: str, now: float, reason: str) -> None:
-        self._flow(pkt.src, pkt.dst).dropped += 1
         self._log(now, "drop", link_id, pkt.id,
                   {"reason": reason, "kind": pkt.kind.value,
                    "src": pkt.src, "dst": pkt.dst})
@@ -368,7 +322,6 @@ class NetworkSim:
                       {"reason": reason, "payload": _payload_summary(pkt.payload)})
 
     def _deliver(self, pkt: Packet, node_id: str, now: float) -> None:
-        self._flow(pkt.src, pkt.dst).delivered += 1
         self._log(now, "deliver", node_id, pkt.id,
                   {"kind": pkt.kind.value, "src": pkt.src, "dst": pkt.dst,
                    "created_at": pkt.created_at, "delay": now - pkt.created_at})
@@ -427,13 +380,6 @@ class NetworkSim:
 
     def run_until(self, t_end: float) -> None:
         self.events.run_until(t_end)
-
-    def conservation_ok(self) -> bool:
-        """Sent = delivered + dropped + still-pending, summed per flow."""
-        pending = len(self.events)
-        totals = [s.sent - s.delivered - s.dropped for s in self.flows.values()]
-        in_flight = sum(totals)
-        return all(v >= 0 for v in totals) and in_flight <= pending
 
 
 def _payload_summary(payload) -> str:

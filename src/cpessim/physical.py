@@ -175,13 +175,6 @@ class Machine:
         return self.v_internal * self.v_recv / self.reactance
 
 
-def electrical_power(v_s: float, v_r: float, x_reactance: float, delta: float) -> float:
-    """Classical-model transfer power (Vs Vr / X) sin(delta)."""
-    if x_reactance <= 0:
-        raise ValueError(f"reactance must be > 0, got {x_reactance}")
-    return v_s * v_r / x_reactance * math.sin(delta)
-
-
 def swing_step(machine: Machine, p_elec, dt: float, step_index=None) -> Machine:
     """Advance rotor angle/speed one fixed step with classical 4th-order Runge-Kutta.
 
@@ -340,38 +333,27 @@ class FastSource:
 
 @dataclass
 class StateSpaceGroup:
-    """One solver group: s' = A s + D v, o = E s + F v, advanced by the trapezoidal rule."""
+    """One solver group: s' = A s + D v, advanced by the trapezoidal rule."""
 
     name: str
     A: np.ndarray
     D: np.ndarray
-    E: np.ndarray
-    F: np.ndarray
     s: np.ndarray
-    boundary_ports: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.D = np.atleast_2d(np.asarray(self.D, dtype=float))
-        self.E = np.atleast_2d(np.asarray(self.E, dtype=float))
-        self.F = np.atleast_2d(np.asarray(self.F, dtype=float))
         self.s = np.atleast_1d(np.asarray(self.s, dtype=float))
         q = self.s.shape[0]
         p = self.D.shape[1]
-        r = self.E.shape[0]
-        checks = [("A", self.A.shape, (q, q)), ("D", self.D.shape, (q, p)),
-                  ("E", self.E.shape, (r, q)), ("F", self.F.shape, (r, p))]
+        checks = [("A", self.A.shape, (q, q)), ("D", self.D.shape, (q, p))]
         for label, got, want in checks:
             if got != want:
                 raise ValueError(f"group {self.name!r}: {label} has shape {got}, expected {want}")
 
 
-def group_step(g: StateSpaceGroup, v_in: Sequence[float], dt: float
-               ) -> tuple[StateSpaceGroup, np.ndarray]:
-    """Trapezoidal (bilinear) step with the input held over the interval.
-
-    Returns the advanced group and the output evaluated at the new state.
-    """
+def group_step(g: StateSpaceGroup, v_in: Sequence[float], dt: float) -> StateSpaceGroup:
+    """Trapezoidal (bilinear) step with the input held over the interval."""
     v = np.atleast_1d(np.asarray(v_in, dtype=float))
     if v.shape[0] != g.D.shape[1]:
         raise ValueError(f"group {g.name!r}: input has length {v.shape[0]}, "
@@ -385,9 +367,7 @@ def group_step(g: StateSpaceGroup, v_in: Sequence[float], dt: float
     except np.linalg.LinAlgError as exc:
         raise SingularBoundaryError(
             f"group {g.name!r}: (I - dt/2 A) is singular at dt={dt}") from exc
-    out = g.E @ s_new + g.F @ v
-    g2 = replace(g, s=s_new)
-    return g2, out
+    return replace(g, s=s_new)
 
 
 @dataclass
@@ -396,7 +376,6 @@ class NodalBoundary:
 
     Y: np.ndarray
     I: np.ndarray
-    V: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.Y = np.atleast_2d(np.asarray(self.Y))
@@ -422,7 +401,6 @@ def nodal_solve(b: NodalBoundary) -> np.ndarray:
     if residual >= NODAL_RESIDUAL_TOL:
         raise SingularBoundaryError(f"nodal residual {residual:.3e} exceeds "
                                     f"{NODAL_RESIDUAL_TOL:.0e}")
-    b.V = V
     return V
 
 

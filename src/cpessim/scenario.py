@@ -19,8 +19,8 @@ from .attacks import (AttackSpec, AttackWindow, BreakerAttack, ControlDia,
                       DiaCombined, DoS, GaussianNoise, LoadChange,
                       SinusoidNoise, TimeDelay)
 from .network import AppConfig, NetLink, NetNode, NodeRole
-from .physical import (Breaker, FastSource, FrequencyProtection, Governor,
-                       GridModel, Load, LtiPlant, Machine, apply_contingency)
+from .physical import (MAX_SWING_DT, Breaker, FastSource, FrequencyProtection,
+                       Governor, GridModel, Load, LtiPlant, Machine, apply_contingency)
 
 SCHEMA_VERSION = 1
 
@@ -136,6 +136,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     name = _require(meta, "name", str, parent="meta")
     horizon = _positive(meta, "horizon", parent="meta")
     dt_phys = _positive(meta, "dt_phys", parent="meta")
+    if dt_phys > MAX_SWING_DT:
+        raise ScenarioError("meta.dt_phys", f"must be <= {MAX_SWING_DT} s (swing "
+                                            f"integrator limit), got {dt_phys}")
 
     grid_doc = _require(doc, "grid", dict)
     grid = build_grid(grid_doc)  # validates; engine rebuilds per run
@@ -143,6 +146,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     network = None
     if doc.get("network") is not None:
         network = _parse_network(doc["network"])
+        _check_outstations(network, grid)
 
     attacks = [_parse_attack(i, a) for i, a in enumerate(doc.get("attacks", []))]
     _check_taps(attacks, grid, grid_doc, network)
@@ -221,11 +225,14 @@ def build_grid(grid_doc: dict) -> GridModel:
         except ValueError as exc:
             raise ScenarioError(loc, str(exc)) from exc
 
-    fast_sources = [FastSource(id=f["id"], gain=f.get("gain", 0.0),
-                               max_power=to_pu(f["max_power"]) if unit == "kW"
-                               else f.get("max_power", 0.0),
-                               time_constant=f.get("time_constant", 0.02))
-                    for f in grid_doc.get("fast_sources", [])]
+    fast_sources = []
+    for i, f in enumerate(grid_doc.get("fast_sources", [])):
+        loc = f"grid.fast_sources[{i}]"
+        fast_sources.append(FastSource(
+            id=_require(f, "id", str, parent=loc), gain=f.get("gain", 0.0),
+            max_power=to_pu(_number(f, "max_power", parent=loc)) if unit == "kW"
+            else f.get("max_power", 0.0),
+            time_constant=f.get("time_constant", 0.02)))
 
     breakers = []
     for i, b in enumerate(grid_doc.get("breakers", [])):
@@ -236,18 +243,6 @@ def build_grid(grid_doc: dict) -> GridModel:
                                     schedule=[(float(t), a) for t, a in b.get("schedule", [])]))
         except ValueError as exc:
             raise ScenarioError(loc, str(exc)) from exc
-
-    prot_doc = grid_doc.get("protection", {})
-    try:
-        protection = FrequencyProtection(
-            f_nom=f_nom,
-            governor_deadband=prot_doc.get("governor_deadband", 0.036),
-            shed_low=prot_doc.get("shed_low", 58.4),
-            shed_high=prot_doc.get("shed_high", 59.5),
-            underfreq_trip=prot_doc.get("underfreq_trip", 57.8),
-            overfreq_trip=prot_doc.get("overfreq_trip", 62.2))
-    except ValueError as exc:
-        raise ScenarioError("grid.protection", str(exc)) from exc
 
     plants = []
     for i, p in enumerate(grid_doc.get("plants", [])):
@@ -261,11 +256,15 @@ def build_grid(grid_doc: dict) -> GridModel:
                                    name=p.get("name", f"plant{i}")))
         except (KeyError, ValueError) as exc:
             raise ScenarioError(loc, str(exc)) from exc
+    if plants and (len(machines) > 1 or grid_doc.get("td_system")):
+        raise ScenarioError("grid.plants", "LTI plants run only on the single-machine "
+                                           "aggregate tier")
 
     try:
         grid = GridModel(f_nom=f_nom, machines=machines, loads=loads,
                          breakers=breakers, plants=plants, fast_sources=fast_sources,
-                         protection=protection, p_loss=to_pu(grid_doc.get("p_loss", 0.0)))
+                         protection=build_protection(grid_doc),
+                         p_loss=to_pu(grid_doc.get("p_loss", 0.0)))
     except ValueError as exc:
         raise ScenarioError("grid", str(exc)) from exc
 
@@ -298,6 +297,21 @@ def build_grid(grid_doc: dict) -> GridModel:
     return grid
 
 
+def build_protection(grid_doc: dict) -> FrequencyProtection:
+    """Frequency-protection bands of a grid section, without building the grid."""
+    prot_doc = grid_doc.get("protection", {})
+    try:
+        return FrequencyProtection(
+            f_nom=grid_doc.get("f_nom", 60.0),
+            governor_deadband=prot_doc.get("governor_deadband", 0.036),
+            shed_low=prot_doc.get("shed_low", 58.4),
+            shed_high=prot_doc.get("shed_high", 59.5),
+            underfreq_trip=prot_doc.get("underfreq_trip", 57.8),
+            overfreq_trip=prot_doc.get("overfreq_trip", 62.2))
+    except ValueError as exc:
+        raise ScenarioError("grid.protection", str(exc)) from exc
+
+
 def _parse_plant_binding(p: dict) -> PlantBinding:
     return PlantBinding(plant_name=p.get("name", "plant0"),
                         operating_point=p.get("operating_point", 0.0),
@@ -306,8 +320,13 @@ def _parse_plant_binding(p: dict) -> PlantBinding:
 
 
 def _parse_td_system(raw: dict) -> TdSystemConfig:
-    sources = [TdSource(machine=s["machine"], emf=s["emf"], r=s["r"], l=s["l"])
-               for s in _require(raw, "sources", list, parent="grid.td_system")]
+    sources = []
+    for i, s in enumerate(_require(raw, "sources", list, parent="grid.td_system")):
+        loc = f"grid.td_system.sources[{i}]"
+        sources.append(TdSource(machine=_require(s, "machine", str, parent=loc),
+                                emf=_number(s, "emf", parent=loc),
+                                r=_positive(s, "r", parent=loc),
+                                l=_positive(s, "l", parent=loc)))
     return TdSystemConfig(sources=sources,
                           feeder_breaker=_require(raw, "feeder_breaker", str,
                                                   parent="grid.td_system"),
@@ -437,6 +456,16 @@ def _parse_attack(i: int, raw: dict) -> AttackSpec:
     except (TypeError, ValueError) as exc:
         raise ScenarioError(loc, str(exc)) from exc
     raise ScenarioError(f"{loc}.type", f"unknown attack type {kind!r}")
+
+
+def _check_outstations(network: NetworkConfig, grid: GridModel) -> None:
+    """Every outstation must read an asset the engine's sensor lookup resolves."""
+    assets = {x.id for x in (*grid.machines, *grid.loads, *grid.breakers,
+                             *grid.fast_sources)}
+    for i, node in enumerate(network.nodes):
+        if node.app and node.app.kind == "outstation" and node.app.asset not in assets:
+            raise ScenarioError(f"network.nodes[{i}].app.asset",
+                                f"unknown grid asset {node.app.asset!r}")
 
 
 def _check_taps(attacks, grid: GridModel, grid_doc: dict,

@@ -180,40 +180,6 @@ def test_load_change_fraction_bound():
 
 # -- time delay -----------------------------------------------------------------------
 
-def test_apply_delay_identity_at_zero():
-    hist = [10.0, 11.0, 12.0]
-    w = AttackWindow(((0.0, 100.0),))
-    for k in range(3):
-        assert atk.apply_delay(hist, k, 0, w) == hist[k]
-
-
-def test_apply_delay_indexing():
-    hist = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-    w = AttackWindow(((0.0, 100.0),))
-    assert atk.apply_delay(hist, 5, 3, w) == 2.0
-
-
-def test_apply_delay_holds_earliest():
-    hist = [7.0, 8.0, 9.0]
-    w = AttackWindow(((0.0, 100.0),))
-    assert atk.apply_delay(hist, 1, 3, w) == 7.0
-
-
-def test_apply_delay_outside_window():
-    hist = [0.0, 1.0, 2.0, 3.0]
-    w = AttackWindow(((10.0, 20.0),))
-    assert atk.apply_delay(hist, 3, 2, w) == 3.0
-
-
-def test_apply_delay_composition_on_constant_window():
-    hist = list(np.sin(np.arange(40) * 0.3))
-    w = AttackWindow(((0.0, 1000.0),))
-    for k in range(10, 40):
-        once = atk.apply_delay(hist, k, 7, w)
-        twice = atk.apply_delay(hist[:k - 3 + 1], k - 3, 4, w)
-        assert once == twice  # delay(7) == delay(4) of the stream shifted by 3
-
-
 def test_link_delay_window_gating():
     spec = TimeDelay(tap="link:l1", delay=0.5, window=AttackWindow(((10.0, 20.0),)))
     assert atk.link_delay(spec, 15.0) == 0.5

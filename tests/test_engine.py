@@ -1,0 +1,114 @@
+import json
+
+import numpy as np
+import pytest
+
+from cpessim import cli, engine, presets
+from cpessim.scenario import scenario_from_dict
+
+
+def short(preset, variant=None, horizon=0.05, seed=None):
+    doc = presets.preset_doc(preset, variant)
+    doc["meta"]["horizon"] = horizon
+    if seed is not None:
+        doc["seed"] = seed
+    return scenario_from_dict(doc)
+
+
+def fingerprint(result):
+    """Everything a run produces, as comparable bytes and JSON."""
+    traces = {name: (s.t.tobytes(), s.v.tobytes(), s.unit)
+              for name, s in result.traces.items()}
+    return (traces, json.dumps(result.event_log), json.dumps(result.attack_samples),
+            json.dumps(engine.report_dict(result)), json.dumps(result.manifest))
+
+
+def nadir(result):
+    return float(np.min(result.traces["freq"].v))
+
+
+def protection_actions(result):
+    return {e["detail"]["action"] for e in result.event_log if e["event"] == "protection"}
+
+
+# -- each tier records its own traces -------------------------------------------
+
+def test_aggregate_tier_traces():
+    traces = engine.run(short("case1_dia")).traces
+    assert {"p_gen", "p_fast", "pv_loop_signal", "pv_loop_meas"} <= set(traces)
+    assert not any(name.startswith("freq_") for name in traces)
+    assert "v_pcc" not in traces
+
+
+def test_multi_machine_tier_traces():
+    traces = engine.run(short("case2_load", "a")).traces
+    assert {"freq_g1", "freq_g2", "freq_g3"} <= set(traces)
+    assert not {"p_gen", "p_fast", "v_pcc", "v_dist"} & set(traces)
+
+
+def test_td_tier_traces():
+    traces = engine.run(short("case4_td", "n1")).traces
+    assert {"freq_g1", "v_pcc", "v_dist"} <= set(traces)
+    assert not {"p_gen", "p_fast"} & set(traces)
+    assert traces["v_pcc"].v[0] == 1.0 and traces["v_dist"].v[0] == 1.0
+
+
+# -- case-study outcomes ------------------------------------------------------------
+
+@pytest.mark.parametrize("variant, expected", [
+    ("a", 59.924), ("b", 59.881), ("c", 59.753), ("d", 59.676)])
+def test_case2_load_nadir(variant, expected):
+    assert nadir(engine.run(presets.preset_scenario("case2_load", variant))) \
+        == pytest.approx(expected, abs=5e-4)
+
+
+@pytest.mark.parametrize("variant, expected", [("n1", 59.704), ("n11", 59.187)])
+def test_case4_td_contingency_nadir(variant, expected):
+    assert nadir(engine.run(presets.preset_scenario("case4_td", variant))) \
+        == pytest.approx(expected, abs=5e-4)
+
+
+def test_case3_delay_0_stays_in_governor_band():
+    result = engine.run(presets.preset_scenario("case3_tda", "delay_0"))
+    assert protection_actions(result) <= {"none", "governor"}
+
+
+def test_case3_delay_15_reaches_underfrequency_trip():
+    result = engine.run(presets.preset_scenario("case3_tda", "delay_15"))
+    assert "underfreq_trip" in protection_actions(result)
+
+
+# -- determinism and batches ------------------------------------------------------------
+
+@pytest.mark.parametrize("preset", ["case1_dia", "case3_tda"])
+def test_same_seed_gives_same_bytes(preset):
+    first = fingerprint(engine.run(short(preset, horizon=0.5)))
+    assert fingerprint(engine.run(short(preset, horizon=0.5))) == first
+
+
+def test_other_seed_changes_noisy_traces():
+    a = engine.run(short("case1_dia", horizon=0.5), seed=1).traces["pv_loop_meas"].v
+    b = engine.run(short("case1_dia", horizon=0.5), seed=2).traces["pv_loop_meas"].v
+    assert a.tobytes() != b.tobytes()
+
+
+def test_run_many_equals_run_member_by_member():
+    scenarios = [short("case1_dia"), short("case2_load", "d"), short("case3_tda", "delay_0"),
+                 short("case4_td", "breaker_triple")]
+    batch = engine.run_many(scenarios)
+    assert [fingerprint(r) for r in batch] == [fingerprint(engine.run(sc))
+                                               for sc in scenarios]
+
+
+def test_cli_batch_reports_every_scenario(tmp_path, capsys):
+    scenario_dir = tmp_path / "scenarios"
+    scenario_dir.mkdir()
+    scenarios = [short("case2_load", "a"), short("case4_td", "n1")]
+    for sc in scenarios:
+        (scenario_dir / f"{sc.name}.json").write_text(json.dumps(sc.doc))
+    rc = cli.main(["run", str(scenario_dir), "--batch", "--out", str(tmp_path / "out"),
+                   "--json"])
+    assert rc == cli.EXIT_OK
+    printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert printed == [json.loads(json.dumps(engine.report_dict(engine.run(sc))))
+                       for sc in sorted(scenarios, key=lambda sc: sc.name)]

@@ -3,15 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from cpessim import network as net
 from cpessim.attacks import AttackWindow, DoS, TimeDelay
-from cpessim.network import (AppConfig, Dropped, EventQueue, NetLink, NetNode,
-                             NetworkSim, NodeRole, Packet, PacketKind, min_hop_path,
-                             transmit)
+from cpessim.network import (AppConfig, EventQueue, NetLink, NetNode, NetworkSim,
+                             NodeRole, PacketKind, min_hop_path)
 
 
-def make_packet(size=1000, src="a", dst="b", t=0.0, kind=PacketKind.POLL):
-    return Packet(id=1, src=src, dst=dst, size=size, created_at=t, kind=kind)
+def single_link(bandwidth, prop=0.0, loss=0.0, rng=None):
+    link = NetLink(id="l", a="a", b="b", bandwidth=bandwidth, prop_delay=prop,
+                   loss_rate=loss)
+    return NetworkSim([NetNode(id="a"), NetNode(id="b")], [link],
+                      rng=rng or np.random.default_rng(0))
+
+
+def events(sim, kind):
+    return [e for e in sim.log if e["event"] == kind]
 
 
 def star(outstations=("o1",), bandwidth=100e6, prop=1e-3, loss=0.0, jitter=0.0,
@@ -60,25 +65,34 @@ def test_event_queue_rejects_past():
 # -- single-link transmit contract ---------------------------------------------
 
 def test_transmit_deterministic_delay():
-    link = NetLink(id="l", a="a", b="b", bandwidth=100e6, prop_delay=1e-3)
-    arrival = transmit(make_packet(size=1000), link, now=0.0)
-    assert arrival == pytest.approx(1.08e-3, abs=1e-12)
+    sim = single_link(bandwidth=100e6, prop=1e-3)
+    sim.send_packet("a", "b", PacketKind.MEASUREMENT_REPORT, now=0.0, size=1000)
+    sim.run_until(1.0)
+    [deliver] = events(sim, "deliver")
+    assert deliver["t"] == pytest.approx(1.08e-3, abs=1e-12)
+    assert deliver["detail"]["delay"] == pytest.approx(1.08e-3, abs=1e-12)
 
 
 def test_transmit_always_drops_at_loss_one():
-    link = NetLink(id="l", a="a", b="b", bandwidth=1e6, loss_rate=1.0)
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        assert isinstance(transmit(make_packet(), link, 0.0, rng), Dropped)
+    sim = single_link(bandwidth=1e6, loss=1.0)
+    for k in range(100):
+        sim.send_packet("a", "b", PacketKind.MEASUREMENT_REPORT, now=k * 0.01)
+    sim.run_until(2.0)
+    assert events(sim, "deliver") == []
+    assert [e["detail"]["reason"] for e in events(sim, "drop")] == ["loss"] * 100
 
 
 def test_transmit_loss_fraction_within_binomial_bounds():
     p = 0.1
     n = 100_000
-    link = NetLink(id="l", a="a", b="b", bandwidth=1e9, loss_rate=p)
-    rng = np.random.default_rng(1234)
-    drops = sum(isinstance(transmit(make_packet(), link, 0.0, rng), Dropped)
-                for _ in range(n))
+    sim = single_link(bandwidth=1e9, loss=p, rng=np.random.default_rng(1234))
+    spacing = 1e-5  # well above one packet's transmit time: nothing queues
+    drops = 0
+    for k in range(n):
+        sim.send_packet("a", "b", PacketKind.MEASUREMENT_REPORT, now=k * spacing)
+        sim.run_until((k + 1) * spacing)
+        drops += len(events(sim, "drop"))
+        sim.log.clear()  # count as we go instead of holding every entry
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(drops / n - p) < 3 * sigma
 
@@ -232,7 +246,7 @@ def test_queue_overflow_drops_when_full():
                      queue_capacity=4)]
     sim = NetworkSim(nodes, links, rng=np.random.default_rng(0))
     for _ in range(20):
-        sim.send_packet("a", "b", PacketKind.ACK, now=0.0, size=100)
+        sim.send_packet("a", "b", PacketKind.MEASUREMENT_REPORT, now=0.0, size=100)
     sim.run_until(60.0)
     drops = [e for e in sim.log if e["event"] == "drop"
              and e["detail"]["reason"] == "queue_full"]
@@ -244,8 +258,20 @@ def test_conservation_per_flow():
     sim.start_polling(period=0.05, start=0.0)
     sim.run_until(5.0)
     sim.run_until(100.0)  # drain
-    for flow, stats in sim.flows.items():
-        assert stats.sent == stats.delivered + stats.dropped, flow
+    counts = {}
+    for e in sim.log:
+        if e["event"] == "send":
+            flow = (e["node"], e["detail"]["dst"])
+        elif e["event"] in ("deliver", "drop"):
+            flow = (e["detail"]["src"], e["detail"]["dst"])
+        else:
+            continue
+        counts.setdefault(flow, dict.fromkeys(("send", "deliver", "drop"), 0))
+        counts[flow][e["event"]] += 1
+    assert len(counts) == 4  # polls and reports, both outstations
+    assert sum(c["drop"] for c in counts.values()) > 0
+    for flow, c in counts.items():
+        assert c["send"] == c["deliver"] + c["drop"], flow
 
 
 def test_delay_never_below_deterministic_floor():
@@ -257,13 +283,8 @@ def test_delay_never_below_deterministic_floor():
             continue
         flow = (e["detail"]["src"], e["detail"]["dst"])
         floor = sum(l.tx_time(sim.message_bytes)
-                    for l in _links_on(sim, *flow))
+                    for l in sim.links_on(*flow))
         assert e["detail"]["delay"] >= floor - 1e-12
-
-
-def _links_on(sim, src, dst):
-    path = sim.route(src, dst)
-    return [sim._link_by_pair[(a, b)] for a, b in zip(path, path[1:])]
 
 
 def test_identical_seeds_give_identical_logs():
@@ -276,6 +297,20 @@ def test_identical_seeds_give_identical_logs():
 
     assert run(7) == run(7)
     assert run(7) != run(8)
+
+
+def test_links_on_follows_route():
+    sim = star(("o1", "o2"))
+    assert [l.id for l in sim.links_on("m", "o2")] == ["l_m", "l_o2"]
+    assert [l.id for l in sim.links_on("o2", "o1")] == ["l_o2", "l_o1"]
+    assert sim.links_on("m", "m") == []
+
+
+def test_endpoint_without_links_rejected():
+    nodes = [NetNode(id="a"), NetNode(id="b"), NetNode(id="lonely")]
+    links = [NetLink(id="l", a="a", b="b", bandwidth=1e6)]
+    with pytest.raises(ValueError, match="has no links"):
+        NetworkSim(nodes, links)
 
 
 def test_app_placement_validation():

@@ -91,24 +91,30 @@ def test_lti_noise_is_seeded():
     assert run(1) != run(2)
 
 
-# -- electrical power ----------------------------------------------------------
+# -- electrical power: coupling * sin(delta), as the engine's tiers compute it --
+
+def electrical_power(v_s, v_r, x, delta):
+    m = Machine(id="m", inertia_const=5.0, p_mech=0.0, v_internal=v_s, v_recv=v_r,
+                reactance=x)
+    return m.coupling * math.sin(delta)
+
 
 def test_electrical_power_zero_angle():
-    assert phys.electrical_power(1.0, 1.0, 0.5, 0.0) == 0.0
+    assert electrical_power(1.0, 1.0, 0.5, 0.0) == 0.0
 
 
 def test_electrical_power_quarter_cycle():
-    assert phys.electrical_power(1.0, 1.0, 0.5, math.pi / 2) == pytest.approx(2.0)
+    assert electrical_power(1.0, 1.0, 0.5, math.pi / 2) == pytest.approx(2.0)
 
 
 def test_electrical_power_thirty_degrees():
     # 1.05 * 1.0 * sin(pi/6) / 0.3, checked against independent evaluation
-    assert phys.electrical_power(1.05, 1.0, 0.3, math.pi / 6) == pytest.approx(1.75, rel=1e-12)
+    assert electrical_power(1.05, 1.0, 0.3, math.pi / 6) == pytest.approx(1.75, rel=1e-12)
 
 
 def test_electrical_power_rejects_bad_reactance():
     with pytest.raises(ValueError):
-        phys.electrical_power(1.0, 1.0, 0.0, 0.1)
+        Machine(id="m", inertia_const=5.0, p_mech=0.0, reactance=0.0)
 
 
 # -- swing integration -----------------------------------------------------------
@@ -229,38 +235,33 @@ def test_demand_total_matches_brute_force():
 # -- state-space groups ------------------------------------------------------------
 
 def test_group_static():
-    g = StateSpaceGroup(name="g", A=np.zeros((2, 2)), D=np.zeros((2, 1)),
-                        E=np.eye(2), F=np.array([[1.0], [2.0]]), s=[3.0, 4.0])
-    g2, out = phys.group_step(g, [5.0], 0.01)
+    g = StateSpaceGroup(name="g", A=np.zeros((2, 2)), D=np.zeros((2, 1)), s=[3.0, 4.0])
+    g2 = phys.group_step(g, [5.0], 0.01)
     assert np.allclose(g2.s, [3.0, 4.0])
-    assert np.allclose(out, [3.0 + 5.0, 4.0 + 10.0])
 
 
 def test_group_exponential_decay():
-    g = StateSpaceGroup(name="g", A=[[-1.0]], D=[[0.0]], E=[[1.0]], F=[[0.0]],
-                        s=[1.0])
+    g = StateSpaceGroup(name="g", A=[[-1.0]], D=[[0.0]], s=[1.0])
     for _ in range(100):
-        g, _ = phys.group_step(g, [0.0], 0.01)
+        g = phys.group_step(g, [0.0], 0.01)
     assert g.s[0] == pytest.approx(math.exp(-1.0), abs=1e-4)
 
 
 def test_group_skew_symmetric_preserves_norm():
     g = StateSpaceGroup(name="g", A=[[0.0, 1.0], [-1.0, 0.0]], D=np.zeros((2, 1)),
-                        E=np.eye(2), F=np.zeros((2, 1)), s=[1.0, 0.0])
+                        s=[1.0, 0.0])
     norm0 = np.linalg.norm(g.s)
     for _ in range(1000):
         prev = np.linalg.norm(g.s)
-        g, _ = phys.group_step(g, [0.0], 0.01)
+        g = phys.group_step(g, [0.0], 0.01)
         assert abs(np.linalg.norm(g.s) - prev) < 1e-9
     assert np.linalg.norm(g.s) == pytest.approx(norm0, abs=1e-8)
 
 
 def test_group_dimension_checks():
     with pytest.raises(ValueError):
-        StateSpaceGroup(name="g", A=np.zeros((2, 2)), D=np.zeros((1, 1)),
-                        E=np.eye(2), F=np.zeros((2, 1)), s=[0.0, 0.0])
-    g = StateSpaceGroup(name="g", A=np.zeros((2, 2)), D=np.zeros((2, 1)),
-                        E=np.eye(2), F=np.zeros((2, 1)), s=[0.0, 0.0])
+        StateSpaceGroup(name="g", A=np.zeros((2, 2)), D=np.zeros((1, 1)), s=[0.0, 0.0])
+    g = StateSpaceGroup(name="g", A=np.zeros((2, 2)), D=np.zeros((2, 1)), s=[0.0, 0.0])
     with pytest.raises(ValueError):
         phys.group_step(g, [1.0, 2.0], 0.01)
 

@@ -179,3 +179,49 @@ def test_contingency_unknown_machine_is_scenario_error():
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
     assert "contingencies" in str(err.value)
+
+
+def test_outstation_unknown_asset_names_field():
+    doc = presets.preset_doc("case3_tda", "delay_0")
+    doc["network"]["nodes"][3]["app"]["asset"] = "ghost"
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert "network.nodes[3].app.asset" in str(err.value)
+
+
+def test_dt_above_swing_limit_names_field():
+    doc = minimal_doc()
+    doc["meta"]["dt_phys"] = 0.02
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert "meta.dt_phys" in str(err.value)
+
+
+def test_missing_fast_source_field_names_field():
+    doc = presets.preset_doc("case3_tda", "delay_0")  # kW grid: max_power is required
+    del doc["grid"]["fast_sources"][0]["max_power"]
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert "grid.fast_sources[0].max_power" in str(err.value)
+    del doc["grid"]["fast_sources"][0]["id"]
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert "grid.fast_sources[0].id" in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["machine", "emf", "r", "l"])
+def test_missing_td_source_field_names_field(key):
+    doc = presets.preset_doc("case4_td", "n1")
+    del doc["grid"]["td_system"]["sources"][1][key]
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert f"grid.td_system.sources[1].{key}" in str(err.value)
+
+
+@pytest.mark.parametrize("preset, variant", [("case2_load", "a"), ("case4_td", "n1")])
+def test_plants_only_on_aggregate_grid(preset, variant):
+    doc = presets.preset_doc(preset, variant)
+    doc["grid"]["plants"] = presets.preset_doc("case1_dia")["grid"]["plants"]
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert "grid.plants" in str(err.value)
