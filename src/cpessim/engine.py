@@ -34,8 +34,8 @@ from .physical import (GridModel, NodalBoundary, ProtectionAction,
                        StateSpaceGroup, demand_total, disconnect_machine,
                        group_step, lti_step, nodal_solve, protection_check,
                        solve_load_angle, swing_step)
-from .scenario import (Scenario, ScenarioError, TdSystemConfig, build_protection,
-                       scenario_hash)
+from .scenario import (Scenario, ScenarioError, TdSystemConfig, balance_slack,
+                       build_protection, scenario_hash, td_operating_point)
 
 _TIME_EPS = 1e-12
 
@@ -79,9 +79,12 @@ class _Run:
         self.log: list[dict] = []
         self.attack_samples: list[dict] = []
         self.staged_commands: list[tuple[str, str, object, float]] = []
-        self.traces: dict[str, list[float]] = {}
-        self.trace_units: dict[str, str] = {}
-        self.trace_t: list[float] = []
+        self.n_steps = int(round(sc.horizon / self.dt))
+        # one row per recorded instant; the trace names come from the first row
+        self.trace_names: list[str] = []
+        self.trace_units: list[str] = []
+        self._rows: Optional[np.ndarray] = None
+        self._row: list[float] = []
         self._prev_action = ProtectionAction.NONE
         self._topology_dirty = False
 
@@ -124,11 +127,9 @@ class _Run:
             self.tier = _TdTier(self.grid, self.dt, td_cfg)
         elif len(self.grid.machines) > 1:
             self.tier = _MultiMachineTier(self.grid, self.dt)
-        elif len(self.grid.machines) == 1:
+        else:  # build_grid rejects a grid without machines
             self.tier = _AggregateTier(sc, self.grid, self.dt, self.seed,
                                        self.attack_samples)
-        else:
-            raise ScenarioError("grid.machines", "scenario needs at least one machine")
 
     # -- grid/network glue ----------------------------------------------------
 
@@ -185,9 +186,9 @@ class _Run:
 
     def execute(self) -> RunResult:
         sc = self.sc
-        n_steps = int(round(sc.horizon / self.dt))
+        n_steps = self.n_steps
         self._apply_load_windows(0.0)
-        self._record(0.0)
+        self._record(0.0, 0)
 
         for k in range(n_steps):
             t = k * self.dt
@@ -197,11 +198,15 @@ class _Run:
                 self.net.run_until(t_next)
             self._apply_load_windows(t)
             self.tier.step(t, k)
-            self._record(t_next)
+            self._record(t_next, k + 1)
 
-        traces = {name: TimeSeries(t=np.array(self.trace_t), v=np.array(vals),
-                                   unit=self.trace_units[name], name=name)
-                  for name, vals in self.traces.items()}
+        # every trace shares one read-only time axis; columns become contiguous rows
+        t_axis = np.arange(n_steps + 1) * self.dt
+        t_axis.flags.writeable = False
+        columns = self._rows.T.copy()
+        self._rows = None
+        traces = {name: TimeSeries(t=t_axis, v=column, unit=unit, name=name)
+                  for name, unit, column in zip(self.trace_names, self.trace_units, columns)}
         reports = compute_metrics(sc, traces, self.log)
         risk_report = None
         if sc.risk_inputs is not None:
@@ -249,20 +254,28 @@ class _Run:
     # -- recording ---------------------------------------------------------------
 
     def _push(self, name: str, value: float, unit: str) -> None:
-        self.traces.setdefault(name, []).append(float(value))
-        self.trace_units[name] = unit
+        self._row.append(value)
 
-    def _record(self, t: float) -> None:
-        self.trace_t.append(t)
+    def _push_first(self, name: str, value: float, unit: str) -> None:
+        self.trace_names.append(name)
+        self.trace_units.append(unit)
+        self._row.append(value)
+
+    def _record(self, t: float, k: int) -> None:
+        push = self._push if k else self._push_first
         freq = self.tier.frequency()
-        self._push("freq", freq, "Hz")
-        self._push("demand_total", demand_total(self.grid), "pu")
-        self.tier.record(self._push)
+        push("freq", freq, "Hz")
+        push("demand_total", demand_total(self.grid), "pu")
+        self.tier.record(push)
         for breaker in self.grid.breakers:
-            self._push(f"breaker_{breaker.id}", 1.0 if breaker.closed else 0.0, "state")
+            push(f"breaker_{breaker.id}", 1.0 if breaker.closed else 0.0, "state")
         for load in self.grid.loads:
             if load.sheddable:
-                self._push(f"shed_{load.id}", 1.0 if load.shed else 0.0, "state")
+                push(f"shed_{load.id}", 1.0 if load.shed else 0.0, "state")
+        if not k:
+            self._rows = np.empty((self.n_steps + 1, len(self._row)))
+        self._rows[k] = self._row
+        self._row.clear()
 
         action = protection_check(freq, self.grid.protection)
         if action is not self._prev_action:
@@ -351,7 +364,7 @@ class _AggregateTier:
             machine.gov_power = 0.0
         else:
             p_elec = demand_total(self.grid) - p_inject - p_fast
-            self.grid.machines[0] = swing_step(machine, p_elec, self.dt, step_index=k)
+            swing_step(machine, p_elec, self.dt, step_index=k)
         self._advance_plants(t, k)
 
     def frequency(self) -> float:
@@ -388,25 +401,17 @@ class _MultiMachineTier:
     def __init__(self, grid: GridModel, dt: float, extra_demand: float = 0.0):
         self.grid = grid
         self.dt = dt
-        machines = grid.machines
-        d0 = demand_total(grid) + extra_demand
-        total_pm = sum(m.p_mech for m in machines)
-        machines[0].p_mech += d0 - total_pm  # first machine is the slack
+        balance_slack(grid, extra_demand)
         self.theta = 0.0
-        for m in machines:
-            if m.p_mech > m.coupling:
-                raise ScenarioError(
-                    "grid.machines",
-                    f"machine {m.id!r} cannot transfer its setpoint {m.p_mech:.3f} pu "
-                    f"over coupling {m.coupling:.3f} pu")
+        for m in grid.machines:
             m.delta = math.asin(m.p_mech / m.coupling)
 
     def _swing(self, d_total: float, k: int) -> None:
         machines = self.grid.machines
         self.theta = solve_load_angle(machines, d_total, self.theta)
-        for i, m in enumerate(machines):
-            p_elec = m.coupling * math.sin(m.delta - self.theta)
-            machines[i] = swing_step(m, p_elec, self.dt, step_index=k)
+        for m in machines:
+            swing_step(m, m.coupling * math.sin(m.delta - self.theta), self.dt,
+                       step_index=k)
 
     def step(self, t: float, k: int) -> None:
         self._swing(demand_total(self.grid), k)
@@ -431,59 +436,73 @@ class _MultiMachineTier:
 
 class _TdTier(_MultiMachineTier):
     """Transmission and distribution state-space groups over a nodal boundary,
-    feeding the lagged boundary transfer to the multi-machine swing."""
+    feeding the lagged boundary transfer to the multi-machine swing.
+
+    Everything that changes only with the topology (the groups' bilinear
+    factors, the boundary matrix and the per-source companion constants) is
+    built in ``_rebuild_td_groups``; a step only assembles the history currents.
+    """
 
     def __init__(self, grid: GridModel, dt: float, cfg: TdSystemConfig):
         super().__init__(grid, dt, extra_demand=cfg.dist_demand)
         self.cfg = cfg
         self.breaker = grid.breaker(cfg.feeder_breaker)
-        g_f = 1.0 / cfg.feeder_r if cfg.feeder_r > 0 else 0.0
-        g_src = [1.0 / s.r for s in cfg.sources]
-        # DC operating point: inductors shorted to their resistances, capacitor open
-        if self.breaker.closed:
-            y = np.array([[sum(g_src) + g_f, -g_f],
-                          [-g_f, g_f + cfg.load_conductance]])
-        else:
-            y = np.array([[sum(g_src), 0.0], [0.0, cfg.load_conductance]])
-        i = np.array([sum(g * s.emf for g, s in zip(g_src, cfg.sources)), 0.0])
-        v = np.linalg.solve(y, i)
-        self.v1 = float(v[0])
-        self.v2 = float(v[1])
+        self.source_machines = [grid.machine(src.machine) for src in cfg.sources]
+        self.v1, self.v2, i_src, i_f = td_operating_point(cfg, self.breaker.closed)
         self.v1_nom = self.v1
         self.v2_nom = self.v2
-        i_src = [g * (s.emf - self.v1) for g, s in zip(g_src, cfg.sources)]
-        i_f = (self.v1 - self.v2) / cfg.feeder_r if self.breaker.closed else 0.0
         self.p_pcc0 = self.v1 * i_f
-        if self.p_pcc0 <= 0:
-            raise ScenarioError("grid.td_system", "nominal boundary transfer must be > 0")
         self._p_norm = 1.0  # filtered boundary power, per unit of nominal transfer
+        self._decay = math.exp(-dt / cfg.power_filter) if cfg.power_filter > 0 else 0.0
+        # boundary-bus capacitors: absorb the mismatch current at topology changes
+        self._g_c1 = 2 * cfg.pcc_shunt_c / dt
+        self._g_c2 = 2 * cfg.shunt_c / dt
         self._trans_states = np.array(i_src)
         self._dist_states = np.array([i_f, self.v2])
         self._rebuild_td_groups()
 
     def _rebuild_td_groups(self) -> None:
         cfg = self.cfg
+        dt = self.dt
         n = len(cfg.sources)
         a_t = np.zeros((n, n))
         d_t = np.zeros((n, 2))   # inputs: [v1, 1]
-        for idx, src in enumerate(cfg.sources):
-            if self.grid.machine(src.machine).connected:
+        # trapezoidal companion of each live source branch:
+        # (state index, history gain, conductance, 2 emf)
+        self._live_sources = []
+        y11 = 0.0
+        for idx, (src, machine) in enumerate(zip(cfg.sources, self.source_machines)):
+            if machine.connected:
                 a_t[idx, idx] = -src.r / src.l
                 d_t[idx, 0] = -1.0 / src.l
                 d_t[idx, 1] = src.emf / src.l
+                alpha = dt * src.r / (2 * src.l)
+                gamma = dt / (2 * src.l + dt * src.r)
+                self._live_sources.append((idx, (1 - alpha) / (1 + alpha), gamma,
+                                           2 * src.emf))
+                y11 += gamma
         # init/contingency snapshot: stale after a breaker-only rebuild; references rely on it
         self.trans_group = StateSpaceGroup(name="transmission", A=a_t, D=d_t,
                                            s=self._trans_states)
+        y11 += self._g_c1
+        y22 = self._g_c2 + cfg.load_conductance
         if self.breaker.closed:
             a_d = np.array([[-cfg.feeder_r / cfg.feeder_l, -1.0 / cfg.feeder_l],
                             [1.0 / cfg.shunt_c, -cfg.load_conductance / cfg.shunt_c]])
             d_d = np.array([[1.0 / cfg.feeder_l], [0.0]])
+            alpha_f = dt * cfg.feeder_r / (2 * cfg.feeder_l)
+            gamma_f = dt / (2 * cfg.feeder_l + dt * cfg.feeder_r)
+            self._feeder = ((1 - alpha_f) / (1 + alpha_f), gamma_f)
+            y = np.array([[y11 + gamma_f, -gamma_f], [-gamma_f, y22 + gamma_f]])
         else:
             a_d = np.array([[0.0, 0.0],
                             [0.0, -cfg.load_conductance / cfg.shunt_c]])
             d_d = np.zeros((2, 1))
+            self._feeder = None
+            y = np.array([[y11, 0.0], [0.0, y22]])
         self.dist_group = StateSpaceGroup(name="distribution", A=a_d, D=d_d,
                                           s=self._dist_states)
+        self.boundary = NodalBoundary(Y=y, I=np.zeros(2))
 
     def on_disconnect(self, machine_id: str) -> None:
         for idx, src in enumerate(self.cfg.sources):
@@ -500,52 +519,35 @@ class _TdTier(_MultiMachineTier):
     def step(self, t: float, k: int) -> None:
         cfg = self.cfg
         dt = self.dt
-        closed = self.breaker.closed
-        y11 = 0.0
+        v1 = self.v1
+        trans_s = self.trans_group.s.tolist()
         i1 = 0.0
         i_src_total = 0.0
-        for idx, src in enumerate(cfg.sources):
-            if not self.grid.machine(src.machine).connected:
-                continue
-            alpha = dt * src.r / (2 * src.l)
-            gamma = dt / (2 * src.l + dt * src.r)
-            i_state = float(self.trans_group.s[idx])
+        for idx, hist_gain, gamma, two_emf in self._live_sources:
+            i_state = trans_s[idx]
             i_src_total += i_state
-            y11 += gamma
-            i1 += (1 - alpha) / (1 + alpha) * i_state + gamma * (2 * src.emf - self.v1)
-        i_f = float(self.dist_group.s[0])
-        v_c = float(self.dist_group.s[1])
-        # boundary-bus capacitor: absorbs the mismatch current at topology changes
-        g_c1 = 2 * cfg.pcc_shunt_c / dt
-        i_cap1_prev = i_src_total - (i_f if closed else 0.0)
-        y11 += g_c1
-        i1 += g_c1 * self.v1 + i_cap1_prev
-        g_c2 = 2 * cfg.shunt_c / dt
-        i_cap2_prev = (i_f if closed else 0.0) - cfg.load_conductance * v_c
-        y22 = g_c2 + cfg.load_conductance
-        i2 = g_c2 * v_c + i_cap2_prev
-        if closed:
-            alpha_f = dt * cfg.feeder_r / (2 * cfg.feeder_l)
-            gamma_f = dt / (2 * cfg.feeder_l + dt * cfg.feeder_r)
-            i_hist_f = (1 - alpha_f) / (1 + alpha_f) * i_f + gamma_f * (self.v1 - v_c)
-            y = np.array([[y11 + gamma_f, -gamma_f], [-gamma_f, y22 + gamma_f]])
-            i = np.array([i1 - i_hist_f, i2 + i_hist_f])
-        else:
-            y = np.array([[y11, 0.0], [0.0, y22]])
-            i = np.array([i1, i2])
-        v = nodal_solve(NodalBoundary(Y=y, I=i))
-        v1_mid = 0.5 * (self.v1 + float(v[0]))
-        self.trans_group = group_step(self.trans_group, [v1_mid, 1.0], dt)
-        self.dist_group = group_step(self.dist_group, [v1_mid if closed else 0.0], dt)
-        self.v1 = float(v[0])
-        self.v2 = float(self.dist_group.s[1])
-        i_f_new = float(self.dist_group.s[0])
-        p_pcc = self.v1 * i_f_new if closed else 0.0
+            i1 += hist_gain * i_state + gamma * (two_emf - v1)
+        i_f, v_c = self.dist_group.s.tolist()
+        i_f_closed = 0.0 if self._feeder is None else i_f
+        i1 += self._g_c1 * v1 + (i_src_total - i_f_closed)
+        i2 = self._g_c2 * v_c + (i_f_closed - cfg.load_conductance * v_c)
+        if self._feeder is not None:
+            hist_gain_f, gamma_f = self._feeder
+            i_hist_f = hist_gain_f * i_f + gamma_f * (v1 - v_c)
+            i1 -= i_hist_f
+            i2 += i_hist_f
+        self.boundary.I = np.array([i1, i2])
+        v1_new = float(nodal_solve(self.boundary)[0])
+        v1_mid = 0.5 * (v1 + v1_new)
+        group_step(self.trans_group, [v1_mid, 1.0], dt)
+        group_step(self.dist_group, [0.0 if self._feeder is None else v1_mid], dt)
+        self.v1 = v1_new
+        i_f_new, self.v2 = self.dist_group.s.tolist()
+        p_pcc = 0.0 if self._feeder is None else v1_new * i_f_new
 
         # machines see the (lagged, bounded) boundary transfer on top of local load
         p_target = min(max(p_pcc / self.p_pcc0, -1.0), 3.0)
-        decay = math.exp(-dt / cfg.power_filter) if cfg.power_filter > 0 else 0.0
-        self._p_norm = p_target + (self._p_norm - p_target) * decay
+        self._p_norm = p_target + (self._p_norm - p_target) * self._decay
         self._swing(demand_total(self.grid) + cfg.dist_demand * self._p_norm, k)
 
     def record(self, push) -> None:

@@ -16,7 +16,7 @@ to keep the two conventional uses of "H" apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -25,6 +25,7 @@ import numpy as np
 MAX_SWING_DT = 0.010  # s; keep the fixed-step integrator well inside its stability margin
 NODAL_RESIDUAL_TOL = 1e-9
 NODAL_COND_LIMIT = 1e12
+_TWO_PI = 2 * math.pi
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -175,9 +176,28 @@ class Machine:
         return self.v_internal * self.v_recv / self.reactance
 
 
+def _swing_rates(m: Machine, p_elec, accel_gain: float, f_nom: float,
+                 delta: float, omega: float, gp: float) -> tuple[float, float, float]:
+    """Time derivatives of (delta, omega, gov_power) at one RK4 stage."""
+    gov = m.governor
+    if gov is None:
+        boost = dgp = 0.0
+    elif gov.time_constant > 0:
+        boost = gp
+        dgp = (gov.target(omega / _TWO_PI, f_nom) - gp) / gov.time_constant
+    else:
+        boost, dgp = gov.target(omega / _TWO_PI, f_nom), 0.0
+    p_acc = m.p_mech + boost - (p_elec(delta) if callable(p_elec) else p_elec)
+    if m.damping:
+        p_acc -= m.damping * (omega - m.omega_sync) / m.omega_sync
+    return omega - m.omega_sync, accel_gain * p_acc, dgp
+
+
 def swing_step(machine: Machine, p_elec, dt: float, step_index=None) -> Machine:
     """Advance rotor angle/speed one fixed step with classical 4th-order Runge-Kutta.
 
+    Updates ``machine.delta``, ``omega`` and ``gov_power`` in place and returns
+    the same ``Machine``; on divergence it raises and leaves the state as it was.
     ``p_elec`` is either a constant electrical power (pu) or a callable of the
     rotor angle, which lets the integrator see the angle dependence within the
     step.  The governor, when configured, adds its droop boost to the scheduled
@@ -185,47 +205,35 @@ def swing_step(machine: Machine, p_elec, dt: float, step_index=None) -> Machine:
     """
     if dt <= 0 or dt > MAX_SWING_DT:
         raise ValueError(f"dt must be in (0, {MAX_SWING_DT}] s, got {dt}")
-    pe = p_elec if callable(p_elec) else (lambda _delta: p_elec)
-    ws = machine.omega_sync
-    accel_gain = ws / (2.0 * machine.inertia_const)
-    gov = machine.governor
+    accel_gain = machine.omega_sync / (2.0 * machine.inertia_const)
     f_nom = machine.f_nom
-    two_pi = 2 * math.pi
-    lagged = gov is not None and gov.time_constant > 0
-
-    def deriv(delta, omega, gp):
-        f = omega / two_pi
-        if gov is None:
-            boost, dgp = 0.0, 0.0
-        elif lagged:
-            boost = gp
-            dgp = (gov.target(f, f_nom) - gp) / gov.time_constant
-        else:
-            boost, dgp = gov.target(f, f_nom), 0.0
-        p_acc = machine.p_mech + boost - pe(delta)
-        if machine.damping:
-            p_acc -= machine.damping * (omega - ws) / ws
-        return omega - ws, accel_gain * p_acc, dgp
-
+    half = 0.5 * dt
     d0, w0, g0 = machine.delta, machine.omega, machine.gov_power
-    k1 = deriv(d0, w0, g0)
-    k2 = deriv(d0 + 0.5 * dt * k1[0], w0 + 0.5 * dt * k1[1], g0 + 0.5 * dt * k1[2])
-    k3 = deriv(d0 + 0.5 * dt * k2[0], w0 + 0.5 * dt * k2[1], g0 + 0.5 * dt * k2[2])
-    k4 = deriv(d0 + dt * k3[0], w0 + dt * k3[1], g0 + dt * k3[2])
+    k1d, k1w, k1g = _swing_rates(machine, p_elec, accel_gain, f_nom, d0, w0, g0)
+    k2d, k2w, k2g = _swing_rates(machine, p_elec, accel_gain, f_nom,
+                                 d0 + half * k1d, w0 + half * k1w, g0 + half * k1g)
+    k3d, k3w, k3g = _swing_rates(machine, p_elec, accel_gain, f_nom,
+                                 d0 + half * k2d, w0 + half * k2w, g0 + half * k2g)
+    k4d, k4w, k4g = _swing_rates(machine, p_elec, accel_gain, f_nom,
+                                 d0 + dt * k3d, w0 + dt * k3w, g0 + dt * k3g)
     sixth = dt / 6.0
-    delta = d0 + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    omega = w0 + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    if lagged:
-        gp = g0 + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    elif gov is not None:
-        gp = gov.target(omega / two_pi, f_nom)
-    else:
+    delta = d0 + sixth * (k1d + 2 * k2d + 2 * k3d + k4d)
+    omega = w0 + sixth * (k1w + 2 * k2w + 2 * k3w + k4w)
+    gov = machine.governor
+    if gov is None:
         gp = 0.0
+    elif gov.time_constant > 0:
+        gp = g0 + sixth * (k1g + 2 * k2g + 2 * k3g + k4g)
+    else:
+        gp = gov.target(omega / _TWO_PI, f_nom)
 
     if not (math.isfinite(delta) and math.isfinite(omega) and math.isfinite(gp)):
         raise IntegrationDivergedError(
             step_index, f"machine {machine.id!r} delta={delta} omega={omega}")
-    return replace(machine, delta=delta, omega=omega, gov_power=gp)
+    machine.delta = delta
+    machine.omega = omega
+    machine.gov_power = gp
+    return machine
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +341,17 @@ class FastSource:
 
 @dataclass
 class StateSpaceGroup:
-    """One solver group: s' = A s + D v, advanced by the trapezoidal rule."""
+    """One solver group: s' = A s + D v, advanced by the trapezoidal rule.
+
+    ``A`` is fixed once the group is built: ``group_step`` keeps the bilinear
+    factors of the last ``dt`` it was given.
+    """
 
     name: str
     A: np.ndarray
     D: np.ndarray
     s: np.ndarray
+    _factors: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -353,29 +366,41 @@ class StateSpaceGroup:
 
 
 def group_step(g: StateSpaceGroup, v_in: Sequence[float], dt: float) -> StateSpaceGroup:
-    """Trapezoidal (bilinear) step with the input held over the interval."""
+    """Trapezoidal (bilinear) step with the input held over the interval.
+
+    Replaces ``g.s`` with the new state and returns the same group.
+    """
     v = np.atleast_1d(np.asarray(v_in, dtype=float))
     if v.shape[0] != g.D.shape[1]:
         raise ValueError(f"group {g.name!r}: input has length {v.shape[0]}, "
                          f"expected {g.D.shape[1]}")
-    q = g.s.shape[0]
-    half = 0.5 * dt * g.A
-    lhs = np.eye(q) - half
-    rhs = (np.eye(q) + half) @ g.s + dt * (g.D @ v)
+    if g._factors is None or g._factors[0] != dt:
+        eye = np.eye(g.s.shape[0])
+        half = 0.5 * dt * g.A
+        g._factors = (dt, eye - half, eye + half)
+    _, lhs, rhs_factor = g._factors
+    rhs = rhs_factor @ g.s + dt * (g.D @ v)
     try:
-        s_new = np.linalg.solve(lhs, rhs)
+        g.s = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularBoundaryError(
             f"group {g.name!r}: (I - dt/2 A) is singular at dt={dt}") from exc
-    return replace(g, s=s_new)
+    return g
 
 
 @dataclass
 class NodalBoundary:
-    """Shared-node admittance system Y V = I coupling the solver groups."""
+    """Shared-node admittance system Y V = I coupling the solver groups.
+
+    ``Y`` is fixed once the boundary is built, so ``nodal_solve`` checks its
+    conditioning once; the engine builds a new boundary at every topology
+    change and sets ``I`` each step.
+    """
 
     Y: np.ndarray
     I: np.ndarray
+    _checked_y: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
         self.Y = np.atleast_2d(np.asarray(self.Y))
@@ -389,13 +414,17 @@ class NodalBoundary:
 def nodal_solve(b: NodalBoundary) -> np.ndarray:
     """Solve Y V = I by dense LU; refuses ill-conditioned systems.
 
-    The printed form of the coupling equation is ambiguous about orientation;
-    the standard nodal reading Y V = I is used throughout.
+    The condition check runs on the first solve with a given ``Y`` object; the
+    residual check runs on every solve.  The printed form of the coupling
+    equation is ambiguous about orientation; the standard nodal reading
+    Y V = I is used throughout.
     """
-    cond = np.linalg.cond(b.Y)
-    if not np.isfinite(cond) or cond > NODAL_COND_LIMIT:
-        raise SingularBoundaryError(f"boundary matrix condition estimate {cond:.3e} "
-                                    f"exceeds {NODAL_COND_LIMIT:.0e}")
+    if b._checked_y is not b.Y:
+        cond = np.linalg.cond(b.Y)
+        if not np.isfinite(cond) or cond > NODAL_COND_LIMIT:
+            raise SingularBoundaryError(f"boundary matrix condition estimate {cond:.3e} "
+                                        f"exceeds {NODAL_COND_LIMIT:.0e}")
+        b._checked_y = b.Y
     V = np.linalg.solve(b.Y, b.I)
     residual = np.max(np.abs(b.Y @ V - b.I))
     if residual >= NODAL_RESIDUAL_TOL:

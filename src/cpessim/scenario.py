@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import risk as risk_mod
 from . import threat_model as tm
 from .attacks import (AttackSpec, AttackWindow, BreakerAttack, ControlDia,
@@ -20,7 +22,8 @@ from .attacks import (AttackSpec, AttackWindow, BreakerAttack, ControlDia,
                       SinusoidNoise, TimeDelay)
 from .network import AppConfig, NetLink, NetNode, NodeRole
 from .physical import (MAX_SWING_DT, Breaker, FastSource, FrequencyProtection,
-                       Governor, GridModel, Load, LtiPlant, Machine, apply_contingency)
+                       Governor, GridModel, Load, LtiPlant, Machine, apply_contingency,
+                       demand_total)
 
 SCHEMA_VERSION = 1
 
@@ -142,6 +145,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     grid_doc = _require(doc, "grid", dict)
     grid = build_grid(grid_doc)  # validates; engine rebuilds per run
+    _check_operating_point(grid, grid_doc)
 
     network = None
     if doc.get("network") is not None:
@@ -214,6 +218,8 @@ def build_grid(grid_doc: dict) -> GridModel:
                 damping=m.get("damping", 0.0)))
         except ValueError as exc:
             raise ScenarioError(loc, str(exc)) from exc
+    if not machines:
+        raise ScenarioError("grid.machines", "scenario needs at least one machine")
 
     loads = []
     for i, l in enumerate(grid_doc.get("loads", [])):
@@ -297,6 +303,55 @@ def build_grid(grid_doc: dict) -> GridModel:
     return grid
 
 
+def _check_operating_point(grid: GridModel, grid_doc: dict) -> None:
+    """Run the multi-machine and T&D tiers' start-up balance on a throwaway grid,
+    so a setpoint the network cannot carry fails at load time."""
+    td_cfg = _parse_td_system(grid_doc["td_system"]) if grid_doc.get("td_system") else None
+    if td_cfg is not None:
+        balance_slack(grid, td_cfg.dist_demand)
+        td_operating_point(td_cfg, grid.breaker(td_cfg.feeder_breaker).closed)
+    elif len(grid.machines) > 1:
+        balance_slack(grid)
+
+
+def balance_slack(grid: GridModel, extra_demand: float = 0.0) -> None:
+    """Give the first machine (the slack) the demand, plus ``extra_demand``,
+    that the other setpoints leave uncovered; every setpoint must then fit
+    under its machine's coupling."""
+    machines = grid.machines
+    d0 = demand_total(grid) + extra_demand
+    total_pm = sum(m.p_mech for m in machines)
+    machines[0].p_mech += d0 - total_pm
+    for i, m in enumerate(machines):
+        if m.p_mech > m.coupling:
+            raise ScenarioError(
+                f"grid.machines[{i}]",
+                f"machine {m.id!r} cannot transfer its setpoint {m.p_mech:.3f} pu "
+                f"over coupling {m.coupling:.3f} pu")
+
+
+def td_operating_point(cfg: TdSystemConfig, feeder_closed: bool
+                       ) -> tuple[float, float, list[float], float]:
+    """DC operating point of the T&D circuit, inductors shorted to their
+    resistances and capacitors open: (v1, v2, source currents, feeder current).
+    The nominal boundary transfer v1 * i_f must be positive, so the feeder
+    must start closed."""
+    if not feeder_closed:
+        raise ScenarioError("grid.td_system", "nominal boundary transfer must be > 0; "
+                                              "the feeder breaker starts open")
+    g_f = 1.0 / cfg.feeder_r
+    g_src = [1.0 / s.r for s in cfg.sources]
+    y = np.array([[sum(g_src) + g_f, -g_f],
+                  [-g_f, g_f + cfg.load_conductance]])
+    i = np.array([sum(g * s.emf for g, s in zip(g_src, cfg.sources)), 0.0])
+    v1, v2 = np.linalg.solve(y, i).tolist()
+    i_src = [g * (s.emf - v1) for g, s in zip(g_src, cfg.sources)]
+    i_f = (v1 - v2) / cfg.feeder_r
+    if v1 * i_f <= 0:
+        raise ScenarioError("grid.td_system", "nominal boundary transfer must be > 0")
+    return v1, v2, i_src, i_f
+
+
 def build_protection(grid_doc: dict) -> FrequencyProtection:
     """Frequency-protection bands of a grid section, without building the grid."""
     prot_doc = grid_doc.get("protection", {})
@@ -330,7 +385,7 @@ def _parse_td_system(raw: dict) -> TdSystemConfig:
     return TdSystemConfig(sources=sources,
                           feeder_breaker=_require(raw, "feeder_breaker", str,
                                                   parent="grid.td_system"),
-                          feeder_r=_number(raw, "feeder_r", parent="grid.td_system"),
+                          feeder_r=_positive(raw, "feeder_r", parent="grid.td_system"),
                           feeder_l=_positive(raw, "feeder_l", parent="grid.td_system"),
                           shunt_c=_positive(raw, "shunt_c", parent="grid.td_system"),
                           load_conductance=_positive(raw, "load_conductance",

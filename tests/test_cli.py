@@ -1,0 +1,70 @@
+import json
+
+from cpessim import cli, presets
+from cpessim import threat_model as tm
+
+
+def write_doc(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def short_doc(preset, variant=None, horizon=0.05):
+    doc = presets.preset_doc(preset, variant)
+    doc["meta"]["horizon"] = horizon
+    return doc
+
+
+def test_run_exits_ok(tmp_path, capsys):
+    path = write_doc(tmp_path / "sc.json", short_doc("case2_load", "a"))
+    assert cli.main(["run", path, "--out", str(tmp_path / "out"), "--json"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["scenario"] == "case2_load_a"
+    assert (tmp_path / "out" / "traces" / "freq.csv").exists()
+
+
+def test_threat_with_violations_exits_negative(tmp_path, capsys):
+    model = tm.preset("cross_layer_firmware")
+    broken = tm.ThreatModel(
+        name=model.name,
+        adversary=tm.AdversaryModel(knowledge=model.adversary.knowledge,
+                                    access={tm.Access.NON_POSSESSION},
+                                    specificity=model.adversary.specificity,
+                                    resources=model.adversary.resources),
+        attack=model.attack)
+    path = tmp_path / "threat.json"
+    path.write_text(tm.serialize(broken))
+    assert cli.main(["threat", "validate", str(path), "--json"]) == cli.EXIT_NEGATIVE
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def test_malformed_scenario_exits_input_error(tmp_path, capsys):
+    doc = short_doc("case2_load", "a")
+    del doc["meta"]["horizon"]
+    path = write_doc(tmp_path / "sc.json", doc)
+    assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == cli.EXIT_INPUT
+    assert "meta.horizon" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_runtime_failure_exits_runtime_error(tmp_path, capsys):
+    # +4000% on a 0.30 pu load asks 13 pu of three machines that carry 10 pu at most
+    doc = short_doc("case2_load", "a")
+    doc["attacks"] = [{"type": "load_change", "targets": ["bus29"], "delta": 40.0,
+                       "fraction": True, "window": [[0.01, 0.02]]}]
+    path = write_doc(tmp_path / "sc.json", doc)
+    assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == cli.EXIT_RUNTIME
+    assert "exceeds total transfer capability" in capsys.readouterr().err
+
+
+def test_metrics_on_exported_run_equals_run_report(tmp_path, capsys):
+    path = write_doc(tmp_path / "sc.json", presets.preset_doc("case1_dia"))
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out), "--json"]) == cli.EXIT_OK
+    run_report = json.loads(capsys.readouterr().out)
+    assert cli.main(["metrics", str(out), "--json"]) == cli.EXIT_OK
+    read_back = json.loads(capsys.readouterr().out)
+    assert read_back["scenario"] == run_report["scenario"] == "case1_dia"
+    assert read_back["metrics"]
+    # NaN never equals itself, so compare the serialized forms
+    assert json.dumps(read_back["metrics"], sort_keys=True) == \
+        json.dumps(run_report["metrics"], sort_keys=True)

@@ -78,6 +78,72 @@ def test_case3_delay_15_reaches_underfrequency_trip():
     assert "underfreq_trip" in protection_actions(result)
 
 
+def test_case3_delay_0_5_sheds_load_without_tripping():
+    result = engine.run(presets.preset_scenario("case3_tda", "delay_0_5"))
+    actions = protection_actions(result)
+    assert "load_shed" in actions and "underfreq_trip" not in actions
+    assert nadir(result) == pytest.approx(59.378, abs=5e-4)
+
+
+def test_case3_delay_5_reaches_underfrequency_trip():
+    result = engine.run(presets.preset_scenario("case3_tda", "delay_5"))
+    assert "underfreq_trip" in protection_actions(result)
+    assert nadir(result) == pytest.approx(56.646, abs=5e-4)
+
+
+def test_case4_td_n2_nadir():
+    assert nadir(engine.run(presets.preset_scenario("case4_td", "n2"))) \
+        == pytest.approx(59.187, abs=5e-4)
+
+
+@pytest.mark.parametrize("preset, pool", [
+    ("case1_dia", 4), ("case2_load", 4), ("case3_tda", 2), ("case4_td", 1)])
+def test_risk_pool_per_case(preset, pool):
+    assert engine.run(short(preset)).risk_report.pool == pool
+
+
+# -- T&D boundary ----------------------------------------------------------------------
+
+def boundary_matrix_from_scratch(cfg, grid, dt):
+    """Nodal matrix of the T&D boundary for the live topology, from the circuit alone."""
+    y11 = 0.0
+    for src in cfg.sources:
+        if grid.machine(src.machine).connected:
+            y11 += dt / (2 * src.l + dt * src.r)
+    y11 += 2 * cfg.pcc_shunt_c / dt
+    y22 = 2 * cfg.shunt_c / dt + cfg.load_conductance
+    if grid.breaker(cfg.feeder_breaker).closed:
+        g_f = dt / (2 * cfg.feeder_l + dt * cfg.feeder_r)
+        return np.array([[y11 + g_f, -g_f], [-g_f, y22 + g_f]])
+    return np.array([[y11, 0.0], [0.0, y22]])
+
+
+@pytest.mark.parametrize("variant, topologies", [
+    ("breaker_triple", {(True, 3), (False, 3)}),
+    ("n11", {(True, 3), (True, 2), (True, 1)})])
+def test_td_boundary_matrix_follows_live_topology(variant, topologies, monkeypatch):
+    sc = presets.preset_scenario("case4_td", variant)
+    cfg = sc.td_system()
+    run = engine._Run(sc, None)
+    seen = []
+    mismatches = []
+    real_nodal_solve = engine.nodal_solve
+
+    def checked(b):
+        grid = run.grid
+        seen.append((grid.breaker(cfg.feeder_breaker).closed,
+                     sum(m.connected for m in grid.machines)))
+        if not np.array_equal(b.Y, boundary_matrix_from_scratch(cfg, grid, run.dt)):
+            mismatches.append(len(seen))
+        return real_nodal_solve(b)
+
+    monkeypatch.setattr(engine, "nodal_solve", checked)
+    run.execute()
+    assert len(seen) == run.n_steps
+    assert set(seen) == topologies
+    assert mismatches == []
+
+
 # -- determinism and batches ------------------------------------------------------------
 
 @pytest.mark.parametrize("preset", ["case1_dia", "case3_tda"])

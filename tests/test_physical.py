@@ -139,8 +139,9 @@ def test_swing_initial_rocof():
     # constant 0.1 pu surplus with H = 5 s gives 0.1 * ws / (2*5) rad/s^2 = 0.6 Hz/s
     m = machine(h=5.0, pm=0.1)
     dt = 1e-3
-    m2 = phys.swing_step(m, 0.0, dt)
-    rocof_hz = (m2.omega - m.omega) / (2 * math.pi) / dt
+    w0 = m.omega
+    phys.swing_step(m, 0.0, dt)
+    rocof_hz = (m.omega - w0) / (2 * math.pi) / dt
     assert rocof_hz == pytest.approx(0.6, rel=1e-6)
 
 
@@ -376,3 +377,52 @@ def test_fast_source_caps_and_lags():
     lagged = FastSource(id="b2", gain=1.0, max_power=1.0, time_constant=0.05)
     first = lagged.step(59.0, 60.0, 1e-3)
     assert 0 < first < 1.0
+
+
+# -- in-place kernels ----------------------------------------------------------------
+
+def test_swing_step_advances_the_same_machine():
+    m = machine(h=5.0, pm=0.1, delta=0.2)
+    d0, w0 = m.delta, m.omega
+    out = phys.swing_step(m, 0.0, 1e-3)
+    assert out is m
+    assert m.omega > w0 and m.delta > d0
+
+
+def test_swing_divergence_leaves_machine_unchanged():
+    m = machine(h=1e-6, pm=0.0, delta=0.1)
+    before = (m.delta, m.omega, m.gov_power)
+    with pytest.raises(phys.IntegrationDivergedError):
+        phys.swing_step(m, lambda d: math.inf, 1e-3, step_index=7)
+    assert (m.delta, m.omega, m.gov_power) == before
+
+
+def test_group_step_equals_uncached_bilinear_formula():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(3, 3)) - 4.0 * np.eye(3)
+    d = rng.normal(size=(3, 2))
+    g = StateSpaceGroup(name="g", A=a, D=d, s=rng.normal(size=3))
+    eye = np.eye(3)
+    for k, dt in enumerate([0.01, 0.01, 0.002, 0.002, 0.01]):
+        v = [math.sin(k), 1.0]
+        s = g.s
+        expected = np.linalg.solve(eye - dt / 2 * a,
+                                   (eye + dt / 2 * a) @ s + dt * (d @ np.array(v)))
+        assert phys.group_step(g, v, dt) is g
+        assert np.array_equal(g.s, expected)
+        assert g.s is not s
+
+
+def test_nodal_checks_condition_once_per_matrix(monkeypatch):
+    calls = []
+    real_cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda y: calls.append(1) or real_cond(y))
+    b = NodalBoundary(Y=[[2.0, -1.0], [-1.0, 2.0]], I=[1.0, 0.0])
+    for i in range(3):
+        b.I = np.array([1.0, float(i)])
+        assert np.allclose(b.Y @ phys.nodal_solve(b), b.I)
+    assert len(calls) == 1
+    b.Y = np.array([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(phys.SingularBoundaryError):
+        phys.nodal_solve(b)
+    assert len(calls) == 2

@@ -225,3 +225,49 @@ def test_plants_only_on_aggregate_grid(preset, variant):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
     assert "grid.plants" in str(err.value)
+
+
+# -- operating point checked at load time ----------------------------------------------
+
+def test_grid_without_machines_names_field():
+    doc = minimal_doc()
+    doc["grid"]["machines"] = []
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert err.value.location == "grid.machines"
+
+
+def test_setpoint_above_coupling_names_machine():
+    doc = minimal_doc()
+    doc["grid"]["machines"].append({"id": "m2", "inertia_const": 5.0, "p_mech": 0.5})
+    doc["grid"]["loads"][0]["demand"] = 9.0
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert err.value.location == "grid.machines[0]"
+    assert "cannot transfer its setpoint 8.500 pu over coupling 3.333 pu" in str(err.value)
+
+
+def _feeder_open(doc):
+    doc["grid"]["breakers"][0]["closed"] = False
+
+
+def _sources_dead(doc):
+    for src in doc["grid"]["td_system"]["sources"]:
+        src["emf"] = 0.0
+
+
+@pytest.mark.parametrize("spoil", [_feeder_open, _sources_dead])
+def test_td_without_nominal_boundary_transfer_names_field(spoil):
+    doc = presets.preset_doc("case4_td", "n1")
+    spoil(doc)
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert err.value.location == "grid.td_system"
+
+
+def test_td_feeder_resistance_must_be_positive():
+    doc = presets.preset_doc("case4_td", "n1")
+    doc["grid"]["td_system"]["feeder_r"] = 0.0
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert err.value.location == "grid.td_system.feeder_r"
