@@ -16,7 +16,8 @@ from pathlib import Path
 from . import engine, presets, risk as risk_mod, threat_model as tm
 from .metrics import TimeSeries
 from .physical import IntegrationDivergedError, SingularBoundaryError
-from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
+from .scenario import (Scenario, ScenarioError, load_scenario, parse_risk,
+                       scenario_from_dict)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -151,13 +152,7 @@ def _cmd_preset(args) -> int:
 
 def _cmd_risk(args) -> int:
     raw = json.loads(Path(args.input).read_text())
-    prob = risk_mod.ThreatProbability(int(raw["probability"]))
-    priorities = (risk_mod.priorities_from_names(raw["priorities"])
-                  if "priorities" in raw else risk_mod.CPES_PRIORITIES)
-    impacts = risk_mod.impacts_from_names(raw["impacts"])
-    thresholds = tuple(raw.get("pool_thresholds", risk_mod.DEFAULT_POOL_THRESHOLDS))
-    report = risk_mod.risk(prob, priorities, impacts, thresholds,
-                           name=raw.get("name", ""))
+    report = risk_mod.risk(**parse_risk(raw), name=raw.get("name", ""))
     doc = risk_mod.report_to_dict(report)
     if args.json:
         print(json.dumps(doc))

@@ -34,8 +34,8 @@ from .physical import (GridModel, NodalBoundary, ProtectionAction,
                        StateSpaceGroup, demand_total, disconnect_machine,
                        group_step, lti_step, nodal_solve, protection_check,
                        solve_load_angle, swing_step)
-from .scenario import (Scenario, ScenarioError, TdSystemConfig, balance_slack,
-                       build_protection, scenario_hash, td_operating_point)
+from .scenario import (Scenario, ScenarioError, TdSystemConfig, build_protection,
+                       scenario_hash, td_operating_point)
 
 _TIME_EPS = 1e-12
 
@@ -80,11 +80,6 @@ class _Run:
         self.attack_samples: list[dict] = []
         self.staged_commands: list[tuple[str, str, object, float]] = []
         self.n_steps = int(round(sc.horizon / self.dt))
-        # one row per recorded instant; the trace names come from the first row
-        self.trace_names: list[str] = []
-        self.trace_units: list[str] = []
-        self._rows: Optional[np.ndarray] = None
-        self._row: list[float] = []
         self._prev_action = ProtectionAction.NONE
         self._topology_dirty = False
 
@@ -130,6 +125,20 @@ class _Run:
         else:  # build_grid rejects a grid without machines
             self.tier = _AggregateTier(sc, self.grid, self.dt, self.seed,
                                        self.attack_samples)
+
+        # trace columns, fixed for the run: one row per recorded instant
+        self._shed_loads = [load for load in self.grid.loads if load.sheddable]
+        columns = [("freq", "Hz"), ("demand_total", "pu"), *self.tier.columns(),
+                   *[(f"breaker_{b.id}", "state") for b in self.grid.breakers],
+                   *[(f"shed_{load.id}", "state") for load in self._shed_loads]]
+        self.trace_names = [name for name, _ in columns]
+        self.trace_units = [unit for _, unit in columns]
+        self._rows = np.empty((self.n_steps + 1, len(columns)))
+        for i, req in enumerate(sc.metrics_requested):
+            if req["kind"] != "cyber" and req["trace"] not in self.trace_names:
+                raise ScenarioError(f"metrics[{i}].trace",
+                                    f"trace {req['trace']!r} not produced by this "
+                                    f"scenario (have {sorted(self.trace_names)})")
 
     # -- grid/network glue ----------------------------------------------------
 
@@ -188,7 +197,7 @@ class _Run:
         sc = self.sc
         n_steps = self.n_steps
         self._apply_load_windows(0.0)
-        self._record(0.0, 0)
+        self._record(0.0, 0, demand_total(self.grid))
 
         for k in range(n_steps):
             t = k * self.dt
@@ -197,8 +206,9 @@ class _Run:
             if self.net is not None:
                 self.net.run_until(t_next)
             self._apply_load_windows(t)
-            self.tier.step(t, k)
-            self._record(t_next, k + 1)
+            demand = demand_total(self.grid)
+            self.tier.step(t, k, demand)
+            self._record(t_next, k + 1, demand)
 
         # every trace shares one read-only time axis; columns become contiguous rows
         t_axis = np.arange(n_steps + 1) * self.dt
@@ -210,9 +220,7 @@ class _Run:
         reports = compute_metrics(sc, traces, self.log)
         risk_report = None
         if sc.risk_inputs is not None:
-            ri = sc.risk_inputs
-            risk_report = risk_mod.risk(ri["probability"], ri["priorities"],
-                                        ri["impacts"], ri["thresholds"], name=sc.name)
+            risk_report = risk_mod.risk(**sc.risk_inputs, name=sc.name)
         manifest = {
             "schema_version": 1,
             "scenario_name": sc.name,
@@ -253,30 +261,11 @@ class _Run:
 
     # -- recording ---------------------------------------------------------------
 
-    def _push(self, name: str, value: float, unit: str) -> None:
-        self._row.append(value)
-
-    def _push_first(self, name: str, value: float, unit: str) -> None:
-        self.trace_names.append(name)
-        self.trace_units.append(unit)
-        self._row.append(value)
-
-    def _record(self, t: float, k: int) -> None:
-        push = self._push if k else self._push_first
+    def _record(self, t: float, k: int, demand: float) -> None:
         freq = self.tier.frequency()
-        push("freq", freq, "Hz")
-        push("demand_total", demand_total(self.grid), "pu")
-        self.tier.record(push)
-        for breaker in self.grid.breakers:
-            push(f"breaker_{breaker.id}", 1.0 if breaker.closed else 0.0, "state")
-        for load in self.grid.loads:
-            if load.sheddable:
-                push(f"shed_{load.id}", 1.0 if load.shed else 0.0, "state")
-        if not k:
-            self._rows = np.empty((self.n_steps + 1, len(self._row)))
-        self._rows[k] = self._row
-        self._row.clear()
-
+        self._rows[k] = [freq, demand, *self.tier.values(),
+                         *[1.0 if b.closed else 0.0 for b in self.grid.breakers],
+                         *[1.0 if load.shed else 0.0 for load in self._shed_loads]]
         action = protection_check(freq, self.grid.protection)
         if action is not self._prev_action:
             self._log(t, "protection", "grid", {"action": action.value,
@@ -285,10 +274,11 @@ class _Run:
 
 
 # ---------------------------------------------------------------------------
-# Physical tiers.  Each advances the grid by one macro-step, reports the
-# system frequency, records its own traces and reacts to topology events.
-# A tier holds no reference back to its run, so a finished run's trace lists
-# are freed as soon as it returns.
+# Physical tiers.  Each advances the grid by one macro-step from the grid's
+# start-up operating point, reports the system frequency, declares its trace
+# columns once and gives their values per row, and reacts to topology events.
+# A tier holds no reference back to its run, so a finished run's trace array
+# is freed as soon as it returns.
 # ---------------------------------------------------------------------------
 
 class _AggregateTier:
@@ -301,60 +291,56 @@ class _AggregateTier:
         self.rng_phys = rng_for(seed, "phys.noise")
         self.rng_attack = rng_for(seed, "attack")
         self.attack_samples = attack_samples
-        self.bindings = {b.plant_name: b for b in sc.plant_bindings()}
-        self._last_meas = {p.name: None for p in grid.plants}
-        self.meas_attacks = {spec.tap.partition(":")[2]: spec
-                             for spec in sc.attacks if isinstance(spec, DiaCombined)}
-        self.ctrl_attacks = {spec.tap.partition(":")[2]: spec
-                             for spec in sc.attacks if isinstance(spec, ControlDia)}
+        meas_attacks = {spec.tap.partition(":")[2]: spec
+                        for spec in sc.attacks if isinstance(spec, DiaCombined)}
+        ctrl_attacks = {spec.tap.partition(":")[2]: spec
+                        for spec in sc.attacks if isinstance(spec, ControlDia)}
+        # (plant, measurement-tap attack, control-tap attack) per control loop
+        self.loops = [(plant, meas_attacks.get(plant.name), ctrl_attacks.get(plant.name))
+                      for plant in grid.plants]
+        # last sensed value per plant; before the first sample, the true output
+        self._meas = [self._signal(plant) for plant in grid.plants]
         pcc_id = sc.pcc_breaker()
         self.pcc = grid.breaker(pcc_id) if pcc_id else None
-        if self.pcc is None or not self.pcc.closed:
-            # autonomous from the start: balance the machine against net demand
-            p_inject = sum(b.power_base for b in self.bindings.values())
-            grid.machines[0].p_mech = demand_total(grid) - p_inject
 
     def _pinned(self) -> bool:
         return self.pcc is not None and self.pcc.closed
 
-    def _plant_injection(self) -> float:
-        total = 0.0
-        for plant in self.grid.plants:
-            b = self.bindings.get(plant.name)
-            if b is not None:
-                total += b.power_base + b.power_gain * float(plant.x[0])
-        return total
+    @staticmethod
+    def _signal(plant) -> float:
+        """True (noise-free) output around the operating point."""
+        return plant.operating_point + float((plant.C @ plant.x)[0])
+
+    @staticmethod
+    def _power(plant) -> float:
+        return plant.power_base + plant.power_gain * float(plant.x[0])
+
+    def _sample(self, t: float, tap: str, delta) -> None:
+        if np.any(delta != 0):
+            self.attack_samples.append({"t": t, "tap": tap,
+                                        "delta": [float(d) for d in np.atleast_1d(delta)]})
 
     def _advance_plants(self, t: float, k: int) -> None:
-        for plant in self.grid.plants:
-            b = self.bindings.get(plant.name)
-            op = b.operating_point if b else 0.0
+        for i, (plant, spec, cspec) in enumerate(self.loops):
+            op = plant.operating_point
             x_next, y_dev = lti_step(plant, k, self.rng_phys)
             y_abs = op + y_dev
-            spec = self.meas_attacks.get(plant.name)
             if spec is not None:
                 y_att, dy = apply_dia(y_abs, t, spec, self.rng_attack)
-                if np.any(dy != 0):
-                    self.attack_samples.append(
-                        {"t": t, "tap": f"meas:{plant.name}",
-                         "delta": [float(d) for d in np.atleast_1d(dy)]})
+                self._sample(t, f"meas:{plant.name}", dy)
             else:
                 y_att = y_abs
             u_cmd = plant.control_matrix @ (y_att - op)
-            cspec = self.ctrl_attacks.get(plant.name)
             if cspec is not None:
                 u_cmd, du = apply_control_dia(u_cmd, t, cspec)
-                if np.any(du != 0):
-                    self.attack_samples.append(
-                        {"t": t, "tap": f"ctrl:{plant.name}",
-                         "delta": [float(d) for d in np.atleast_1d(du)]})
+                self._sample(t, f"ctrl:{plant.name}", du)
             plant.x = x_next
             plant.u = np.atleast_1d(u_cmd)
-            self._last_meas[plant.name] = float(np.atleast_1d(y_att)[0])
+            self._meas[i] = float(np.atleast_1d(y_att)[0])
 
-    def step(self, t: float, k: int) -> None:
+    def step(self, t: float, k: int, demand: float) -> None:
         machine = self.grid.machines[0]
-        p_inject = self._plant_injection()
+        p_inject = sum(self._power(plant) for plant in self.grid.plants)
         pinned = self._pinned()
         f_now = self.grid.f_nom if pinned else machine.frequency
         p_fast = sum(fs.step(f_now, self.grid.f_nom, self.dt)
@@ -363,30 +349,36 @@ class _AggregateTier:
             machine.omega = machine.omega_sync
             machine.gov_power = 0.0
         else:
-            p_elec = demand_total(self.grid) - p_inject - p_fast
+            p_elec = demand - p_inject - p_fast
             swing_step(machine, p_elec, self.dt, step_index=k)
         self._advance_plants(t, k)
 
     def frequency(self) -> float:
         return self.grid.f_nom if self._pinned() else self.grid.machines[0].frequency
 
-    def record(self, push) -> None:
-        machine = self.grid.machines[0]
-        push("p_gen", machine.p_mech + machine.gov_power, "pu")
+    def columns(self) -> list[tuple[str, str]]:
+        cols = [("p_gen", "pu")]
         if self.grid.fast_sources:
-            push("p_fast", sum(fs.power for fs in self.grid.fast_sources), "pu")
+            cols.append(("p_fast", "pu"))
         for plant in self.grid.plants:
-            b = self.bindings.get(plant.name)
-            op = b.operating_point if b else 0.0
-            signal = op + float((plant.C @ plant.x)[0])  # true output, noise-free
-            meas = self._last_meas[plant.name]
-            push(f"{plant.name}_signal", signal, "signal")
-            push(f"{plant.name}_meas", signal if meas is None else meas, "signal")
-            if b is not None and b.operating_point:
-                push(f"{plant.name}_signal_pu", signal / b.operating_point, "pu")
-            if b is not None:
-                push(f"{plant.name}_power",
-                     b.power_base + b.power_gain * float(plant.x[0]), "pu")
+            cols += [(f"{plant.name}_signal", "signal"), (f"{plant.name}_meas", "signal")]
+            if plant.operating_point:
+                cols.append((f"{plant.name}_signal_pu", "pu"))
+            cols.append((f"{plant.name}_power", "pu"))
+        return cols
+
+    def values(self) -> list[float]:
+        machine = self.grid.machines[0]
+        vals = [machine.p_mech + machine.gov_power]
+        if self.grid.fast_sources:
+            vals.append(sum(fs.power for fs in self.grid.fast_sources))
+        for plant, meas in zip(self.grid.plants, self._meas):
+            signal = self._signal(plant)
+            vals += [signal, meas]
+            if plant.operating_point:
+                vals.append(signal / plant.operating_point)
+            vals.append(self._power(plant))
+        return vals
 
     def on_disconnect(self, machine_id: str) -> None:
         pass
@@ -398,10 +390,9 @@ class _AggregateTier:
 class _MultiMachineTier:
     """Machines swinging against a common load bus balanced each step."""
 
-    def __init__(self, grid: GridModel, dt: float, extra_demand: float = 0.0):
+    def __init__(self, grid: GridModel, dt: float):
         self.grid = grid
         self.dt = dt
-        balance_slack(grid, extra_demand)
         self.theta = 0.0
         for m in grid.machines:
             m.delta = math.asin(m.p_mech / m.coupling)
@@ -413,8 +404,8 @@ class _MultiMachineTier:
             swing_step(m, m.coupling * math.sin(m.delta - self.theta), self.dt,
                        step_index=k)
 
-    def step(self, t: float, k: int) -> None:
-        self._swing(demand_total(self.grid), k)
+    def step(self, t: float, k: int, demand: float) -> None:
+        self._swing(demand, k)
 
     def frequency(self) -> float:
         machines = [m for m in self.grid.machines if m.connected]
@@ -423,9 +414,11 @@ class _MultiMachineTier:
         h_total = sum(m.inertia_const for m in machines)
         return sum(m.inertia_const * m.frequency for m in machines) / h_total
 
-    def record(self, push) -> None:
-        for m in self.grid.machines:
-            push(f"freq_{m.id}", m.frequency, "Hz")
+    def columns(self) -> list[tuple[str, str]]:
+        return [(f"freq_{m.id}", "Hz") for m in self.grid.machines]
+
+    def values(self) -> list[float]:
+        return [m.frequency for m in self.grid.machines]
 
     def on_disconnect(self, machine_id: str) -> None:
         pass
@@ -444,7 +437,7 @@ class _TdTier(_MultiMachineTier):
     """
 
     def __init__(self, grid: GridModel, dt: float, cfg: TdSystemConfig):
-        super().__init__(grid, dt, extra_demand=cfg.dist_demand)
+        super().__init__(grid, dt)
         self.cfg = cfg
         self.breaker = grid.breaker(cfg.feeder_breaker)
         self.source_machines = [grid.machine(src.machine) for src in cfg.sources]
@@ -516,7 +509,7 @@ class _TdTier(_MultiMachineTier):
             self._dist_states[0] = 0.0
         self._rebuild_td_groups()
 
-    def step(self, t: float, k: int) -> None:
+    def step(self, t: float, k: int, demand: float) -> None:
         cfg = self.cfg
         dt = self.dt
         v1 = self.v1
@@ -548,12 +541,13 @@ class _TdTier(_MultiMachineTier):
         # machines see the (lagged, bounded) boundary transfer on top of local load
         p_target = min(max(p_pcc / self.p_pcc0, -1.0), 3.0)
         self._p_norm = p_target + (self._p_norm - p_target) * self._decay
-        self._swing(demand_total(self.grid) + cfg.dist_demand * self._p_norm, k)
+        self._swing(demand + cfg.dist_demand * self._p_norm, k)
 
-    def record(self, push) -> None:
-        super().record(push)
-        push("v_pcc", self.v1 / self.v1_nom, "pu")
-        push("v_dist", self.v2 / self.v2_nom, "pu")
+    def columns(self) -> list[tuple[str, str]]:
+        return super().columns() + [("v_pcc", "pu"), ("v_dist", "pu")]
+
+    def values(self) -> list[float]:
+        return super().values() + [self.v1 / self.v1_nom, self.v2 / self.v2_nom]
 
 
 # ---------------------------------------------------------------------------

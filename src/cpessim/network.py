@@ -177,7 +177,6 @@ class NetworkSim:
         self._routes: dict[tuple[str, str], list[str]] = {}
         self.sensor_read: Callable[[str], float] = lambda asset: 0.0
         self.command_sink: Callable[[str, str, object, float], None] = lambda *a: None
-        self.rtt_records: list[dict] = []
 
         for link in links:
             for end in (link.a, link.b):
@@ -333,19 +332,11 @@ class NetworkSim:
             value = self.sensor_read(app.asset)
             self.send_packet(node_id, pkt.src, PacketKind.MEASUREMENT_REPORT,
                              payload={"asset": app.asset, "value": value,
-                                      "poll_id": pkt.id,
-                                      "poll_created_at": pkt.payload["created_at"]},
+                                      "poll_id": pkt.id},
                              now=now)
         elif app.kind == "outstation" and pkt.kind is PacketKind.CONTROL_COMMAND:
             action, value = pkt.payload["action"], pkt.payload.get("value")
             self.command_sink(app.asset, action, value, now)
-        elif app.kind == "master" and pkt.kind is PacketKind.MEASUREMENT_REPORT:
-            self.rtt_records.append({
-                "outstation": pkt.src,
-                "asset": pkt.payload["asset"],
-                "rtt": now - pkt.payload["poll_created_at"],
-                "completed_at": now,
-            })
 
     # -- applications --------------------------------------------------------
 
@@ -362,8 +353,7 @@ class NetworkSim:
 
         def emit(out: str, offset: float, k: int):
             t = start + offset + k * period  # multiplicative: no float accumulation
-            self.send_packet(master.id, out, PacketKind.POLL,
-                             payload={"created_at": t}, now=t)
+            self.send_packet(master.id, out, PacketKind.POLL, now=t)
             self.events.push(t + period, lambda: emit(out, offset, k + 1))
 
         for j, out in enumerate(outstations):

@@ -49,7 +49,10 @@ class LtiPlant:
     """x(k+1) = G x(k) + B u(k);  y(k) = C x(k) + e(k);  u(k+1) = control_matrix y(k).
 
     The feedback update is applied by the engine at the step boundary, after
-    any measurement-tap attack has altered y.
+    any measurement-tap attack has altered y.  On the aggregate grid the
+    controller acts on the absolute sensed signal (``operating_point`` plus
+    the deviation y), and the first state modulates an injected power
+    ``power_base + power_gain * x[0]``.
     """
 
     G: np.ndarray
@@ -60,6 +63,9 @@ class LtiPlant:
     x: np.ndarray
     u: np.ndarray
     name: str = "plant"
+    operating_point: float = 0.0
+    power_base: float = 0.0
+    power_gain: float = 0.0
 
     def __post_init__(self):
         self.G = np.atleast_2d(np.asarray(self.G, dtype=float))

@@ -115,7 +115,7 @@ def risk(probability: ThreatProbability,
     total, breakdown = damage(priorities, impacts)
     score = probability.level * total
     return RiskReport(damage=total, risk=score, per_objective_scores=breakdown,
-                      pool=_pool_of(score, _checked_thresholds(thresholds)), name=name)
+                      pool=_pool_of(score, checked_thresholds(thresholds)), name=name)
 
 
 def pool_rank(reports: Iterable[RiskReport],
@@ -126,12 +126,12 @@ def pool_rank(reports: Iterable[RiskReport],
     costs); pool 4 collects everything below the lowest (defer, transfer,
     or accept).
     """
-    ts = _checked_thresholds(thresholds)
+    ts = checked_thresholds(thresholds)
     ranked = sorted(reports, key=lambda r: -r.risk)
     return [(r.name, _pool_of(r.risk, ts)) for r in ranked]
 
 
-def _checked_thresholds(thresholds) -> tuple[int, int, int]:
+def checked_thresholds(thresholds) -> tuple[int, int, int]:
     t = tuple(thresholds)
     if len(t) != 3 or not (t[0] > t[1] > t[2]):
         raise ValueError(f"pool thresholds must be 3 strictly descending values, got {t}")

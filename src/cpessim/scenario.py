@@ -37,21 +37,6 @@ class ScenarioError(ValueError):
 
 
 @dataclass
-class PlantBinding:
-    """Wiring of an LTI control loop into the aggregate grid.
-
-    The controller acts on the absolute sensed signal (operating point plus
-    the plant's deviation measurement); the plant's first state modulates an
-    injected power around ``power_base``.
-    """
-
-    plant_name: str
-    operating_point: float = 0.0
-    power_base: float = 0.0
-    power_gain: float = 0.0
-
-
-@dataclass
 class TdSource:
     machine: str     # machine id whose disconnection also removes this branch
     emf: float
@@ -102,9 +87,6 @@ class Scenario:
     def build_grid(self) -> GridModel:
         return build_grid(self.grid)
 
-    def plant_bindings(self) -> list[PlantBinding]:
-        return [_parse_plant_binding(p) for p in self.grid.get("plants", [])]
-
     def td_system(self) -> Optional[TdSystemConfig]:
         raw = self.grid.get("td_system")
         return _parse_td_system(raw) if raw else None
@@ -145,7 +127,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     grid_doc = _require(doc, "grid", dict)
     grid = build_grid(grid_doc)  # validates; engine rebuilds per run
-    _check_operating_point(grid, grid_doc)
 
     network = None
     if doc.get("network") is not None:
@@ -167,7 +148,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     risk_inputs = None
     if doc.get("risk") is not None:
-        risk_inputs = _parse_risk(doc["risk"])
+        risk_inputs = parse_risk(doc["risk"])
 
     metrics_requested = [_parse_metric(i, m) for i, m in enumerate(doc.get("metrics", []))]
 
@@ -186,6 +167,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def build_grid(grid_doc: dict) -> GridModel:
+    """Validate a grid section and build its models at the start-up operating
+    point: the slack machine covers the demand (plus the nominal distribution
+    demand of a T&D system, whose boundary transfer must be positive) that the
+    other setpoints leave, and a lone machine with its PCC open or absent
+    carries the demand net of the plants' base injection."""
     f_nom = grid_doc.get("f_nom", 60.0)
     unit = grid_doc.get("unit", "pu")
     if unit not in ("pu", "kW"):
@@ -253,18 +239,28 @@ def build_grid(grid_doc: dict) -> GridModel:
     plants = []
     for i, p in enumerate(grid_doc.get("plants", [])):
         loc = f"grid.plants[{i}]"
+        wiring = {key: _number(p, key, parent=loc, default=0.0)
+                  for key in ("operating_point", "power_base", "power_gain")}
         try:
             plants.append(LtiPlant(G=p["G"], B=p["B"], C=p["C"],
                                    control_matrix=p["control_matrix"],
                                    noise_std=p.get("noise_std", [0.0] * len(p["C"])),
                                    x=p.get("x0", [0.0] * len(p["G"])),
                                    u=p.get("u0", [0.0] * len(p["control_matrix"])),
-                                   name=p.get("name", f"plant{i}")))
+                                   name=p.get("name", f"plant{i}"), **wiring))
         except (KeyError, ValueError) as exc:
             raise ScenarioError(loc, str(exc)) from exc
     if plants and (len(machines) > 1 or grid_doc.get("td_system")):
         raise ScenarioError("grid.plants", "LTI plants run only on the single-machine "
                                            "aggregate tier")
+
+    for kind, items, key in (("machines", machines, "id"), ("loads", loads, "id"),
+                             ("breakers", breakers, "id"), ("fast_sources", fast_sources, "id"),
+                             ("plants", plants, "name")):
+        ids = [getattr(x, key) for x in items]
+        for i, ident in enumerate(ids):
+            if ident in ids[:i]:
+                raise ScenarioError(f"grid.{kind}[{i}].{key}", f"duplicate {key} {ident!r}")
 
     try:
         grid = GridModel(f_nom=f_nom, machines=machines, loads=loads,
@@ -283,45 +279,40 @@ def build_grid(grid_doc: dict) -> GridModel:
     except KeyError as exc:
         raise ScenarioError("grid.contingencies", str(exc)) from exc
 
-    if grid_doc.get("td_system"):
-        cfg = _parse_td_system(grid_doc["td_system"])
-        for i, src in enumerate(cfg.sources):
+    pcc = None
+    if grid_doc.get("pcc_breaker"):
+        try:
+            pcc = grid.breaker(grid_doc["pcc_breaker"])
+        except KeyError as exc:
+            raise ScenarioError("grid.pcc_breaker", str(exc)) from exc
+
+    td_cfg = _parse_td_system(grid_doc["td_system"]) if grid_doc.get("td_system") else None
+    if td_cfg is not None:
+        for i, src in enumerate(td_cfg.sources):
             try:
                 grid.machine(src.machine)
             except KeyError as exc:
                 raise ScenarioError(f"grid.td_system.sources[{i}].machine", str(exc)) from exc
         try:
-            grid.breaker(cfg.feeder_breaker)
+            feeder = grid.breaker(td_cfg.feeder_breaker)
         except KeyError as exc:
             raise ScenarioError("grid.td_system.feeder_breaker", str(exc)) from exc
-
-    if grid_doc.get("pcc_breaker"):
-        try:
-            grid.breaker(grid_doc["pcc_breaker"])
-        except KeyError as exc:
-            raise ScenarioError("grid.pcc_breaker", str(exc)) from exc
+        balance_slack(grid, demand_total(grid) + td_cfg.dist_demand)
+        td_operating_point(td_cfg, feeder.closed)
+    elif len(machines) > 1:
+        balance_slack(grid, demand_total(grid))
+    elif pcc is None or not pcc.closed:
+        machines[0].p_mech = demand_total(grid) - sum(p.power_base for p in plants)
     return grid
 
 
-def _check_operating_point(grid: GridModel, grid_doc: dict) -> None:
-    """Run the multi-machine and T&D tiers' start-up balance on a throwaway grid,
-    so a setpoint the network cannot carry fails at load time."""
-    td_cfg = _parse_td_system(grid_doc["td_system"]) if grid_doc.get("td_system") else None
-    if td_cfg is not None:
-        balance_slack(grid, td_cfg.dist_demand)
-        td_operating_point(td_cfg, grid.breaker(td_cfg.feeder_breaker).closed)
-    elif len(grid.machines) > 1:
-        balance_slack(grid)
-
-
-def balance_slack(grid: GridModel, extra_demand: float = 0.0) -> None:
-    """Give the first machine (the slack) the demand, plus ``extra_demand``,
-    that the other setpoints leave uncovered; every setpoint must then fit
-    under its machine's coupling."""
+def balance_slack(grid: GridModel, demand: float) -> None:
+    """Give the first machine (the slack) the part of ``demand`` that the other
+    setpoints leave uncovered; every setpoint must then fit under its
+    machine's coupling."""
     machines = grid.machines
-    d0 = demand_total(grid) + extra_demand
     total_pm = sum(m.p_mech for m in machines)
-    machines[0].p_mech += d0 - total_pm
+    machines[0].p_mech += demand - total_pm
     for i, m in enumerate(machines):
         if m.p_mech > m.coupling:
             raise ScenarioError(
@@ -365,13 +356,6 @@ def build_protection(grid_doc: dict) -> FrequencyProtection:
             overfreq_trip=prot_doc.get("overfreq_trip", 62.2))
     except ValueError as exc:
         raise ScenarioError("grid.protection", str(exc)) from exc
-
-
-def _parse_plant_binding(p: dict) -> PlantBinding:
-    return PlantBinding(plant_name=p.get("name", "plant0"),
-                        operating_point=p.get("operating_point", 0.0),
-                        power_base=p.get("power_base", 0.0),
-                        power_gain=p.get("power_gain", 0.0))
 
 
 def _parse_td_system(raw: dict) -> TdSystemConfig:
@@ -557,7 +541,8 @@ def _check_taps(attacks, grid: GridModel, grid_doc: dict,
 # Risk and metrics sections
 # ---------------------------------------------------------------------------
 
-def _parse_risk(raw: dict) -> dict:
+def parse_risk(raw: dict) -> dict:
+    """Risk inputs as keyword arguments of ``risk.risk``."""
     if not isinstance(raw, dict):
         raise ScenarioError("risk", "must be an object")
     prob = raw.get("probability")
@@ -572,7 +557,11 @@ def _parse_risk(raw: dict) -> dict:
         impacts = risk_mod.impacts_from_names(_require(raw, "impacts", dict, parent="risk"))
     except (KeyError, ValueError) as exc:
         raise ScenarioError("risk.impacts", str(exc)) from exc
-    thresholds = tuple(raw.get("pool_thresholds", risk_mod.DEFAULT_POOL_THRESHOLDS))
+    try:
+        thresholds = risk_mod.checked_thresholds(
+            raw.get("pool_thresholds", risk_mod.DEFAULT_POOL_THRESHOLDS))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError("risk.pool_thresholds", str(exc)) from exc
     return {"probability": risk_mod.ThreatProbability(prob), "priorities": priorities,
             "impacts": impacts, "thresholds": thresholds}
 

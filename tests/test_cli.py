@@ -68,3 +68,23 @@ def test_metrics_on_exported_run_equals_run_report(tmp_path, capsys):
     # NaN never equals itself, so compare the serialized forms
     assert json.dumps(read_back["metrics"], sort_keys=True) == \
         json.dumps(run_report["metrics"], sort_keys=True)
+
+
+def risk_doc(**overrides):
+    doc = {"name": "breach", "probability": 2,
+           "impacts": {"people_health_safety": "low", "uninterrupted_operation": "high",
+                       "equipment_damage_legal": "low", "financial_profit": "medium"}}
+    doc.update(overrides)
+    return doc
+
+
+def test_risk_exits_ok(tmp_path, capsys):
+    path = write_doc(tmp_path / "risk.json", risk_doc())
+    assert cli.main(["risk", path, "--json"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["name"] == "breach"
+
+
+def test_risk_bad_thresholds_exits_input_error(tmp_path, capsys):
+    path = write_doc(tmp_path / "risk.json", risk_doc(pool_thresholds=[10, 20, 5]))
+    assert cli.main(["risk", path, "--json"]) == cli.EXIT_INPUT
+    assert "risk.pool_thresholds" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpessim import cli, engine, presets
-from cpessim.scenario import scenario_from_dict
+from cpessim.scenario import ScenarioError, scenario_from_dict
 
 
 def short(preset, variant=None, horizon=0.05, seed=None):
@@ -51,6 +51,55 @@ def test_td_tier_traces():
     assert {"freq_g1", "v_pcc", "v_dist"} <= set(traces)
     assert not {"p_gen", "p_fast"} & set(traces)
     assert traces["v_pcc"].v[0] == 1.0 and traces["v_dist"].v[0] == 1.0
+
+
+@pytest.mark.parametrize("preset, variant", [
+    ("case1_dia", None), ("case2_load", "a"), ("case4_td", "n1")])
+def test_trace_columns_are_fixed_when_the_run_is_built(preset, variant):
+    sc = short(preset, variant)
+    assert engine._Run(sc, None).trace_names == list(engine.run(sc).traces)
+
+
+@pytest.mark.parametrize("preset, variant", [("case2_load", "a"), ("case4_td", "n11")])
+def test_demand_total_runs_once_per_recorded_row(preset, variant, monkeypatch):
+    sc = short(preset, variant)
+    calls = []
+    real_demand_total = engine.demand_total
+
+    def counted(grid):
+        calls.append(None)
+        return real_demand_total(grid)
+
+    monkeypatch.setattr(engine, "demand_total", counted)
+    run = engine._Run(sc, None)
+    run.execute()
+    assert len(calls) == run.n_steps + 1
+
+
+def test_unnamed_plants_each_inject_their_own_base_power():
+    plant = {"G": [[0.9]], "B": [[0.1]], "C": [[1.0]], "control_matrix": [[0.0]]}
+    doc = {
+        "schema_version": 1,
+        "meta": {"name": "two_plants", "horizon": 0.01, "dt_phys": 0.001},
+        "grid": {"machines": [{"id": "m1", "inertia_const": 5.0}],
+                 "loads": [{"id": "lA", "demand": 0.5}],
+                 "plants": [dict(plant, power_base=0.05), dict(plant, power_base=0.07)]},
+        "attacks": [], "metrics": [], "seed": 1,
+    }
+    traces = engine.run(scenario_from_dict(doc)).traces
+    assert traces["plant0_power"].v[0] == 0.05
+    assert traces["plant1_power"].v[0] == 0.07
+    # the machine carries the demand the two plants leave
+    assert traces["p_gen"].v[0] == 0.5 - (0.05 + 0.07)
+
+
+def test_metric_on_unknown_trace_fails_before_the_run():
+    doc = presets.preset_doc("case1_dia")
+    doc["metrics"].append({"kind": "control", "trace": "ghost", "command": 1.0})
+    sc = scenario_from_dict(doc)
+    with pytest.raises(ScenarioError) as err:
+        engine._Run(sc, None)
+    assert err.value.location == f"metrics[{len(doc['metrics']) - 1}].trace"
 
 
 # -- case-study outcomes ------------------------------------------------------------

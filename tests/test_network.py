@@ -159,9 +159,11 @@ def test_round_trip_is_twice_one_way():
     sim = star(("o1",))
     sim.start_polling(period=0.5, start=0.0)
     sim.run_until(0.4)
-    assert len(sim.rtt_records) == 1
+    [poll] = [e for e in sim.log if e["event"] == "send" and e["detail"]["kind"] == "poll"]
+    [reply] = [e for e in sim.log if e["event"] == "deliver" and e["node"] == "m"
+               and e["detail"]["kind"] == "measurement_report"]
     one_way = sim.baseline_delay("m", "o1")
-    assert sim.rtt_records[0]["rtt"] == pytest.approx(2 * one_way, rel=1e-9)
+    assert reply["t"] - poll["t"] == pytest.approx(2 * one_way, rel=1e-9)
 
 
 def test_send_command_applies_payload():

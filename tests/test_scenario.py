@@ -271,3 +271,34 @@ def test_td_feeder_resistance_must_be_positive():
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
     assert err.value.location == "grid.td_system.feeder_r"
+
+
+def test_non_descending_pool_thresholds_names_field():
+    doc = presets.preset_doc("case1_dia")
+    doc["risk"]["pool_thresholds"] = [10, 20, 5]
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert err.value.location == "risk.pool_thresholds"
+
+
+# -- duplicate ids -----------------------------------------------------------------------
+
+PLANT = {"G": [[0.9]], "B": [[0.1]], "C": [[1.0]], "control_matrix": [[0.0]]}
+
+
+@pytest.mark.parametrize("kind, item, key", [
+    ("machines", {"id": "m1", "inertia_const": 5.0}, "id"),
+    ("loads", {"id": "lA", "demand": 0.1}, "id"),
+    ("breakers", {"id": "b1"}, "id"),
+    ("fast_sources", {"id": "f1"}, "id"),
+    ("plants", dict(PLANT, name="p1"), "name")],
+    ids=["machines", "loads", "breakers", "fast_sources", "plants"])
+def test_duplicate_id_names_field(kind, item, key):
+    doc = minimal_doc()
+    items = doc["grid"].setdefault(kind, [])
+    if not items:
+        items.append(dict(item))
+    items.append(dict(item))
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert err.value.location == f"grid.{kind}[1].{key}"
