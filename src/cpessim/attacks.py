@@ -46,8 +46,8 @@ EMPTY_WINDOW = AttackWindow(())
 class GaussianNoise:
     sigma: float
 
-    def sample(self, t: float, rng: np.random.Generator, shape=None):
-        return rng.normal(0.0, self.sigma) if shape is None else rng.normal(0.0, self.sigma, shape)
+    def sample(self, t: float, rng: np.random.Generator) -> float:
+        return rng.normal(0.0, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,8 @@ class SinusoidNoise:
     amplitude: float
     freq_hz: float
 
-    def sample(self, t: float, rng=None, shape=None):
-        w = self.amplitude * math.sin(2 * math.pi * self.freq_hz * t)
-        return w if shape is None else np.full(shape, w)
+    def sample(self, t: float, rng=None) -> float:
+        return self.amplitude * math.sin(2 * math.pi * self.freq_hz * t)
 
 
 Noise = Union[None, GaussianNoise, SinusoidNoise]
@@ -161,22 +160,21 @@ class BreakerAttack:
 AttackSpec = Union[DiaCombined, ControlDia, LoadChange, TimeDelay, DoS, BreakerAttack]
 
 
-def apply_dia(y, t: float, spec: DiaCombined, rng: Optional[np.random.Generator] = None):
-    """Return (y_a, delta_y); delta_y is the manipulation y_a - y (0 outside window)."""
+def apply_dia(y: float, t: float, spec: DiaCombined,
+              rng: Optional[np.random.Generator] = None) -> tuple[float, float]:
+    """Attack one scalar measurement: return (y_a, delta_y), where
+    y_a = beta * y + W inside the window and delta_y = y_a - y is the
+    manipulation (0.0 outside the window)."""
     if not spec.window.contains(t):
-        zero = np.zeros_like(y) if isinstance(y, np.ndarray) else 0.0
-        return y, zero
-    shape = y.shape if isinstance(y, np.ndarray) else None
-    if spec.noise is None:
-        w = np.zeros(shape) if shape else 0.0
-    else:
-        w = spec.noise.sample(t, rng, shape)
+        return y, 0.0
+    w = 0.0 if spec.noise is None else spec.noise.sample(t, rng)
     y_a = spec.beta * y + w
     return y_a, y_a - y
 
 
-def apply_control_dia(u, t: float, spec: ControlDia):
-    """Return (u_a, delta_u); the altered plant response follows from the plant step."""
+def apply_control_dia(u: float, t: float, spec: ControlDia) -> tuple[float, float]:
+    """Attack one scalar control input: return (u_a, delta_u); the altered
+    plant response follows from the plant step."""
     du = spec.delta_u(t)
     return u + du, du
 

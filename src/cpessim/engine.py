@@ -309,34 +309,36 @@ class _AggregateTier:
     @staticmethod
     def _signal(plant) -> float:
         """True (noise-free) output around the operating point."""
-        return plant.operating_point + float((plant.C @ plant.x)[0])
+        return plant.operating_point + plant.output()
 
     @staticmethod
     def _power(plant) -> float:
-        return plant.power_base + plant.power_gain * float(plant.x[0])
+        return plant.power_base + plant.power_gain * plant.x[0]
 
-    def _sample(self, t: float, tap: str, delta) -> None:
-        if np.any(delta != 0):
-            self.attack_samples.append({"t": t, "tap": tap,
-                                        "delta": [float(d) for d in np.atleast_1d(delta)]})
-
-    def _advance_plants(self, t: float, k: int) -> None:
+    def _advance_plants(self, t: float) -> None:
         for i, (plant, spec, cspec) in enumerate(self.loops):
             op = plant.operating_point
-            x_next, y_dev = lti_step(plant, k, self.rng_phys)
+            noise = self.rng_phys.normal(0.0, plant.noise_std) if plant.noise_std > 0 else 0.0
+            x_next, y_dev = lti_step(plant, noise)
             y_abs = op + y_dev
             if spec is not None:
                 y_att, dy = apply_dia(y_abs, t, spec, self.rng_attack)
-                self._sample(t, f"meas:{plant.name}", dy)
+                if dy != 0:
+                    self.attack_samples.append({"t": t, "tap": f"meas:{plant.name}",
+                                                "delta": [dy]})
             else:
                 y_att = y_abs
-            u_cmd = plant.control_matrix @ (y_att - op)
+            error = y_att - op
+            u_cmd = [gain * error for gain in plant.control_matrix]
             if cspec is not None:
-                u_cmd, du = apply_control_dia(u_cmd, t, cspec)
-                self._sample(t, f"ctrl:{plant.name}", du)
+                for j, u_j in enumerate(u_cmd):
+                    u_cmd[j], du = apply_control_dia(u_j, t, cspec)
+                if du != 0:
+                    self.attack_samples.append({"t": t, "tap": f"ctrl:{plant.name}",
+                                                "delta": [du]})
             plant.x = x_next
-            plant.u = np.atleast_1d(u_cmd)
-            self._meas[i] = float(np.atleast_1d(y_att)[0])
+            plant.u = u_cmd
+            self._meas[i] = y_att
 
     def step(self, t: float, k: int, demand: float) -> None:
         machine = self.grid.machines[0]
@@ -351,7 +353,7 @@ class _AggregateTier:
         else:
             p_elec = demand - p_inject - p_fast
             swing_step(machine, p_elec, self.dt, step_index=k)
-        self._advance_plants(t, k)
+        self._advance_plants(t)
 
     def frequency(self) -> float:
         return self.grid.f_nom if self._pinned() else self.grid.machines[0].frequency

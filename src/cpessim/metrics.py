@@ -39,23 +39,34 @@ class TimeSeries:
             raise ValueError(f"series {self.name!r}: t must be strictly increasing")
 
     def to_csv(self) -> str:
+        """Header ``t,<name>,unit``, then one ``repr(t),repr(v),<unit>`` row per
+        sample; text fields are quoted by the ``csv`` module's rules."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["t", self.name, "unit"])
-        for ti, vi in zip(self.t, self.v):
-            writer.writerow([repr(float(ti)), repr(float(vi)), self.unit])
-        return buf.getvalue()
+        header = buf.getvalue()
+        writer.writerow(["", "", self.unit])
+        unit_field = buf.getvalue()[len(header) + 2:]  # the encoded unit and its line end
+        return header + "".join([f"{ti!r},{vi!r},{unit_field}"
+                                 for ti, vi in zip(self.t.tolist(), self.v.tolist())])
 
     @classmethod
     def from_csv(cls, text: str) -> "TimeSeries":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or len(rows[0]) != 3 or rows[0][0] != "t":
+        lines = io.StringIO(text)
+        reader = csv.reader(lines)
+        header = next(reader, [])
+        if len(header) != 3 or header[0] != "t":
             raise ValueError("trace CSV must have header (t,<name>,unit)")
-        name = rows[0][1]
-        unit = rows[1][2] if len(rows) > 1 else ""
-        t = np.array([float(r[0]) for r in rows[1:]])
-        v = np.array([float(r[1]) for r in rows[1:]])
-        return cls(t=t, v=v, unit=unit, name=name)
+        first = next(reader, None)
+        if first is None:
+            raise ValueError("trace CSV has no samples")
+        t, v = [float(first[0])], [float(first[1])]
+        # the rows after the first repeat its unit; only their numbers are read
+        for line in lines:
+            ti, vi, _ = line.split(",", 2)
+            t.append(float(ti))
+            v.append(float(vi))
+        return cls(t=np.array(t), v=np.array(v), unit=first[2], name=header[1])
 
 
 @dataclass

@@ -16,7 +16,7 @@ to keep the two conventional uses of "H" apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -44,9 +44,24 @@ class SingularBoundaryError(RuntimeError):
 # Discrete-time LTI plant (sampled control loop)
 # ---------------------------------------------------------------------------
 
+class PlantFieldError(ValueError):
+    """A malformed LTI plant field; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)
+
+
 @dataclass
 class LtiPlant:
     """x(k+1) = G x(k) + B u(k);  y(k) = C x(k) + e(k);  u(k+1) = control_matrix y(k).
+
+    A single-output plant held as Python floats: ``GB`` is the tuple of the
+    rows of [G B] (``G`` and ``B`` are taken only at construction), ``C`` the
+    one output row, ``control_matrix`` the feedback column (one gain per
+    input), ``noise_std`` the standard deviation of e, and ``x`` and ``u``
+    lists of floats.  Matrices may be given as nested sequences or arrays;
+    their shapes are checked, and a ``C`` with more than one row is rejected.
 
     The feedback update is applied by the engine at the step boundary, after
     any measurement-tap attack has altered y.  On the aggregate grid the
@@ -55,62 +70,73 @@ class LtiPlant:
     ``power_base + power_gain * x[0]``.
     """
 
-    G: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    control_matrix: np.ndarray
-    noise_std: np.ndarray
-    x: np.ndarray
-    u: np.ndarray
+    G: InitVar[Sequence]
+    B: InitVar[Sequence]
+    C: Sequence
+    control_matrix: Sequence
+    noise_std: float
+    x: list
+    u: list
     name: str = "plant"
     operating_point: float = 0.0
     power_base: float = 0.0
     power_gain: float = 0.0
+    GB: tuple = field(init=False)
 
-    def __post_init__(self):
-        self.G = np.atleast_2d(np.asarray(self.G, dtype=float))
-        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        self.C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        self.control_matrix = np.atleast_2d(np.asarray(self.control_matrix, dtype=float))
-        self.noise_std = np.atleast_1d(np.asarray(self.noise_std, dtype=float))
-        self.x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        self.u = np.atleast_1d(np.asarray(self.u, dtype=float))
-        n, m, l = self.n, self.m, self.l
+    def __post_init__(self, G, B):
+        g = np.atleast_2d(np.asarray(G, dtype=float))
+        b = np.atleast_2d(np.asarray(B, dtype=float))
+        c = np.atleast_2d(np.asarray(self.C, dtype=float))
+        cm = np.atleast_2d(np.asarray(self.control_matrix, dtype=float))
+        std = np.atleast_1d(np.asarray(self.noise_std, dtype=float))
+        x = np.atleast_1d(np.asarray(self.x, dtype=float))
+        u = np.atleast_1d(np.asarray(self.u, dtype=float))
+        n, l = x.shape[0], u.shape[0]
+        if l == 0:  # G's check below already needs at least one state
+            raise PlantFieldError("u", f"plant {self.name!r}: needs at least one input")
         checks = [
-            ("G", self.G.shape, (n, n)),
-            ("B", self.B.shape, (n, l)),
-            ("C", self.C.shape, (m, n)),
-            ("control_matrix", self.control_matrix.shape, (l, m)),
-            ("noise_std", self.noise_std.shape, (m,)),
-            ("u", self.u.shape, (l,)),
+            ("G", g.shape, (n, n)),
+            ("B", b.shape, (n, l)),
+            ("C", c.shape, (1, n)),  # single output
+            ("control_matrix", cm.shape, (l, 1)),
+            ("noise_std", std.shape, (1,)),
+            ("u", u.shape, (l,)),
         ]
         for label, got, want in checks:
             if got != want:
-                raise ValueError(f"plant {self.name!r}: {label} has shape {got}, expected {want}")
-        if np.any(self.noise_std < 0):
-            raise ValueError(f"plant {self.name!r}: noise_std must be >= 0 elementwise")
+                raise PlantFieldError(label, f"plant {self.name!r}: {label} has shape {got}, "
+                                             f"expected {want}")
+        if std[0] < 0:
+            raise PlantFieldError("noise_std", f"plant {self.name!r}: noise_std must be >= 0")
+        self.GB = tuple(tuple(gr + br) for gr, br in zip(g.tolist(), b.tolist()))
+        self.C = tuple(c[0].tolist())
+        self.control_matrix = tuple(cm[:, 0].tolist())
+        self.noise_std = float(std[0])
+        self.x = x.tolist()
+        self.u = u.tolist()
 
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.C.shape[0]
-
-    @property
-    def l(self) -> int:
-        return self.u.shape[0]
+    def output(self) -> float:
+        """Noise-free output C x(k)."""
+        return _dot(self.C, self.x)
 
 
-def lti_step(plant: LtiPlant, k: int, rng: Optional[np.random.Generator] = None
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """One sample: returns (x(k+1), y(k)).  Caller owns the state/feedback update."""
-    x_next = plant.G @ plant.x + plant.B @ plant.u
-    y = plant.C @ plant.x
-    if rng is not None and np.any(plant.noise_std > 0):
-        y = y + rng.normal(0.0, plant.noise_std)
-    return x_next, y
+def _dot(row: Sequence[float], vec: Sequence[float]) -> float:
+    """row[0]*vec[0] + row[1]*vec[1] + ... in plain left-to-right float
+    arithmetic: no fused multiply-add and no compensated ``sum``, so the
+    result is the same on every host."""
+    acc = row[0] * vec[0]
+    for i in range(1, len(row)):
+        acc += row[i] * vec[i]
+    return acc
+
+
+def lti_step(plant: LtiPlant, noise: float = 0.0) -> tuple[list[float], float]:
+    """One sample: returns (x(k+1), y(k)) with y(k) = C x(k) + noise.
+
+    The caller draws the noise and owns the state and feedback update.
+    """
+    xu = plant.x + plant.u
+    return [_dot(row, xu) for row in plant.GB], plant.output() + noise
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from .attacks import (AttackSpec, AttackWindow, BreakerAttack, ControlDia,
                       SinusoidNoise, TimeDelay)
 from .network import AppConfig, NetLink, NetNode, NodeRole
 from .physical import (MAX_SWING_DT, Breaker, FastSource, FrequencyProtection,
-                       Governor, GridModel, Load, LtiPlant, Machine, apply_contingency,
-                       demand_total)
+                       Governor, GridModel, Load, LtiPlant, Machine, PlantFieldError,
+                       apply_contingency, demand_total)
 
 SCHEMA_VERSION = 1
 
@@ -244,10 +244,12 @@ def build_grid(grid_doc: dict) -> GridModel:
         try:
             plants.append(LtiPlant(G=p["G"], B=p["B"], C=p["C"],
                                    control_matrix=p["control_matrix"],
-                                   noise_std=p.get("noise_std", [0.0] * len(p["C"])),
+                                   noise_std=p.get("noise_std", 0.0),
                                    x=p.get("x0", [0.0] * len(p["G"])),
                                    u=p.get("u0", [0.0] * len(p["control_matrix"])),
                                    name=p.get("name", f"plant{i}"), **wiring))
+        except PlantFieldError as exc:
+            raise ScenarioError(f"{loc}.{exc.field}", str(exc)) from exc
         except (KeyError, ValueError) as exc:
             raise ScenarioError(loc, str(exc)) from exc
     if plants and (len(machines) > 1 or grid_doc.get("td_system")):
@@ -257,10 +259,7 @@ def build_grid(grid_doc: dict) -> GridModel:
     for kind, items, key in (("machines", machines, "id"), ("loads", loads, "id"),
                              ("breakers", breakers, "id"), ("fast_sources", fast_sources, "id"),
                              ("plants", plants, "name")):
-        ids = [getattr(x, key) for x in items]
-        for i, ident in enumerate(ids):
-            if ident in ids[:i]:
-                raise ScenarioError(f"grid.{kind}[{i}].{key}", f"duplicate {key} {ident!r}")
+        _check_unique(f"grid.{kind}", [getattr(x, key) for x in items], key)
 
     try:
         grid = GridModel(f_nom=f_nom, machines=machines, loads=loads,
@@ -304,6 +303,13 @@ def build_grid(grid_doc: dict) -> GridModel:
     elif pcc is None or not pcc.closed:
         machines[0].p_mech = demand_total(grid) - sum(p.power_base for p in plants)
     return grid
+
+
+def _check_unique(section: str, ids: list[str], key: str) -> None:
+    """Reject the first repeated id, at ``<section>[i].<key>``."""
+    for i, ident in enumerate(ids):
+        if ident in ids[:i]:
+            raise ScenarioError(f"{section}[{i}].{key}", f"duplicate {key} {ident!r}")
 
 
 def balance_slack(grid: GridModel, demand: float) -> None:
@@ -418,6 +424,8 @@ def _parse_network(raw: dict) -> NetworkConfig:
                 loss_rate=_number(l, "loss_rate", parent=loc, default=0.0)))
         except ValueError as exc:
             raise ScenarioError(loc, str(exc)) from exc
+    _check_unique("network.nodes", [n.id for n in nodes], "id")
+    _check_unique("network.links", [l.id for l in links], "id")
 
     commands = []
     for i, c in enumerate(raw.get("commands", [])):

@@ -104,6 +104,18 @@ def test_metric_on_unknown_trace_fails_before_the_run():
 
 # -- case-study outcomes ------------------------------------------------------------
 
+def test_case1_dia_moves_frequency_only_while_the_attack_runs():
+    # the DIA window is [5, 15) s: beta 0.8 and a 40-unit sinusoid on the sensor
+    result = engine.run(presets.preset_scenario("case1_dia"))
+    reports = {r.kind: r for r in result.metric_reports}
+    (governor,) = reports["frequency_stability"].intervals["governor"]
+    assert governor[0] > 5.0 and governor[1] > 15.0
+    voltage = reports["voltage_stability"]
+    assert voltage.values["v_max"] == pytest.approx(1.125, abs=1e-3)
+    assert all(5.0 <= a and b <= 15.1 for a, b in voltage.intervals["above"])
+    assert reports["control"].values["settling_time"] > 15.0
+
+
 @pytest.mark.parametrize("variant, expected", [
     ("a", 59.924), ("b", 59.881), ("c", 59.753), ("d", 59.676)])
 def test_case2_load_nadir(variant, expected):

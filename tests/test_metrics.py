@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -35,6 +37,21 @@ def test_csv_round_trip_is_bit_exact():
     assert back.name == "freq" and back.unit == "Hz"
     assert np.array_equal(back.t, s.t)
     assert np.array_equal(back.v, s.v)
+
+
+@pytest.mark.parametrize("name, unit", [("volt", ""), ('volt, "bus a"', 'k"W, net')])
+def test_csv_equals_csv_module_rows_and_reads_back_bit_exact(name, unit):
+    s = series([0.0, 0.5, 1.0, 2.0], [-0.0, 1e-300, -2.5, float("inf")], name=name, unit=unit)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", name, "unit"])
+    for ti, vi in zip(s.t, s.v):
+        writer.writerow([repr(float(ti)), repr(float(vi)), unit])
+    assert s.to_csv() == buf.getvalue()
+    back = TimeSeries.from_csv(s.to_csv())
+    assert (back.name, back.unit) == (name, unit)
+    assert back.t.tobytes() == s.t.tobytes()
+    assert back.v.tobytes() == s.v.tobytes()  # keeps the sign of -0.0
 
 
 def test_csv_header_shape():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cpessim import physical as phys
+from cpessim import presets
 from cpessim.physical import (Breaker, FastSource, FrequencyProtection, Governor,
                               GridModel, Load, LtiPlant, Machine, NodalBoundary,
                               ProtectionAction, StateSpaceGroup)
@@ -20,19 +21,19 @@ def plant_1d(g, x0, b=0.0, c=1.0):
 # -- LTI plant ---------------------------------------------------------------
 
 def test_lti_identity_dynamics():
-    p = LtiPlant(G=np.eye(2), B=np.zeros((2, 1)), C=np.eye(2),
-                 control_matrix=np.zeros((1, 2)), noise_std=[0.0, 0.0],
+    p = LtiPlant(G=np.eye(2), B=np.zeros((2, 1)), C=[[1.0, 0.0]],
+                 control_matrix=np.zeros((1, 1)), noise_std=[0.0],
                  x=[1.0, -2.0], u=[0.5])
-    x_next, y = phys.lti_step(p, 0)
+    x_next, y = phys.lti_step(p)
     assert np.allclose(x_next, [1.0, -2.0])
-    assert np.allclose(y, [1.0, -2.0])
+    assert np.allclose(y, 1.0)
 
 
 def test_lti_scalar_halving():
     p = plant_1d(0.5, 2.0)
-    x_next, y = phys.lti_step(p, 0)
+    x_next, y = phys.lti_step(p)
     assert x_next[0] == pytest.approx(1.0)
-    assert y[0] == pytest.approx(2.0)
+    assert y == pytest.approx(2.0)
 
 
 def test_lti_matches_matrix_power_closed_form():
@@ -42,30 +43,30 @@ def test_lti_matches_matrix_power_closed_form():
     g *= 0.9 / max(abs(np.linalg.eigvals(g)))
     b = rng.normal(size=(3, 1))
     u = np.array([0.3])
-    p = LtiPlant(G=g, B=b, C=np.eye(3), control_matrix=np.zeros((1, 3)),
-                 noise_std=np.zeros(3), x=rng.normal(size=3), u=u)
-    x0 = p.x.copy()
+    p = LtiPlant(G=g, B=b, C=[[1.0, 0.0, 0.0]], control_matrix=np.zeros((1, 1)),
+                 noise_std=0.0, x=rng.normal(size=3), u=u)
+    x0 = np.array(p.x)
     k = 1000
     for _ in range(k):
-        p.x, _ = phys.lti_step(p, 0)
+        p.x, _ = phys.lti_step(p)
     expected = np.linalg.matrix_power(g, k) @ x0
     acc = np.zeros(3)
     gj = np.eye(3)
     for _ in range(k):
         acc = g @ acc + (b @ u)
     expected = expected + acc
-    assert np.max(np.abs(p.x - expected)) < 1e-10
+    assert np.max(np.abs(np.array(p.x) - expected)) < 1e-10
 
 
 def test_lti_decays_when_stable():
     rng = np.random.default_rng(3)
     g = rng.normal(size=(3, 3))
     g *= 0.8 / max(abs(np.linalg.eigvals(g)))
-    p = LtiPlant(G=g, B=np.zeros((3, 1)), C=np.eye(3),
-                 control_matrix=np.zeros((1, 3)), noise_std=np.zeros(3),
+    p = LtiPlant(G=g, B=np.zeros((3, 1)), C=[[1.0, 0.0, 0.0]],
+                 control_matrix=np.zeros((1, 1)), noise_std=0.0,
                  x=[1.0, 1.0, 1.0], u=[0.0])
     for _ in range(1000):
-        p.x, _ = phys.lti_step(p, 0)
+        p.x, _ = phys.lti_step(p)
     assert np.linalg.norm(p.x) < 1e-12
 
 
@@ -83,12 +84,29 @@ def test_lti_dimension_mismatch_rejected_at_construction():
 def test_lti_noise_is_seeded():
     def run(seed):
         p = plant_1d(1.0, 0.0)
-        p.noise_std = np.array([0.5])
+        p.noise_std = 0.5
         rng = np.random.default_rng(seed)
-        return [phys.lti_step(p, k, rng)[1][0] for k in range(10)]
+        return [phys.lti_step(p, rng.normal(0.0, p.noise_std))[1] for _ in range(10)]
 
     assert run(1) == run(1)
     assert run(1) != run(2)
+
+
+def test_lti_step_is_left_to_right_float_arithmetic():
+    # the same bits on every host: no fused multiply-add, no compensated sum
+    doc = presets.preset_doc("case1_dia")["grid"]["plants"][0]
+    (g00, g01), (g10, g11) = doc["G"]
+    (b0,), (b1,) = doc["B"]
+    ((c0, c1),) = doc["C"]
+    p = LtiPlant(G=doc["G"], B=doc["B"], C=doc["C"], control_matrix=doc["control_matrix"],
+                 noise_std=0.0, x=[0.0, 0.0], u=[0.0])
+    rng = np.random.default_rng(2024)
+    for x0, x1, u0 in rng.normal(0.0, 100.0, size=(10_000, 3)).tolist():
+        p.x, p.u = [x0, x1], [u0]
+        x_next, y = phys.lti_step(p)
+        assert all(type(v) is float for v in (*x_next, y))
+        assert x_next == [g00 * x0 + g01 * x1 + b0 * u0, g10 * x0 + g11 * x1 + b1 * u0]
+        assert y == c0 * x0 + c1 * x1
 
 
 # -- electrical power: coupling * sin(delta), as the engine's tiers compute it --

@@ -302,3 +302,22 @@ def test_duplicate_id_names_field(kind, item, key):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
     assert err.value.location == f"grid.{kind}[1].{key}"
+
+
+@pytest.mark.parametrize("kind, index, duplicate_of", [
+    ("links", 1, "l_mgc"), ("nodes", 6, "out_load2")])
+def test_duplicate_network_id_names_field(kind, index, duplicate_of):
+    doc = presets.preset_doc("case3_tda", "delay_0")
+    doc["network"][kind][index]["id"] = duplicate_of
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert err.value.location == f"network.{kind}[{index}].id"
+
+
+def test_multi_output_plant_names_field():
+    doc = minimal_doc()
+    doc["grid"]["plants"] = [dict(PLANT, G=[[0.9, 0.0], [0.0, 0.5]], B=[[0.1], [0.0]],
+                                  C=[[1.0, 0.0], [0.0, 1.0]])]
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert err.value.location == "grid.plants[0].C"
