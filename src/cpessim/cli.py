@@ -70,8 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--batch", action="store_true",
                        help="treat SCENARIO as a directory and run every *.json in it")
     p_run.add_argument("--json", action="store_true", help="print the report as JSON")
-    p_run.add_argument("--emit-plot-data", action="store_true",
-                       help="also write two-column .dat files per trace")
     p_run.set_defaults(func=_cmd_run)
 
     p_preset = sub.add_parser("preset", help="list built-in presets or emit one as JSON")
@@ -123,12 +121,6 @@ def _cmd_run(args) -> int:
 
 def _export_run(result, sc: Scenario, out_dir: Path, args) -> None:
     engine.export(result, out_dir, scenario_doc=sc.doc)
-    if args.emit_plot_data:
-        plot_dir = out_dir / "plot"
-        plot_dir.mkdir(parents=True, exist_ok=True)
-        for name, series in sorted(result.traces.items()):
-            lines = [f"{float(t)!r} {float(v)!r}" for t, v in zip(series.t, series.v)]
-            (plot_dir / f"{name}.dat").write_text("\n".join(lines) + "\n")
     report = engine.report_dict(result)
     if args.json:
         print(json.dumps(report))

@@ -34,8 +34,8 @@ from .physical import (GridModel, NodalBoundary, ProtectionAction,
                        StateSpaceGroup, demand_total, disconnect_machine,
                        group_step, lti_step, nodal_solve, protection_check,
                        solve_load_angle, swing_step)
-from .scenario import (Scenario, ScenarioError, TdSystemConfig, build_protection,
-                       scenario_hash, td_operating_point)
+from .scenario import (Scenario, ScenarioError, build_protection, scenario_hash,
+                       td_operating_point)
 
 _TIME_EPS = 1e-12
 
@@ -117,9 +117,8 @@ class _Run:
             raise ScenarioError("attacks", "link attacks need a network section")
 
         # physical tier
-        td_cfg = sc.td_system()
-        if td_cfg is not None:
-            self.tier = _TdTier(self.grid, self.dt, td_cfg)
+        if self.grid.td_system is not None:
+            self.tier = _TdTier(self.grid, self.dt)
         elif len(self.grid.machines) > 1:
             self.tier = _MultiMachineTier(self.grid, self.dt)
         else:  # build_grid rejects a grid without machines
@@ -300,8 +299,7 @@ class _AggregateTier:
                       for plant in grid.plants]
         # last sensed value per plant; before the first sample, the true output
         self._meas = [self._signal(plant) for plant in grid.plants]
-        pcc_id = sc.pcc_breaker()
-        self.pcc = grid.breaker(pcc_id) if pcc_id else None
+        self.pcc = grid.pcc
 
     def _pinned(self) -> bool:
         return self.pcc is not None and self.pcc.closed
@@ -438,9 +436,9 @@ class _TdTier(_MultiMachineTier):
     built in ``_rebuild_td_groups``; a step only assembles the history currents.
     """
 
-    def __init__(self, grid: GridModel, dt: float, cfg: TdSystemConfig):
+    def __init__(self, grid: GridModel, dt: float):
         super().__init__(grid, dt)
-        self.cfg = cfg
+        self.cfg = cfg = grid.td_system
         self.breaker = grid.breaker(cfg.feeder_breaker)
         self.source_machines = [grid.machine(src.machine) for src in cfg.sources]
         self.v1, self.v2, i_src, i_f = td_operating_point(cfg, self.breaker.closed)

@@ -60,8 +60,10 @@ class LtiPlant:
     rows of [G B] (``G`` and ``B`` are taken only at construction), ``C`` the
     one output row, ``control_matrix`` the feedback column (one gain per
     input), ``noise_std`` the standard deviation of e, and ``x`` and ``u``
-    lists of floats.  Matrices may be given as nested sequences or arrays;
-    their shapes are checked, and a ``C`` with more than one row is rejected.
+    lists of floats (zeros when not given).  Matrices may be given as nested
+    sequences or arrays, and ``noise_std`` as a number or a one-element
+    sequence; their shapes are checked, and a ``C`` with more than one row is
+    rejected.
 
     The feedback update is applied by the engine at the step boundary, after
     any measurement-tap attack has altered y.  On the aggregate grid the
@@ -74,9 +76,9 @@ class LtiPlant:
     B: InitVar[Sequence]
     C: Sequence
     control_matrix: Sequence
-    noise_std: float
-    x: list
-    u: list
+    noise_std: float | Sequence = 0.0
+    x: Optional[list] = None
+    u: Optional[list] = None
     name: str = "plant"
     operating_point: float = 0.0
     power_base: float = 0.0
@@ -89,8 +91,8 @@ class LtiPlant:
         c = np.atleast_2d(np.asarray(self.C, dtype=float))
         cm = np.atleast_2d(np.asarray(self.control_matrix, dtype=float))
         std = np.atleast_1d(np.asarray(self.noise_std, dtype=float))
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        u = np.atleast_1d(np.asarray(self.u, dtype=float))
+        x = np.atleast_1d(np.asarray(np.zeros(len(g)) if self.x is None else self.x, dtype=float))
+        u = np.atleast_1d(np.asarray(np.zeros(len(cm)) if self.u is None else self.u, dtype=float))
         n, l = x.shape[0], u.shape[0]
         if l == 0:  # G's check below already needs at least one state
             raise PlantFieldError("u", f"plant {self.name!r}: needs at least one input")
@@ -152,7 +154,7 @@ class Governor:
     correction (headroom of the prime mover).
     """
 
-    gain: float                # pu per Hz
+    gain: float = 0.0          # pu per Hz
     deadband: float = 0.036    # Hz
     time_constant: float = 0.0  # s
     min_boost: float = -math.inf
@@ -172,7 +174,7 @@ class Machine:
 
     id: str
     inertia_const: float            # H, seconds
-    p_mech: float                   # Pm, pu (scheduled setpoint)
+    p_mech: float = 0.0             # Pm, pu (scheduled setpoint)
     delta: float = 0.0              # rotor angle, rad
     omega: float = 2 * math.pi * 60.0   # rad/s
     omega_sync: float = 2 * math.pi * 60.0
@@ -296,6 +298,7 @@ class Breaker:
     schedule: list = field(default_factory=list)  # [(time_s, "open"|"close"), ...]
 
     def __post_init__(self):
+        self.schedule = [(float(t), action) for t, action in self.schedule]
         times = [t for t, _ in self.schedule]
         if times != sorted(times):
             raise ValueError(f"breaker {self.id!r}: schedule must be time-sorted")
@@ -352,8 +355,8 @@ class FastSource:
     """Frequency-droop power source with a short lag and hard power cap."""
 
     id: str
-    gain: float                 # pu per Hz
-    max_power: float            # pu, symmetric cap
+    gain: float = 0.0           # pu per Hz
+    max_power: float = 0.0      # pu, symmetric cap
     time_constant: float = 0.02  # s
     power: float = 0.0          # current output, pu
 
@@ -395,6 +398,29 @@ class StateSpaceGroup:
         for label, got, want in checks:
             if got != want:
                 raise ValueError(f"group {self.name!r}: {label} has shape {got}, expected {want}")
+
+
+@dataclass
+class TdSource:
+    machine: str     # machine id whose disconnection also removes this branch
+    emf: float
+    r: float
+    l: float
+
+
+@dataclass
+class TdSystemConfig:
+    """Two-group transmission/distribution circuit solved over a nodal boundary."""
+
+    sources: list[TdSource]
+    feeder_breaker: str
+    feeder_r: float
+    feeder_l: float
+    shunt_c: float              # distribution-bus capacitance
+    load_conductance: float
+    dist_demand: float          # pu demand seen by the machines at nominal transfer
+    pcc_shunt_c: float = 0.2    # boundary-bus capacitance (absorbs switching energy)
+    power_filter: float = 0.05  # s, lag on the boundary power seen by the machines
 
 
 def group_step(g: StateSpaceGroup, v_in: Sequence[float], dt: float) -> StateSpaceGroup:
@@ -480,6 +506,8 @@ class GridModel:
     protection: FrequencyProtection = field(default_factory=FrequencyProtection)
     p_loss: float = 0.0
     contingencies: list[tuple[float, str]] = field(default_factory=list)  # (time, machine id)
+    td_system: Optional[TdSystemConfig] = None
+    pcc: Optional[Breaker] = None   # a closed PCC pins an aggregate grid to f_nom
 
     def __post_init__(self):
         if self.f_nom <= 0:

@@ -3,13 +3,22 @@
 A scenario is one JSON document with sections {meta, grid, network?, attacks,
 threat?, risk?, metrics, seed}.  Parsing is strict: every error names the
 offending field so the CLI can report it and exit with the input-error code.
+Two rules hold for every object read here (the threat and risk sections have
+their own parsers):
+
+- a key the object does not define is rejected as ``<path>.<key>: unknown
+  field``, and every value must have its field's JSON type;
+- an absent optional key takes the default of the model dataclass it fills
+  (``physical``, ``network``, ``attacks`` and this module's own); the parser
+  holds none of those defaults itself.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -17,13 +26,12 @@ import numpy as np
 
 from . import risk as risk_mod
 from . import threat_model as tm
-from .attacks import (AttackSpec, AttackWindow, BreakerAttack, ControlDia,
-                      DiaCombined, DoS, GaussianNoise, LoadChange,
-                      SinusoidNoise, TimeDelay)
-from .network import AppConfig, NetLink, NetNode, NodeRole
+from .attacks import (AttackSpec, AttackWindow, BreakerAttack, ControlDia, DiaCombined,
+                      DoS, GaussianNoise, LoadChange, SinusoidNoise, TimeDelay)
+from .network import DEFAULT_MESSAGE_BYTES, AppConfig, NetLink, NetNode, NodeRole
 from .physical import (MAX_SWING_DT, Breaker, FastSource, FrequencyProtection,
                        Governor, GridModel, Load, LtiPlant, Machine, PlantFieldError,
-                       apply_contingency, demand_total)
+                       TdSource, TdSystemConfig, apply_contingency, demand_total)
 
 SCHEMA_VERSION = 1
 
@@ -37,35 +45,12 @@ class ScenarioError(ValueError):
 
 
 @dataclass
-class TdSource:
-    machine: str     # machine id whose disconnection also removes this branch
-    emf: float
-    r: float
-    l: float
-
-
-@dataclass
-class TdSystemConfig:
-    """Two-group transmission/distribution circuit solved over a nodal boundary."""
-
-    sources: list[TdSource]
-    feeder_breaker: str
-    feeder_r: float
-    feeder_l: float
-    shunt_c: float              # distribution-bus capacitance
-    load_conductance: float
-    dist_demand: float          # pu demand seen by the machines at nominal transfer
-    pcc_shunt_c: float = 0.2    # boundary-bus capacitance (absorbs switching energy)
-    power_filter: float = 0.05  # s, lag on the boundary power seen by the machines
-
-
-@dataclass
 class NetworkConfig:
-    nodes: list[NetNode]
-    links: list[NetLink]
-    poll_period: float = 0.1
+    nodes: list[NetNode] = field(default_factory=list)
+    links: list[NetLink] = field(default_factory=list)
+    poll_period: float = 0.1  # s; 0 turns polling off
     poll_start: float = 0.0
-    message_bytes: int = 292
+    message_bytes: int = DEFAULT_MESSAGE_BYTES
     commands: list[dict] = field(default_factory=list)  # {t, asset, action, value?}
 
 
@@ -80,19 +65,12 @@ class Scenario:
     threat: Optional[tm.ThreatModel]
     risk_inputs: Optional[dict]
     metrics_requested: list[dict]
-    seed: int
+    seed: int = 0
     description: str = ""
     doc: dict = field(default_factory=dict)  # canonical source document
 
     def build_grid(self) -> GridModel:
         return build_grid(self.grid)
-
-    def td_system(self) -> Optional[TdSystemConfig]:
-        raw = self.grid.get("td_system")
-        return _parse_td_system(raw) if raw else None
-
-    def pcc_breaker(self) -> Optional[str]:
-        return self.grid.get("pcc_breaker")
 
 
 def scenario_hash(doc: dict) -> str:
@@ -116,16 +94,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ScenarioError("schema_version",
                             f"expected {SCHEMA_VERSION}, got {doc.get('schema_version')!r}")
+    _check_keys(doc, "", "schema_version meta grid network attacks threat risk metrics seed")
 
-    meta = _require(doc, "meta", dict)
-    name = _require(meta, "name", str, parent="meta")
-    horizon = _positive(meta, "horizon", parent="meta")
-    dt_phys = _positive(meta, "dt_phys", parent="meta")
+    meta = _value(doc, "", "meta", "dict")
+    _check_keys(meta, "meta", "name description horizon dt_phys")
+    name = _value(meta, "meta", "name", "str")
+    horizon = _value(meta, "meta", "horizon", "float", convert=_positive)
+    dt_phys = _value(meta, "meta", "dt_phys", "float", convert=_positive)
     if dt_phys > MAX_SWING_DT:
         raise ScenarioError("meta.dt_phys", f"must be <= {MAX_SWING_DT} s (swing "
                                             f"integrator limit), got {dt_phys}")
 
-    grid_doc = _require(doc, "grid", dict)
+    grid_doc = _value(doc, "", "grid", "dict")
     grid = build_grid(grid_doc)  # validates; engine rebuilds per run
 
     network = None
@@ -133,8 +113,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         network = _parse_network(doc["network"])
         _check_outstations(network, grid)
 
-    attacks = [_parse_attack(i, a) for i, a in enumerate(doc.get("attacks", []))]
-    _check_taps(attacks, grid, grid_doc, network)
+    attacks = _value(doc, "", "attacks", "list", [], _each("attacks", _parse_attack))
+    _check_taps(attacks, grid, network)
 
     threat = None
     if doc.get("threat") is not None:
@@ -150,16 +130,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if doc.get("risk") is not None:
         risk_inputs = parse_risk(doc["risk"])
 
-    metrics_requested = [_parse_metric(i, m) for i, m in enumerate(doc.get("metrics", []))]
-
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ScenarioError("seed", "must be an integer")
+    metrics_requested = _value(doc, "", "metrics", "list", [], _each("metrics", _parse_metric))
+    seed = _value(doc, "", "seed", "int", Scenario.seed)
 
     return Scenario(name=name, horizon=horizon, dt_phys=dt_phys, grid=grid_doc,
                     network=network, attacks=attacks, threat=threat,
                     risk_inputs=risk_inputs, metrics_requested=metrics_requested,
-                    seed=seed, description=meta.get("description", ""), doc=doc)
+                    seed=seed, description=_value(meta, "meta", "description", "str",
+                                                  Scenario.description), doc=doc)
 
 
 # ---------------------------------------------------------------------------
@@ -172,87 +150,46 @@ def build_grid(grid_doc: dict) -> GridModel:
     demand of a T&D system, whose boundary transfer must be positive) that the
     other setpoints leave, and a lone machine with its PCC open or absent
     carries the demand net of the plants' base injection."""
-    f_nom = grid_doc.get("f_nom", 60.0)
-    unit = grid_doc.get("unit", "pu")
+    _check_keys(grid_doc, "grid", "f_nom unit s_base_kw p_loss machines loads fast_sources "
+                                  "breakers plants protection contingencies pcc_breaker td_system")
+    unit = _value(grid_doc, "grid", "unit", "str", "pu")
     if unit not in ("pu", "kW"):
         raise ScenarioError("grid.unit", f'must be "pu" or "kW", got {unit!r}')
-    s_base_kw = grid_doc.get("s_base_kw", 1000.0)
-    to_pu = (lambda v: v / s_base_kw) if unit == "kW" else (lambda v: v)
+    s_base_kw = _value(grid_doc, "grid", "s_base_kw", "float", 1000.0, _positive)
+    to_pu = (lambda v: v / s_base_kw) if unit == "kW" else float
+    f_nom = _value(grid_doc, "grid", "f_nom", "float", GridModel.f_nom, _positive)
+    omega = 2 * math.pi * f_nom
 
-    machines = []
-    for i, m in enumerate(grid_doc.get("machines", [])):
-        loc = f"grid.machines[{i}]"
-        gov = None
-        if m.get("governor"):
-            g = m["governor"]
-            gov = Governor(gain=g.get("gain", 0.0),
-                           deadband=g.get("deadband", 0.036),
-                           time_constant=g.get("time_constant", 0.0),
-                           min_boost=g.get("min_boost", float("-inf")),
-                           max_boost=g.get("max_boost", float("inf")))
-        try:
-            machines.append(Machine(
-                id=_require(m, "id", str, parent=loc),
-                inertia_const=_positive(m, "inertia_const", parent=loc),
-                p_mech=float(m.get("p_mech", 0.0)),
-                omega=2 * 3.141592653589793 * f_nom,
-                omega_sync=2 * 3.141592653589793 * f_nom,
-                v_internal=m.get("v_internal", 1.0),
-                v_recv=m.get("v_recv", 1.0),
-                reactance=m.get("reactance", 0.3),
-                governor=gov,
-                damping=m.get("damping", 0.0)))
-        except ValueError as exc:
-            raise ScenarioError(loc, str(exc)) from exc
+    def machine(loc, raw):
+        return _read(Machine, raw, loc, "id inertia_const p_mech v_internal v_recv reactance "
+                                        "damping governor",
+                     inertia_const=_positive, omega=omega, omega_sync=omega,
+                     governor=lambda g: _read(Governor, g, f"{loc}.governor",
+                                              "gain deadband time_constant min_boost max_boost",
+                                              time_constant=_non_negative))
+
+    def fast_source(loc, raw):
+        source = _read(FastSource, raw, loc, "id gain max_power time_constant",
+                       max_power=to_pu, time_constant=_non_negative)
+        if unit == "kW" and "max_power" not in raw:  # no default cap in kW
+            raise ScenarioError(f"{loc}.max_power", "missing field")
+        return source
+
+    def section(key, read):
+        return _value(grid_doc, "grid", key, "list", [], _each(f"grid.{key}", read))
+
+    machines = section("machines", machine)
     if not machines:
         raise ScenarioError("grid.machines", "scenario needs at least one machine")
-
-    loads = []
-    for i, l in enumerate(grid_doc.get("loads", [])):
-        loc = f"grid.loads[{i}]"
-        try:
-            loads.append(Load(id=_require(l, "id", str, parent=loc),
-                              base_demand=to_pu(_number(l, "demand", parent=loc)),
-                              sheddable=bool(l.get("sheddable", False))))
-        except ValueError as exc:
-            raise ScenarioError(loc, str(exc)) from exc
-
-    fast_sources = []
-    for i, f in enumerate(grid_doc.get("fast_sources", [])):
-        loc = f"grid.fast_sources[{i}]"
-        fast_sources.append(FastSource(
-            id=_require(f, "id", str, parent=loc), gain=f.get("gain", 0.0),
-            max_power=to_pu(_number(f, "max_power", parent=loc)) if unit == "kW"
-            else f.get("max_power", 0.0),
-            time_constant=f.get("time_constant", 0.02)))
-
-    breakers = []
-    for i, b in enumerate(grid_doc.get("breakers", [])):
-        loc = f"grid.breakers[{i}]"
-        try:
-            breakers.append(Breaker(id=_require(b, "id", str, parent=loc),
-                                    closed=bool(b.get("closed", True)),
-                                    schedule=[(float(t), a) for t, a in b.get("schedule", [])]))
-        except ValueError as exc:
-            raise ScenarioError(loc, str(exc)) from exc
-
-    plants = []
-    for i, p in enumerate(grid_doc.get("plants", [])):
-        loc = f"grid.plants[{i}]"
-        wiring = {key: _number(p, key, parent=loc, default=0.0)
-                  for key in ("operating_point", "power_base", "power_gain")}
-        try:
-            plants.append(LtiPlant(G=p["G"], B=p["B"], C=p["C"],
-                                   control_matrix=p["control_matrix"],
-                                   noise_std=p.get("noise_std", 0.0),
-                                   x=p.get("x0", [0.0] * len(p["G"])),
-                                   u=p.get("u0", [0.0] * len(p["control_matrix"])),
-                                   name=p.get("name", f"plant{i}"), **wiring))
-        except PlantFieldError as exc:
-            raise ScenarioError(f"{loc}.{exc.field}", str(exc)) from exc
-        except (KeyError, ValueError) as exc:
-            raise ScenarioError(loc, str(exc)) from exc
-    if plants and (len(machines) > 1 or grid_doc.get("td_system")):
+    loads = section("loads", lambda loc, raw: _read(
+        Load, raw, loc, "id demand:base_demand sheddable", base_demand=to_pu))
+    fast_sources = section("fast_sources", fast_source)
+    breakers = section("breakers", lambda loc, raw: _read(Breaker, raw, loc, "id closed schedule"))
+    plants = [_read(LtiPlant, raw, f"grid.plants[{i}]", "name G B C control_matrix noise_std "
+                    "x0:x u0:u operating_point power_base power_gain", name=f"plant{i}")
+              for i, raw in enumerate(_value(grid_doc, "grid", "plants", "list", []))]
+    td_cfg = _value(grid_doc, "grid", "td_system", "dict", None, _parse_td_system)
+    if plants and (len(machines) > 1 or td_cfg is not None):
         raise ScenarioError("grid.plants", "LTI plants run only on the single-machine "
                                            "aggregate tier")
 
@@ -261,31 +198,27 @@ def build_grid(grid_doc: dict) -> GridModel:
                              ("plants", plants, "name")):
         _check_unique(f"grid.{kind}", [getattr(x, key) for x in items], key)
 
-    try:
-        grid = GridModel(f_nom=f_nom, machines=machines, loads=loads,
-                         breakers=breakers, plants=plants, fast_sources=fast_sources,
-                         protection=build_protection(grid_doc),
-                         p_loss=to_pu(grid_doc.get("p_loss", 0.0)))
-    except ValueError as exc:
-        raise ScenarioError("grid", str(exc)) from exc
+    p_loss = _value(grid_doc, "grid", "p_loss", "float", GridModel.p_loss, to_pu)
+    grid = GridModel(f_nom=f_nom, machines=machines, loads=loads, breakers=breakers,
+                     plants=plants, fast_sources=fast_sources, p_loss=p_loss,
+                     protection=build_protection(grid_doc), td_system=td_cfg)
 
-    events = []
-    for i, c in enumerate(grid_doc.get("contingencies", [])):
-        loc = f"grid.contingencies[{i}]"
-        events.append((_number(c, "t", parent=loc), _require(c, "machine", str, parent=loc)))
+    def contingency(loc, raw):
+        _check_keys(raw, loc, "t machine")
+        return _value(raw, loc, "t", "float"), _value(raw, loc, "machine", "str")
+
     try:
-        apply_contingency(grid, events)
+        apply_contingency(grid, section("contingencies", contingency))
     except KeyError as exc:
         raise ScenarioError("grid.contingencies", str(exc)) from exc
 
-    pcc = None
-    if grid_doc.get("pcc_breaker"):
+    pcc_id = _value(grid_doc, "grid", "pcc_breaker", "str", None)
+    if pcc_id is not None:
         try:
-            pcc = grid.breaker(grid_doc["pcc_breaker"])
+            grid.pcc = grid.breaker(pcc_id)
         except KeyError as exc:
             raise ScenarioError("grid.pcc_breaker", str(exc)) from exc
 
-    td_cfg = _parse_td_system(grid_doc["td_system"]) if grid_doc.get("td_system") else None
     if td_cfg is not None:
         for i, src in enumerate(td_cfg.sources):
             try:
@@ -300,7 +233,7 @@ def build_grid(grid_doc: dict) -> GridModel:
         td_operating_point(td_cfg, feeder.closed)
     elif len(machines) > 1:
         balance_slack(grid, demand_total(grid))
-    elif pcc is None or not pcc.closed:
+    elif grid.pcc is None or not grid.pcc.closed:
         machines[0].p_mech = demand_total(grid) - sum(p.power_base for p in plants)
     return grid
 
@@ -351,40 +284,20 @@ def td_operating_point(cfg: TdSystemConfig, feeder_closed: bool
 
 def build_protection(grid_doc: dict) -> FrequencyProtection:
     """Frequency-protection bands of a grid section, without building the grid."""
-    prot_doc = grid_doc.get("protection", {})
-    try:
-        return FrequencyProtection(
-            f_nom=grid_doc.get("f_nom", 60.0),
-            governor_deadband=prot_doc.get("governor_deadband", 0.036),
-            shed_low=prot_doc.get("shed_low", 58.4),
-            shed_high=prot_doc.get("shed_high", 59.5),
-            underfreq_trip=prot_doc.get("underfreq_trip", 57.8),
-            overfreq_trip=prot_doc.get("overfreq_trip", 62.2))
-    except ValueError as exc:
-        raise ScenarioError("grid.protection", str(exc)) from exc
+    return _read(FrequencyProtection, _value(grid_doc, "grid", "protection", "dict", {}),
+                 "grid.protection", "governor_deadband shed_low shed_high underfreq_trip "
+                 "overfreq_trip",
+                 f_nom=_value(grid_doc, "grid", "f_nom", "float", GridModel.f_nom))
 
 
 def _parse_td_system(raw: dict) -> TdSystemConfig:
-    sources = []
-    for i, s in enumerate(_require(raw, "sources", list, parent="grid.td_system")):
-        loc = f"grid.td_system.sources[{i}]"
-        sources.append(TdSource(machine=_require(s, "machine", str, parent=loc),
-                                emf=_number(s, "emf", parent=loc),
-                                r=_positive(s, "r", parent=loc),
-                                l=_positive(s, "l", parent=loc)))
-    return TdSystemConfig(sources=sources,
-                          feeder_breaker=_require(raw, "feeder_breaker", str,
-                                                  parent="grid.td_system"),
-                          feeder_r=_positive(raw, "feeder_r", parent="grid.td_system"),
-                          feeder_l=_positive(raw, "feeder_l", parent="grid.td_system"),
-                          shunt_c=_positive(raw, "shunt_c", parent="grid.td_system"),
-                          load_conductance=_positive(raw, "load_conductance",
-                                                     parent="grid.td_system"),
-                          dist_demand=_number(raw, "dist_demand", parent="grid.td_system"),
-                          pcc_shunt_c=_number(raw, "pcc_shunt_c",
-                                              parent="grid.td_system", default=0.2),
-                          power_filter=_number(raw, "power_filter",
-                                               parent="grid.td_system", default=0.05))
+    return _read(TdSystemConfig, raw, "grid.td_system", "sources feeder_breaker feeder_r "
+                 "feeder_l shunt_c load_conductance dist_demand pcc_shunt_c power_filter",
+                 sources=_each("grid.td_system.sources", lambda loc, src: _read(
+                     TdSource, src, loc, "machine emf r l", r=_positive, l=_positive)),
+                 feeder_r=_positive, feeder_l=_positive, shunt_c=_positive,
+                 load_conductance=_positive, pcc_shunt_c=_non_negative,
+                 power_filter=_non_negative)
 
 
 # ---------------------------------------------------------------------------
@@ -392,117 +305,65 @@ def _parse_td_system(raw: dict) -> TdSystemConfig:
 # ---------------------------------------------------------------------------
 
 def _parse_network(raw: dict) -> NetworkConfig:
-    if not isinstance(raw, dict):
-        raise ScenarioError("network", "must be an object")
-    nodes = []
-    for i, n in enumerate(raw.get("nodes", [])):
-        loc = f"network.nodes[{i}]"
-        role = n.get("role", "endpoint")
-        try:
-            role = NodeRole(role)
-        except ValueError:
-            raise ScenarioError(f"{loc}.role", f"unknown role {role!r}")
-        app = None
-        if n.get("app"):
-            try:
-                app = AppConfig(kind=n["app"].get("kind", ""), asset=n["app"].get("asset"))
-            except ValueError as exc:
-                raise ScenarioError(f"{loc}.app", str(exc)) from exc
-        nodes.append(NetNode(id=_require(n, "id", str, parent=loc), role=role, app=app,
-                             processing_delay=n.get("processing_delay_ms", 0.0) * 1e-3))
-    links = []
-    for i, l in enumerate(raw.get("links", [])):
-        loc = f"network.links[{i}]"
-        try:
-            links.append(NetLink(
-                id=_require(l, "id", str, parent=loc),
-                a=_require(l, "a", str, parent=loc),
-                b=_require(l, "b", str, parent=loc),
-                bandwidth=_positive(l, "bandwidth_mbps", parent=loc) * 1e6,
-                prop_delay=_number(l, "prop_delay_ms", parent=loc, default=0.0) * 1e-3,
-                jitter=_number(l, "jitter_ms", parent=loc, default=0.0) * 1e-3,
-                loss_rate=_number(l, "loss_rate", parent=loc, default=0.0)))
-        except ValueError as exc:
-            raise ScenarioError(loc, str(exc)) from exc
-    _check_unique("network.nodes", [n.id for n in nodes], "id")
-    _check_unique("network.links", [l.id for l in links], "id")
+    net = _read(NetworkConfig, raw, "network", "nodes links poll_period poll_start "
+                "message_bytes commands", nodes=_each("network.nodes", _parse_node),
+                links=_each("network.links", _parse_link),
+                commands=_each("network.commands", _parse_command),
+                poll_period=_non_negative, poll_start=_non_negative,
+                message_bytes=_positive)
+    _check_unique("network.nodes", [n.id for n in net.nodes], "id")
+    _check_unique("network.links", [l.id for l in net.links], "id")
+    return net
 
-    commands = []
-    for i, c in enumerate(raw.get("commands", [])):
-        loc = f"network.commands[{i}]"
-        action = _require(c, "action", str, parent=loc)
-        if action not in ("shed", "unshed", "open_breaker", "close_breaker"):
-            raise ScenarioError(f"{loc}.action", f"unknown action {action!r}")
-        commands.append({"t": _number(c, "t", parent=loc),
-                         "asset": _require(c, "asset", str, parent=loc),
-                         "action": action, "value": c.get("value")})
 
-    return NetworkConfig(nodes=nodes, links=links,
-                         poll_period=raw.get("poll_period", 0.1),
-                         poll_start=raw.get("poll_start", 0.0),
-                         message_bytes=raw.get("message_bytes", 292),
-                         commands=commands)
+def _parse_node(loc: str, raw: dict) -> NetNode:
+    return _read(NetNode, raw, loc, "id role app processing_delay_ms:processing_delay",
+                 role=NodeRole, processing_delay=_ms,
+                 app=lambda app: _read(AppConfig, app, f"{loc}.app", "kind asset"))
+
+
+def _parse_link(loc: str, raw: dict) -> NetLink:
+    return _read(NetLink, raw, loc, "id a b bandwidth_mbps:bandwidth prop_delay_ms:prop_delay "
+                 "jitter_ms:jitter loss_rate",
+                 bandwidth=lambda mbps: _positive(mbps) * 1e6, prop_delay=_ms, jitter=_ms)
+
+
+def _parse_command(loc: str, raw: dict) -> dict:
+    _check_keys(raw, loc, "t asset action value")
+    action = _value(raw, loc, "action", "str")
+    if action not in ("shed", "unshed", "open_breaker", "close_breaker"):
+        raise ScenarioError(f"{loc}.action", f"unknown action {action!r}")
+    return {"t": _value(raw, loc, "t", "float", convert=_non_negative),
+            "asset": _value(raw, loc, "asset", "str"),
+            "action": action, "value": raw.get("value")}
 
 
 # ---------------------------------------------------------------------------
 # Attacks section
 # ---------------------------------------------------------------------------
 
-def _parse_window(i: int, raw) -> AttackWindow:
-    loc = f"attacks[{i}].window"
-    if raw is None:
-        return AttackWindow(())
-    if not isinstance(raw, list):
-        raise ScenarioError(loc, "must be a list of [start, end] pairs")
-    try:
-        return AttackWindow(tuple((float(s), float(e)) for s, e in raw))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(loc, str(exc)) from exc
+_ATTACKS = {"dia": (DiaCombined, "tap beta noise window"),
+            "control_dia": (ControlDia, "tap schedule window"),
+            "load_change": (LoadChange, "targets delta fraction window"),
+            "time_delay": (TimeDelay, "tap delay window"),
+            "dos": (DoS, "tap window"),
+            "breaker": (BreakerAttack, "breaker schedule")}
+_NOISES = {"gaussian": (GaussianNoise, "sigma"), "sinusoid": (SinusoidNoise, "amplitude freq_hz")}
 
 
-def _parse_attack(i: int, raw: dict) -> AttackSpec:
-    loc = f"attacks[{i}]"
-    kind = _require(raw, "type", str, parent=loc)
-    window = _parse_window(i, raw.get("window"))
-    try:
-        if kind == "dia":
-            noise = None
-            nraw = raw.get("noise")
-            if nraw:
-                nkind = nraw.get("kind")
-                if nkind == "gaussian":
-                    noise = GaussianNoise(sigma=_number(nraw, "sigma", parent=f"{loc}.noise"))
-                elif nkind == "sinusoid":
-                    noise = SinusoidNoise(
-                        amplitude=_number(nraw, "amplitude", parent=f"{loc}.noise"),
-                        freq_hz=_number(nraw, "freq_hz", parent=f"{loc}.noise"))
-                else:
-                    raise ScenarioError(f"{loc}.noise.kind", f"unknown noise kind {nkind!r}")
-            return DiaCombined(tap=_require(raw, "tap", str, parent=loc),
-                               beta=raw.get("beta", 1.0), noise=noise, window=window)
-        if kind == "control_dia":
-            return ControlDia(tap=_require(raw, "tap", str, parent=loc),
-                              schedule=tuple((float(t), float(v))
-                                             for t, v in raw.get("schedule", [])),
-                              window=window)
-        if kind == "load_change":
-            return LoadChange(targets=tuple(raw.get("targets", [])),
-                              delta=_number(raw, "delta", parent=loc),
-                              fraction=bool(raw.get("fraction", True)), window=window)
-        if kind == "time_delay":
-            return TimeDelay(tap=_require(raw, "tap", str, parent=loc),
-                             delay=_number(raw, "delay", parent=loc), window=window)
-        if kind == "dos":
-            return DoS(tap=_require(raw, "tap", str, parent=loc), window=window)
-        if kind == "breaker":
-            return BreakerAttack(breaker=_require(raw, "breaker", str, parent=loc),
-                                 schedule=tuple((float(t), a)
-                                                for t, a in raw.get("schedule", [])))
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(loc, str(exc)) from exc
-    raise ScenarioError(f"{loc}.type", f"unknown attack type {kind!r}")
+def _parse_attack(loc: str, raw: dict) -> AttackSpec:
+    return _tagged(_ATTACKS, "type", loc, raw, window=AttackWindow,
+                   noise=lambda noise: _tagged(_NOISES, "kind", f"{loc}.noise", noise))
+
+
+def _tagged(table: dict, tag: str, loc: str, raw: dict, **parsed):
+    """Read the object whose ``tag`` key picks its (class, keys) in ``table``."""
+    kind = _value(raw, loc, tag, "str")
+    if kind not in table:
+        raise ScenarioError(f"{loc}.{tag}", f"unknown {tag} {kind!r}; expected one of "
+                                            f"{tuple(table)}")
+    cls, keys = table[kind]
+    return _read(cls, raw, loc, f"{tag} {keys}", **parsed)
 
 
 def _check_outstations(network: NetworkConfig, grid: GridModel) -> None:
@@ -515,8 +376,7 @@ def _check_outstations(network: NetworkConfig, grid: GridModel) -> None:
                                 f"unknown grid asset {node.app.asset!r}")
 
 
-def _check_taps(attacks, grid: GridModel, grid_doc: dict,
-                network: Optional[NetworkConfig]) -> None:
+def _check_taps(attacks, grid: GridModel, network: Optional[NetworkConfig]) -> None:
     link_ids = {l.id for l in network.links} if network else set()
     plant_names = {p.name for p in grid.plants}
     for i, spec in enumerate(attacks):
@@ -561,8 +421,9 @@ def parse_risk(raw: dict) -> dict:
                       if "priorities" in raw else risk_mod.CPES_PRIORITIES)
     except ValueError as exc:
         raise ScenarioError("risk.priorities", str(exc)) from exc
+    impacts = _value(raw, "risk", "impacts", "dict")
     try:
-        impacts = risk_mod.impacts_from_names(_require(raw, "impacts", dict, parent="risk"))
+        impacts = risk_mod.impacts_from_names(impacts)
     except (KeyError, ValueError) as exc:
         raise ScenarioError("risk.impacts", str(exc)) from exc
     try:
@@ -574,51 +435,136 @@ def parse_risk(raw: dict) -> dict:
             "impacts": impacts, "thresholds": thresholds}
 
 
-_METRIC_KINDS = ("frequency_stability", "voltage_stability", "control", "cyber")
+_METRIC_KEYS = {"frequency_stability": "trace", "voltage_stability": "trace limits",
+                "control": "trace command band_pct", "cyber": ""}
 
 
-def _parse_metric(i: int, raw: dict) -> dict:
-    loc = f"metrics[{i}]"
-    kind = _require(raw, "kind", str, parent=loc)
-    if kind not in _METRIC_KINDS:
-        raise ScenarioError(f"{loc}.kind",
-                            f"unknown metric kind {kind!r}; expected one of {_METRIC_KINDS}")
-    if kind != "cyber" and not raw.get("trace"):
+def _parse_metric(loc: str, raw: dict) -> dict:
+    kind = _value(raw, loc, "kind", "str")
+    if kind not in _METRIC_KEYS:
+        raise ScenarioError(f"{loc}.kind", f"unknown metric kind {kind!r}; expected one "
+                                           f"of {tuple(_METRIC_KEYS)}")
+    _check_keys(raw, loc, "kind " + _METRIC_KEYS[kind])
+    if kind != "cyber" and not _value(raw, loc, "trace", "str", ""):
         raise ScenarioError(f"{loc}.trace", "physical metrics must name a trace")
+    if kind == "control":
+        _value(raw, loc, "command", "float")
+        _value(raw, loc, "band_pct", "float", None, _positive)
+    elif kind == "voltage_stability":
+        _value(raw, loc, "limits", "list", None, _limits)
     return dict(raw)
 
 
 # ---------------------------------------------------------------------------
-# Field helpers
+# Field readers
 # ---------------------------------------------------------------------------
 
-def _require(doc: dict, key: str, typ, parent: str = "$"):
-    if not isinstance(doc, dict) or key not in doc:
-        raise ScenarioError(f"{parent}.{key}" if parent != "$" else key, "missing field")
+_JSON_TYPES = {"float": ((int, float), "a number"), "int": (int, "an integer"),
+               "str": (str, "a string"), "bool": (bool, "a boolean"),
+               "list": (list, "a list"), "tuple": (list, "a list"),
+               "dict": (dict, "an object")}
+_REQUIRED = object()
+
+
+def _read(cls, doc: dict, loc: str, keys: str, **parsed):
+    """Build the model dataclass ``cls`` from the JSON object ``doc`` at ``loc``.
+
+    ``keys`` lists, space-separated, every key ``doc`` may hold; ``key:field``
+    fills a field of another name, and a key that fills no field is the
+    caller's to read.  Each field's key must have the JSON type of the field's
+    annotation (``float`` takes an int but not a bool, a ``list`` or ``tuple``
+    takes a JSON list).  A callable in ``parsed`` converts the key's value and
+    may reject it with a ``ValueError``; any other value in ``parsed`` stands
+    in for an absent key or fills a field that has no key.  Otherwise an
+    absent key leaves the field its dataclass default.  Init-only fields
+    (``LtiPlant.G``) count as fields, and annotations are read as text: the
+    model modules postpone their evaluation.
+    """
+    fields = {f.name: f for f in cls.__dataclass_fields__.values() if f.init}
+    keys = {key: name or key for key, _, name in (e.partition(":") for e in keys.split())}
+    _check_keys(doc, loc, keys)
+    kwargs = {name: v for name, v in parsed.items() if name in fields and not callable(v)}
+    for key, name in keys.items():
+        f = fields.get(name)
+        if f is None:
+            continue
+        if key in doc:
+            convert = parsed.get(name)
+            kwargs[name] = _value(doc, loc, key, f.type.partition("[")[0],
+                                  convert=convert if callable(convert) else None)
+        elif name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ScenarioError(f"{loc}.{key}", "missing field")
+    try:
+        return cls(**kwargs)
+    except PlantFieldError as exc:
+        raise ScenarioError(f"{loc}.{exc.field}", str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(loc, str(exc)) from exc
+
+
+def _value(doc: dict, loc: str, key: str, typ: Optional[str], default=_REQUIRED,
+           convert=None):
+    """``doc[key]`` checked against the JSON type named ``typ`` (a key of
+    ``_JSON_TYPES``; any other name checks nothing) and passed through
+    ``convert``; ``default`` when the key is absent."""
+    where = f"{loc}.{key}" if loc else key
+    if not isinstance(doc, dict):
+        raise ScenarioError(loc, "must be an object")
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ScenarioError(where, "missing field")
+        return default
     value = doc[key]
-    if typ is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ScenarioError(f"{parent}.{key}", f"must be a number, got {value!r}")
-        return float(value)
-    if not isinstance(value, typ):
-        raise ScenarioError(f"{parent}.{key}",
-                            f"must be {typ.__name__}, got {type(value).__name__}")
+    if typ in _JSON_TYPES:
+        pytype, what = _JSON_TYPES[typ]
+        if not isinstance(value, pytype) or (isinstance(value, bool) and typ != "bool"):
+            raise ScenarioError(where, f"must be {what}, got {value!r}")
+        if typ == "float":
+            value = float(value)
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(where, str(exc)) from exc
+
+
+def _check_keys(doc: dict, loc: str, keys) -> None:
+    """Reject a ``doc`` that is not an object or holds a key not in ``keys``."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(loc, "must be an object")
+    allowed = keys.split() if isinstance(keys, str) else keys
+    for key in doc:
+        if key not in allowed:
+            raise ScenarioError(f"{loc}.{key}" if loc else key, "unknown field")
+
+
+def _each(loc: str, read):
+    """Converter of a JSON list: ``read(f"{loc}[i]", item)`` for every item."""
+    return lambda items: [read(f"{loc}[{i}]", item) for i, item in enumerate(items)]
+
+
+def _positive(value):
+    if not value > 0:
+        raise ValueError(f"must be > 0, got {value}")
     return value
 
 
-def _number(doc: dict, key: str, parent: str = "$", default=None) -> float:
-    if key not in doc:
-        if default is not None:
-            return default
-        raise ScenarioError(f"{parent}.{key}", "missing field")
-    value = doc[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"{parent}.{key}", f"must be a number, got {value!r}")
-    return float(value)
+def _non_negative(value):
+    if not value >= 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
 
 
-def _positive(doc: dict, key: str, parent: str = "$") -> float:
-    value = _number(doc, key, parent)
-    if value <= 0:
-        raise ScenarioError(f"{parent}.{key}", f"must be > 0, got {value}")
+def _ms(value: float) -> float:
+    """A non-negative time in milliseconds, in seconds."""
+    return _non_negative(value) * 1e-3
+
+
+def _limits(value: list) -> list:
+    if len(value) != 2 or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                                  for v in value) or not value[0] < value[1]:
+        raise ValueError(f"must be two numbers [lo, hi] with lo < hi, got {value!r}")
     return value

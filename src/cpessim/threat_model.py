@@ -84,10 +84,6 @@ class Premise(Enum):
     PHYSICAL_NON_INVASIVE = "physical_non_invasive"
     PHYSICAL_SEMI_INVASIVE = "physical_semi_invasive"
 
-    @property
-    def is_physical(self) -> bool:
-        return self.value.startswith("physical_")
-
 
 @dataclass(frozen=True)
 class AdversaryModel:

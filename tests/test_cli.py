@@ -46,6 +46,15 @@ def test_malformed_scenario_exits_input_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_mistyped_field_exits_input_error_with_its_path(tmp_path, capsys):
+    doc = short_doc("case2_load", "a")
+    doc["grid"]["machines"][0]["reactance"] = "0.3"
+    path = write_doc(tmp_path / "sc.json", doc)
+    assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == cli.EXIT_INPUT
+    assert "grid.machines[0].reactance: must be a number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_runtime_failure_exits_runtime_error(tmp_path, capsys):
     # +4000% on a 0.30 pu load asks 13 pu of three machines that carry 10 pu at most
     doc = short_doc("case2_load", "a")

@@ -184,8 +184,8 @@ def boundary_matrix_from_scratch(cfg, grid, dt):
     ("n11", {(True, 3), (True, 2), (True, 1)})])
 def test_td_boundary_matrix_follows_live_topology(variant, topologies, monkeypatch):
     sc = presets.preset_scenario("case4_td", variant)
-    cfg = sc.td_system()
     run = engine._Run(sc, None)
+    cfg = run.grid.td_system
     seen = []
     mismatches = []
     real_nodal_solve = engine.nodal_solve

@@ -321,3 +321,69 @@ def test_multi_output_plant_names_field():
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(doc)
     assert err.value.location == "grid.plants[0].C"
+
+
+# -- every field typed and located at load -----------------------------------------------
+
+def _set(path, value):
+    """Mutation that sets ``doc[path[0]][path[1]]...`` to ``value``."""
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return mutate
+
+
+def _drop_command(doc):
+    del doc["metrics"][2]["command"]
+
+
+@pytest.mark.parametrize("preset, variant, mutate, location", [
+    ("case1_dia", None, _set(["grid", "machines", 0, "reactance"], "0.3"),
+     "grid.machines[0].reactance"),
+    ("case1_dia", None, _set(["grid", "machines", 0, "damping"], "x"),
+     "grid.machines[0].damping"),
+    ("case1_dia", None, _set(["grid", "f_nom"], "60"), "grid.f_nom"),
+    ("case1_dia", None, _set(["grid", "p_loss"], "x"), "grid.p_loss"),
+    ("case1_dia", None, _set(["grid", "machines", 0, "governor", "gain"], "0.4"),
+     "grid.machines[0].governor.gain"),
+    ("case1_dia", None, _set(["grid", "fast_sources", 0, "gain"], "0.4"),
+     "grid.fast_sources[0].gain"),
+    ("case3_tda", "delay_0", _set(["network", "poll_period"], "x"), "network.poll_period"),
+    ("case3_tda", "delay_0", _set(["network", "poll_period"], -1.0), "network.poll_period"),
+    ("case1_dia", None, _set(["grid", "machines", 0, "governor"], [0.4]),
+     "grid.machines[0].governor"),
+    ("case1_dia", None, _set(["grid", "machines", 0, "reactanse"], 0.3),
+     "grid.machines[0].reactanse"),
+    ("case3_tda", "delay_0", _set(["grid", "loads", 0, "sheddable"], "no"),
+     "grid.loads[0].sheddable"),
+    ("case3_tda", "delay_0", _set(["grid", "breakers", 0, "closed"], "false"),
+     "grid.breakers[0].closed"),
+    ("case2_load", "a", _set(["attacks", 0, "fraction"], "no"), "attacks[0].fraction"),
+    ("case1_dia", None, _drop_command, "metrics[2].command"),
+    ("case1_dia", None, _set(["metrics", 2, "band_pct"], "x"), "metrics[2].band_pct"),
+    ("case1_dia", None, _set(["metrics", 1, "limits"], [1.05, 0.95]), "metrics[1].limits"),
+    ("case1_dia", None, _set(["metrics", 1, "limits"], ["lo", 1.05]), "metrics[1].limits"),
+    ("case1_dia", None, _set(["seed"], True), "seed"),
+    ("case1_dia", None, _set(["grid", "fast_sources", 0, "time_constant"], -0.05),
+     "grid.fast_sources[0].time_constant"),
+    ("case4_td", "n1", _set(["grid", "td_system", "power_filter"], -0.05),
+     "grid.td_system.power_filter"),
+    ("case4_td", "n1", _set(["grid", "td_system", "pcc_shunt_c"], -0.2),
+     "grid.td_system.pcc_shunt_c"),
+    ("case3_tda", "delay_0", _set(["network", "links", 0, "jitter_ms"], -1.0),
+     "network.links[0].jitter_ms"),
+    ("case3_tda", "delay_0", _set(["network", "message_bytes"], 0), "network.message_bytes"),
+    ("case3_tda", "delay_0", _set(["network", "commands", 0, "t"], -1.0),
+     "network.commands[0].t"),
+    ("case3_tda", "delay_0", _set(["network", "links", 0, "bandwidth"], 100.0),
+     "network.links[0].bandwidth"),
+    ("case4_td", "n1", _set(["grid", "breakers", 0, "schedule"], "open"),
+     "grid.breakers[0].schedule"),
+], ids=lambda case: None if callable(case) or case is None else str(case))
+def test_malformed_field_names_its_path(preset, variant, mutate, location):
+    doc = presets.preset_doc(preset, variant)
+    mutate(doc)
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(doc)
+    assert err.value.location == location
