@@ -16,7 +16,7 @@ from pathlib import Path
 from . import engine, presets, risk as risk_mod, threat_model as tm
 from .metrics import TimeSeries
 from .physical import IntegrationDivergedError, SingularBoundaryError
-from .scenario import (Scenario, ScenarioError, load_scenario, parse_risk,
+from .scenario import (Scenario, load_scenario, parse_risk, parse_threat, read_json,
                        scenario_from_dict)
 
 EXIT_OK = 0
@@ -33,20 +33,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except tm.ThreatModelParseError as exc:
-        print(f"threat model error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (FileNotFoundError, NotADirectoryError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"input error: invalid JSON at line {exc.lineno} column {exc.colno}: "
-              f"{exc.msg}", file=sys.stderr)
-        return EXIT_INPUT
-    except (KeyError, ValueError) as exc:
+    except (FileNotFoundError, NotADirectoryError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (IntegrationDivergedError, SingularBoundaryError, RuntimeError) as exc:
@@ -143,8 +130,7 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_risk(args) -> int:
-    raw = json.loads(Path(args.input).read_text())
-    report = risk_mod.risk(**parse_risk(raw), name=raw.get("name", ""))
+    report = risk_mod.risk(**parse_risk(read_json(args.input), named=True))
     doc = risk_mod.report_to_dict(report)
     if args.json:
         print(json.dumps(doc))
@@ -158,7 +144,7 @@ def _cmd_risk(args) -> int:
 
 
 def _cmd_threat(args) -> int:
-    model = tm.deserialize(Path(args.path).read_text())
+    model = parse_threat(read_json(args.path), "")
     violations = tm.validate(model)
     if args.json:
         print(json.dumps({"name": model.name, "ok": not violations,
@@ -174,8 +160,7 @@ def _cmd_threat(args) -> int:
 
 def _cmd_metrics(args) -> int:
     run_dir = Path(args.run_dir)
-    doc = json.loads((run_dir / "scenario.json").read_text())
-    sc = scenario_from_dict(doc)
+    sc = scenario_from_dict(read_json(run_dir / "scenario.json"))
     traces = {}
     for path in sorted((run_dir / "traces").glob("*.csv")):
         series = TimeSeries.from_csv(path.read_text())

@@ -113,8 +113,6 @@ class _Run:
                     self.net.start_polling(cfg.poll_period, cfg.poll_start)
                 for cmd in cfg.commands:
                     self._schedule_command(cmd)
-        elif link_specs:
-            raise ScenarioError("attacks", "link attacks need a network section")
 
         # physical tier
         if self.grid.td_system is not None:
@@ -569,14 +567,14 @@ def compute_metrics(sc: Scenario, traces: dict[str, TimeSeries],
             raise ScenarioError("metrics", f"trace {trace_name!r} not produced by this "
                                            f"scenario (have {sorted(traces)})")
         series = traces[trace_name]
+        # the request's own options only: metrics.py holds every default
+        options = {k: v for k, v in req.items() if k not in ("kind", "trace")}
         if kind == "frequency_stability":
             reports.append(frequency_stability(series, protection))
         elif kind == "voltage_stability":
-            limits = tuple(req.get("limits", (0.95, 1.05)))
-            reports.append(voltage_stability(series, limits))
+            reports.append(voltage_stability(series, **options))
         elif kind == "control":
-            reports.append(control_metrics(series, command=req["command"],
-                                           band_pct=req.get("band_pct", 0.02)))
+            reports.append(control_metrics(series, **options))
     return reports
 
 

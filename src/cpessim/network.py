@@ -154,14 +154,15 @@ def min_hop_path(adjacency: dict[str, list[str]], src: str, dst: str) -> list[st
 
 
 class NetworkSim:
-    """Event-driven network bound to a grid through sensor/command callbacks."""
+    """Event-driven network bound to a grid through sensor/command callbacks.
+
+    The topology is taken as given: scenario load checks ids, link ends,
+    parallel links, app placement and attack taps."""
 
     def __init__(self, nodes: Sequence[NetNode], links: Sequence[NetLink],
                  rng: Optional[np.random.Generator] = None,
                  message_bytes: int = DEFAULT_MESSAGE_BYTES):
         self.nodes = {n.id: n for n in nodes}
-        if len(self.nodes) != len(nodes):
-            raise ValueError("duplicate node ids")
         self.links = {l.id: l for l in links}
         self.message_bytes = message_bytes
         self.rng = rng if rng is not None else np.random.default_rng(0)
@@ -179,12 +180,7 @@ class NetworkSim:
         self.command_sink: Callable[[str, str, object, float], None] = lambda *a: None
 
         for link in links:
-            for end in (link.a, link.b):
-                if end not in self.nodes:
-                    raise ValueError(f"link {link.id!r} references unknown node {end!r}")
             pair = (link.a, link.b)
-            if pair in self._link_by_pair or pair[::-1] in self._link_by_pair:
-                raise ValueError(f"parallel links between {link.a!r} and {link.b!r}")
             self._link_by_pair[pair] = link
             self._link_by_pair[pair[::-1]] = link
             self._adjacency[link.a].append(link.b)
@@ -194,11 +190,6 @@ class NetworkSim:
                 self._busy_until[direction] = 0.0
         for nb_list in self._adjacency.values():
             nb_list.sort()
-        for node in self.nodes.values():
-            if node.role is NodeRole.ENDPOINT and not self._adjacency[node.id]:
-                raise ValueError(f"endpoint node {node.id!r} has no links")
-            if node.app is not None and node.role is not NodeRole.ENDPOINT:
-                raise ValueError(f"node {node.id!r}: apps are only allowed on endpoints")
 
     # -- topology ----------------------------------------------------------
 
@@ -239,10 +230,6 @@ class NetworkSim:
                 self._dos.setdefault(spec.tap, []).append(spec)
             elif isinstance(spec, TimeDelay):
                 self._delays.setdefault(spec.tap, []).append(spec)
-            else:
-                continue
-            if spec.tap not in self.links:
-                raise ValueError(f"attack tap {spec.tap!r} does not name a network link")
 
     # -- logging -----------------------------------------------------------
 

@@ -212,7 +212,7 @@ def _case3(variant: str) -> dict:
             "p_loss": 0.0,
             "pcc_breaker": "pcc",
             "machines": [{
-                "id": "genset", "inertia_const": 5.0, "p_mech": 900.0 / 1000.0,
+                "id": "genset", "inertia_const": 5.0, "p_mech": 900.0,
                 "v_internal": 1.0, "reactance": 0.3,
                 "governor": {"gain": 0.5, "deadband": 0.036, "time_constant": 0.3,
                              "max_boost": 0.1, "min_boost": -0.9},

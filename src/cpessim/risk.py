@@ -147,20 +147,6 @@ def _pool_of(score: int, thresholds: tuple[int, int, int]) -> int:
     return 4
 
 
-def priorities_from_names(values: Mapping[str, int]) -> PrioritySet:
-    return PrioritySet({ObjectiveId(k): int(v) for k, v in values.items()})
-
-
-def impacts_from_names(values: Mapping[str, object]) -> ImpactVector:
-    parsed = {}
-    for k, v in values.items():
-        if isinstance(v, str):
-            parsed[ObjectiveId(k)] = Impact[v.upper()]
-        else:
-            parsed[ObjectiveId(k)] = Impact(int(v))
-    return ImpactVector(parsed)
-
-
 def report_to_dict(report: RiskReport) -> dict:
     return {
         "name": report.name,

@@ -1,10 +1,12 @@
 """Declarative scenario documents: schema, parsing, and cross-validation.
 
 A scenario is one JSON document with sections {meta, grid, network?, attacks,
-threat?, risk?, metrics, seed}.  Parsing is strict: every error names the
-offending field so the CLI can report it and exit with the input-error code.
-Two rules hold for every object read here (the threat and risk sections have
-their own parsers):
+threat?, risk?, metrics, seed}.  Parsing is strict: every error is a
+``ScenarioError`` that names the offending field, so the CLI can report it and
+exit with the input-error code.  This module reads every input document: the
+scenario with its ``threat`` and ``risk`` sections, and the threat-model and
+risk files that ``cpessim threat validate`` and ``cpessim risk`` take.  Two
+rules hold for every object read here:
 
 - a key the object does not define is rejected as ``<path>.<key>: unknown
   field``, and every value must have its field's JSON type;
@@ -28,7 +30,8 @@ from . import risk as risk_mod
 from . import threat_model as tm
 from .attacks import (AttackSpec, AttackWindow, BreakerAttack, ControlDia, DiaCombined,
                       DoS, GaussianNoise, LoadChange, SinusoidNoise, TimeDelay)
-from .network import DEFAULT_MESSAGE_BYTES, AppConfig, NetLink, NetNode, NodeRole
+from .network import (DEFAULT_MESSAGE_BYTES, AppConfig, NetLink, NetNode, NodeRole,
+                      min_hop_path)
 from .physical import (MAX_SWING_DT, Breaker, FastSource, FrequencyProtection,
                        Governor, GridModel, Load, LtiPlant, Machine, PlantFieldError,
                        TdSource, TdSystemConfig, apply_contingency, demand_total)
@@ -78,22 +81,23 @@ def scenario_hash(doc: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def load_scenario(path) -> Scenario:
-    text = Path(path).read_text()
+def read_json(path):
+    """The JSON document in the file at ``path``; invalid JSON fails at ``$``."""
     try:
-        doc = json.loads(text)
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError("$", f"invalid JSON at line {exc.lineno} column {exc.colno}: "
                                  f"{exc.msg}") from exc
-    return scenario_from_dict(doc)
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_dict(read_json(path))
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("$", "scenario must be a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ScenarioError("schema_version",
-                            f"expected {SCHEMA_VERSION}, got {doc.get('schema_version')!r}")
+    _check_version(doc, "", SCHEMA_VERSION)
     _check_keys(doc, "", "schema_version meta grid network attacks threat risk metrics seed")
 
     meta = _value(doc, "", "meta", "dict")
@@ -111,17 +115,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
     network = None
     if doc.get("network") is not None:
         network = _parse_network(doc["network"])
-        _check_outstations(network, grid)
+        _check_network(network, grid)
 
-    attacks = _value(doc, "", "attacks", "list", [], _each("attacks", _parse_attack))
+    attacks = _value(doc, "", "attacks", "list", [],
+                     _each("attacks", lambda loc, raw: _parse_attack(loc, raw, grid)))
     _check_taps(attacks, grid, network)
 
     threat = None
     if doc.get("threat") is not None:
-        try:
-            threat = tm.from_dict(doc["threat"])
-        except tm.ThreatModelParseError as exc:
-            raise ScenarioError(f"threat.{exc.location}", str(exc)) from exc
+        threat = parse_threat(doc["threat"], "threat")
         violations = tm.validate(threat)
         if violations:
             raise ScenarioError("threat", "; ".join(violations))
@@ -163,7 +165,7 @@ def build_grid(grid_doc: dict) -> GridModel:
     def machine(loc, raw):
         return _read(Machine, raw, loc, "id inertia_const p_mech v_internal v_recv reactance "
                                         "damping governor",
-                     inertia_const=_positive, omega=omega, omega_sync=omega,
+                     inertia_const=_positive, p_mech=to_pu, omega=omega, omega_sync=omega,
                      governor=lambda g: _read(Governor, g, f"{loc}.governor",
                                               "gain deadband time_constant min_boost max_boost",
                                               time_constant=_non_negative))
@@ -188,11 +190,6 @@ def build_grid(grid_doc: dict) -> GridModel:
     plants = [_read(LtiPlant, raw, f"grid.plants[{i}]", "name G B C control_matrix noise_std "
                     "x0:x u0:u operating_point power_base power_gain", name=f"plant{i}")
               for i, raw in enumerate(_value(grid_doc, "grid", "plants", "list", []))]
-    td_cfg = _value(grid_doc, "grid", "td_system", "dict", None, _parse_td_system)
-    if plants and (len(machines) > 1 or td_cfg is not None):
-        raise ScenarioError("grid.plants", "LTI plants run only on the single-machine "
-                                           "aggregate tier")
-
     for kind, items, key in (("machines", machines, "id"), ("loads", loads, "id"),
                              ("breakers", breakers, "id"), ("fast_sources", fast_sources, "id"),
                              ("plants", plants, "name")):
@@ -201,36 +198,23 @@ def build_grid(grid_doc: dict) -> GridModel:
     p_loss = _value(grid_doc, "grid", "p_loss", "float", GridModel.p_loss, to_pu)
     grid = GridModel(f_nom=f_nom, machines=machines, loads=loads, breakers=breakers,
                      plants=plants, fast_sources=fast_sources, p_loss=p_loss,
-                     protection=build_protection(grid_doc), td_system=td_cfg)
+                     protection=build_protection(grid_doc))
+    grid.td_system = td_cfg = _value(grid_doc, "grid", "td_system", "dict", None,
+                                     lambda raw: _parse_td_system(raw, grid))
+    if plants and (len(machines) > 1 or td_cfg is not None):
+        raise ScenarioError("grid.plants", "LTI plants run only on the single-machine "
+                                           "aggregate tier")
 
     def contingency(loc, raw):
         _check_keys(raw, loc, "t machine")
-        return _value(raw, loc, "t", "float"), _value(raw, loc, "machine", "str")
+        return (_value(raw, loc, "t", "float"),
+                _value(raw, loc, "machine", "str", convert=lambda m: grid.machine(m).id))
 
-    try:
-        apply_contingency(grid, section("contingencies", contingency))
-    except KeyError as exc:
-        raise ScenarioError("grid.contingencies", str(exc)) from exc
-
-    pcc_id = _value(grid_doc, "grid", "pcc_breaker", "str", None)
-    if pcc_id is not None:
-        try:
-            grid.pcc = grid.breaker(pcc_id)
-        except KeyError as exc:
-            raise ScenarioError("grid.pcc_breaker", str(exc)) from exc
-
+    apply_contingency(grid, section("contingencies", contingency))
+    grid.pcc = _value(grid_doc, "grid", "pcc_breaker", "str", None, grid.breaker)
     if td_cfg is not None:
-        for i, src in enumerate(td_cfg.sources):
-            try:
-                grid.machine(src.machine)
-            except KeyError as exc:
-                raise ScenarioError(f"grid.td_system.sources[{i}].machine", str(exc)) from exc
-        try:
-            feeder = grid.breaker(td_cfg.feeder_breaker)
-        except KeyError as exc:
-            raise ScenarioError("grid.td_system.feeder_breaker", str(exc)) from exc
         balance_slack(grid, demand_total(grid) + td_cfg.dist_demand)
-        td_operating_point(td_cfg, feeder.closed)
+        td_operating_point(td_cfg, grid.breaker(td_cfg.feeder_breaker).closed)
     elif len(machines) > 1:
         balance_slack(grid, demand_total(grid))
     elif grid.pcc is None or not grid.pcc.closed:
@@ -290,11 +274,13 @@ def build_protection(grid_doc: dict) -> FrequencyProtection:
                  f_nom=_value(grid_doc, "grid", "f_nom", "float", GridModel.f_nom))
 
 
-def _parse_td_system(raw: dict) -> TdSystemConfig:
+def _parse_td_system(raw: dict, grid: GridModel) -> TdSystemConfig:
     return _read(TdSystemConfig, raw, "grid.td_system", "sources feeder_breaker feeder_r "
                  "feeder_l shunt_c load_conductance dist_demand pcc_shunt_c power_filter",
                  sources=_each("grid.td_system.sources", lambda loc, src: _read(
-                     TdSource, src, loc, "machine emf r l", r=_positive, l=_positive)),
+                     TdSource, src, loc, "machine emf r l", r=_positive, l=_positive,
+                     machine=lambda m: grid.machine(m).id)),
+                 feeder_breaker=lambda b: grid.breaker(b).id,
                  feeder_r=_positive, feeder_l=_positive, shunt_c=_positive,
                  load_conductance=_positive, pcc_shunt_c=_non_negative,
                  power_filter=_non_negative)
@@ -351,9 +337,11 @@ _ATTACKS = {"dia": (DiaCombined, "tap beta noise window"),
 _NOISES = {"gaussian": (GaussianNoise, "sigma"), "sinusoid": (SinusoidNoise, "amplitude freq_hz")}
 
 
-def _parse_attack(loc: str, raw: dict) -> AttackSpec:
+def _parse_attack(loc: str, raw: dict, grid: GridModel) -> AttackSpec:
     return _tagged(_ATTACKS, "type", loc, raw, window=AttackWindow,
-                   noise=lambda noise: _tagged(_NOISES, "kind", f"{loc}.noise", noise))
+                   noise=lambda noise: _tagged(_NOISES, "kind", f"{loc}.noise", noise),
+                   targets=lambda ids: [grid.load(i).id for i in ids],
+                   breaker=lambda b: grid.breaker(b).id)
 
 
 def _tagged(table: dict, tag: str, loc: str, raw: dict, **parsed):
@@ -366,14 +354,49 @@ def _tagged(table: dict, tag: str, loc: str, raw: dict, **parsed):
     return _read(cls, raw, loc, f"{tag} {keys}", **parsed)
 
 
-def _check_outstations(network: NetworkConfig, grid: GridModel) -> None:
-    """Every outstation must read an asset the engine's sensor lookup resolves."""
-    assets = {x.id for x in (*grid.machines, *grid.loads, *grid.breakers,
-                             *grid.fast_sources)}
-    for i, node in enumerate(network.nodes):
-        if node.app and node.app.kind == "outstation" and node.app.asset not in assets:
-            raise ScenarioError(f"network.nodes[{i}].app.asset",
-                                f"unknown grid asset {node.app.asset!r}")
+def _check_network(net: NetworkConfig, grid: GridModel) -> None:
+    """The topology must route every packet the run sends: each link joins
+    two known nodes, once; each endpoint has a link; the one master reaches
+    every outstation; each outstation reads an asset the engine's sensor
+    lookup resolves; and each command goes to a bound outstation."""
+    adjacency = {n.id: [] for n in net.nodes}
+    for i, link in enumerate(net.links):
+        for end in "ab":
+            if getattr(link, end) not in adjacency:
+                raise ScenarioError(f"network.links[{i}].{end}",
+                                    f"unknown node {getattr(link, end)!r}")
+        if link.b in adjacency[link.a]:
+            raise ScenarioError(f"network.links[{i}]",
+                                f"parallel link between {link.a!r} and {link.b!r}")
+        adjacency[link.a].append(link.b)
+        adjacency[link.b].append(link.a)
+
+    masters = [n.id for n in net.nodes if n.app and n.app.kind == "master"]
+    assets = {x.id for x in (*grid.machines, *grid.loads, *grid.breakers, *grid.fast_sources)}
+    for i, node in enumerate(net.nodes):
+        loc = f"network.nodes[{i}]"
+        if node.role is NodeRole.ENDPOINT and not adjacency[node.id]:
+            raise ScenarioError(loc, f"endpoint {node.id!r} has no links")
+        if node.app is None:
+            continue
+        if node.role is not NodeRole.ENDPOINT:
+            raise ScenarioError(f"{loc}.app", "apps run only on endpoints")
+        if node.app.kind == "master" and node.id != masters[0]:
+            raise ScenarioError(f"{loc}.app", f"second master; {masters[0]!r} is the master")
+        if node.app.kind == "outstation" and node.app.asset not in assets:
+            raise ScenarioError(f"{loc}.app.asset", f"unknown grid asset {node.app.asset!r}")
+        if masters:  # a network without a master sends nothing
+            try:
+                min_hop_path(adjacency, masters[0], node.id)
+            except ValueError as exc:
+                raise ScenarioError(loc, str(exc)) from exc
+    bound = {n.app.asset for n in net.nodes if n.app and n.app.kind == "outstation"}
+    for i, cmd in enumerate(net.commands):
+        if not masters:
+            raise ScenarioError(f"network.commands[{i}]", "commands need a master app")
+        if cmd["asset"] not in bound:
+            raise ScenarioError(f"network.commands[{i}].asset",
+                                f"no outstation is bound to asset {cmd['asset']!r}")
 
 
 def _check_taps(attacks, grid: GridModel, network: Optional[NetworkConfig]) -> None:
@@ -392,47 +415,52 @@ def _check_taps(attacks, grid: GridModel, network: Optional[NetworkConfig]) -> N
             if layer != "link" or link_id not in link_ids:
                 raise ScenarioError(f"{loc}.tap",
                                     f"tap {spec.tap!r} does not resolve to a network link")
-        elif isinstance(spec, LoadChange):
-            for target in spec.targets:
-                try:
-                    grid.load(target)
-                except KeyError as exc:
-                    raise ScenarioError(f"{loc}.targets", str(exc)) from exc
-        elif isinstance(spec, BreakerAttack):
-            try:
-                grid.breaker(spec.breaker)
-            except KeyError as exc:
-                raise ScenarioError(f"{loc}.breaker", str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
-# Risk and metrics sections
+# Threat, risk and metrics sections
 # ---------------------------------------------------------------------------
 
-def parse_risk(raw: dict) -> dict:
-    """Risk inputs as keyword arguments of ``risk.risk``."""
-    if not isinstance(raw, dict):
-        raise ScenarioError("risk", "must be an object")
-    prob = raw.get("probability")
-    if prob not in (1, 2, 3):
-        raise ScenarioError("risk.probability", f"must be 1, 2, or 3, got {prob!r}")
-    try:
-        priorities = (risk_mod.priorities_from_names(raw["priorities"])
-                      if "priorities" in raw else risk_mod.CPES_PRIORITIES)
-    except ValueError as exc:
-        raise ScenarioError("risk.priorities", str(exc)) from exc
-    impacts = _value(raw, "risk", "impacts", "dict")
-    try:
-        impacts = risk_mod.impacts_from_names(impacts)
-    except (KeyError, ValueError) as exc:
-        raise ScenarioError("risk.impacts", str(exc)) from exc
-    try:
-        thresholds = risk_mod.checked_thresholds(
-            raw.get("pool_thresholds", risk_mod.DEFAULT_POOL_THRESHOLDS))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError("risk.pool_thresholds", str(exc)) from exc
-    return {"probability": risk_mod.ThreatProbability(prob), "priorities": priorities,
-            "impacts": impacts, "thresholds": thresholds}
+def parse_threat(raw: dict, loc: str) -> tm.ThreatModel:
+    """The threat model document at ``loc``: a scenario's ``threat`` section,
+    or, at the empty ``loc``, the file ``cpessim threat validate`` takes.
+    Every attribute is a non-empty list of its enum's values."""
+    _check_version(raw, loc, tm.SCHEMA_VERSION)
+
+    def section(cls, key, enums):
+        return lambda raw: _read(cls, raw, _at(loc, key), " ".join(enums),
+                                 **{name: _members(e) for name, e in enums.items()})
+
+    return _read(tm.ThreatModel, raw, loc, "schema_version name adversary attack notes",
+                 name=_non_empty, adversary=section(tm.AdversaryModel, "adversary",
+                                                    tm.ADVERSARY_FIELDS),
+                 attack=section(tm.AttackModel, "attack", tm.ATTACK_FIELDS))
+
+
+def parse_risk(raw: dict, named: bool = False) -> dict:
+    """Risk inputs at ``risk`` as keyword arguments of ``risk.risk``.  A
+    ``named`` document, the file ``cpessim risk`` takes, may also give the
+    report's ``name``."""
+    _check_keys(raw, "risk", "probability priorities impacts pool_thresholds" + " name" * named)
+
+    def per_objective(key, cls, typ, convert=None):
+        def read(values):
+            _check_keys(values, f"risk.{key}", [obj.value for obj in risk_mod.OBJECTIVES])
+            return cls({obj: _value(values, f"risk.{key}", obj.value, typ, convert=convert)
+                        for obj in risk_mod.OBJECTIVES})
+        return read
+
+    inputs = {"probability": _value(raw, "risk", "probability", "int",
+                                    convert=risk_mod.ThreatProbability),
+              "priorities": _value(raw, "risk", "priorities", "dict", risk_mod.CPES_PRIORITIES,
+                                   per_objective("priorities", risk_mod.PrioritySet, "int")),
+              "impacts": _value(raw, "risk", "impacts", "dict", convert=per_objective(
+                  "impacts", risk_mod.ImpactVector, None, _impact)),
+              "thresholds": _value(raw, "risk", "pool_thresholds", "list",
+                                   risk_mod.DEFAULT_POOL_THRESHOLDS, _thresholds)}
+    if named:
+        inputs["name"] = _value(raw, "risk", "name", "str", "")
+    return inputs
 
 
 _METRIC_KEYS = {"frequency_stability": "trace", "voltage_stability": "trace limits",
@@ -462,7 +490,7 @@ def _parse_metric(loc: str, raw: dict) -> dict:
 _JSON_TYPES = {"float": ((int, float), "a number"), "int": (int, "an integer"),
                "str": (str, "a string"), "bool": (bool, "a boolean"),
                "list": (list, "a list"), "tuple": (list, "a list"),
-               "dict": (dict, "an object")}
+               "frozenset": (list, "a list"), "dict": (dict, "an object")}
 _REQUIRED = object()
 
 
@@ -472,13 +500,14 @@ def _read(cls, doc: dict, loc: str, keys: str, **parsed):
     ``keys`` lists, space-separated, every key ``doc`` may hold; ``key:field``
     fills a field of another name, and a key that fills no field is the
     caller's to read.  Each field's key must have the JSON type of the field's
-    annotation (``float`` takes an int but not a bool, a ``list`` or ``tuple``
-    takes a JSON list).  A callable in ``parsed`` converts the key's value and
-    may reject it with a ``ValueError``; any other value in ``parsed`` stands
-    in for an absent key or fills a field that has no key.  Otherwise an
-    absent key leaves the field its dataclass default.  Init-only fields
-    (``LtiPlant.G``) count as fields, and annotations are read as text: the
-    model modules postpone their evaluation.
+    annotation (``float`` takes an int but not a bool, a ``list``, ``tuple``
+    or ``frozenset`` takes a JSON list).  A callable in ``parsed`` converts the
+    key's value and may reject it with a ``ValueError`` (or the ``KeyError`` of
+    a grid lookup); any other value in ``parsed`` stands in for an absent key
+    or fills a field that has no key.  Otherwise an absent key leaves the field
+    its dataclass default.  Init-only fields (``LtiPlant.G``) count as fields,
+    and annotations are read as text: the model modules postpone their
+    evaluation.
     """
     fields = {f.name: f for f in cls.__dataclass_fields__.values() if f.init}
     keys = {key: name or key for key, _, name in (e.partition(":") for e in keys.split())}
@@ -493,7 +522,7 @@ def _read(cls, doc: dict, loc: str, keys: str, **parsed):
             kwargs[name] = _value(doc, loc, key, f.type.partition("[")[0],
                                   convert=convert if callable(convert) else None)
         elif name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
-            raise ScenarioError(f"{loc}.{key}", "missing field")
+            raise ScenarioError(_at(loc, key), "missing field")
     try:
         return cls(**kwargs)
     except PlantFieldError as exc:
@@ -507,9 +536,9 @@ def _value(doc: dict, loc: str, key: str, typ: Optional[str], default=_REQUIRED,
     """``doc[key]`` checked against the JSON type named ``typ`` (a key of
     ``_JSON_TYPES``; any other name checks nothing) and passed through
     ``convert``; ``default`` when the key is absent."""
-    where = f"{loc}.{key}" if loc else key
+    where = _at(loc, key)
     if not isinstance(doc, dict):
-        raise ScenarioError(loc, "must be an object")
+        raise ScenarioError(loc or "$", "must be an object")
     if key not in doc:
         if default is _REQUIRED:
             raise ScenarioError(where, "missing field")
@@ -527,18 +556,29 @@ def _value(doc: dict, loc: str, key: str, typ: Optional[str], default=_REQUIRED,
         return convert(value)
     except ScenarioError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # KeyError: an unknown grid id
         raise ScenarioError(where, str(exc)) from exc
 
 
 def _check_keys(doc: dict, loc: str, keys) -> None:
     """Reject a ``doc`` that is not an object or holds a key not in ``keys``."""
     if not isinstance(doc, dict):
-        raise ScenarioError(loc, "must be an object")
+        raise ScenarioError(loc or "$", "must be an object")
     allowed = keys.split() if isinstance(keys, str) else keys
     for key in doc:
         if key not in allowed:
-            raise ScenarioError(f"{loc}.{key}" if loc else key, "unknown field")
+            raise ScenarioError(_at(loc, key), "unknown field")
+
+
+def _check_version(doc: dict, loc: str, expected: int) -> None:
+    version = _value(doc, loc, "schema_version", None)
+    if version != expected:
+        raise ScenarioError(_at(loc, "schema_version"), f"expected {expected}, got {version!r}")
+
+
+def _at(loc: str, key: str) -> str:
+    """Path of ``key`` inside the object at ``loc`` (the document when empty)."""
+    return f"{loc}.{key}" if loc else key
 
 
 def _each(loc: str, read):
@@ -568,3 +608,33 @@ def _limits(value: list) -> list:
                                   for v in value) or not value[0] < value[1]:
         raise ValueError(f"must be two numbers [lo, hi] with lo < hi, got {value!r}")
     return value
+
+
+def _non_empty(value: str) -> str:
+    if not value:
+        raise ValueError("must not be empty")
+    return value
+
+
+def _members(enum_cls):
+    """Converter of a non-empty JSON list of ``enum_cls`` values to a frozenset."""
+    def convert(values: list) -> frozenset:
+        if not values:
+            raise ValueError("must be a non-empty list")
+        return frozenset(map(enum_cls, values))
+    return convert
+
+
+def _impact(value) -> "risk_mod.Impact":
+    """``"low"``, ``"medium"`` or ``"high"`` in any case, or the level 1-3."""
+    if isinstance(value, str) and value.upper() in risk_mod.Impact.__members__:
+        return risk_mod.Impact[value.upper()]
+    if type(value) is int and value in (1, 2, 3):
+        return risk_mod.Impact(value)
+    raise ValueError(f'must be "low", "medium", "high" or an integer 1-3, got {value!r}')
+
+
+def _thresholds(values: list) -> tuple[int, int, int]:
+    if not all(type(v) is int for v in values):
+        raise ValueError(f"must be a list of integers, got {values!r}")
+    return risk_mod.checked_thresholds(values)

@@ -3,15 +3,14 @@
 Every taxonomy attribute is held as a non-empty set of enum members so that
 disjunctive characterizations ("Class I or II", "L1 or L2") are first-class
 rather than being normalized away.  Four built-in presets describe the attack
-case studies shipped with the scenario presets.
+case studies shipped with the scenario presets.  ``to_dict`` writes a model as
+a JSON document, and ``scenario.parse_threat`` reads one back.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 SCHEMA_VERSION = 1
 
@@ -111,7 +110,7 @@ class AttackModel:
     premise: frozenset[Premise]
 
     def __post_init__(self):
-        for name in _ATTACK_FIELDS:
+        for name in ATTACK_FIELDS:
             object.__setattr__(self, name, frozenset(getattr(self, name)))
 
 
@@ -123,13 +122,13 @@ class ThreatModel:
     notes: str = ""
 
 
-_ADVERSARY_FIELDS = {
+ADVERSARY_FIELDS = {
     "knowledge": Knowledge,
     "access": Access,
     "specificity": Specificity,
     "resources": Resources,
 }
-_ATTACK_FIELDS = {
+ATTACK_FIELDS = {
     "frequency": Frequency,
     "reproducibility": Reproducibility,
     "functional_level": FunctionalLevel,
@@ -147,9 +146,9 @@ def validate(tm: ThreatModel) -> list[str]:
     adversary to hold possession-level access.
     """
     violations = []
-    for fname, enum_cls in _ADVERSARY_FIELDS.items():
+    for fname, enum_cls in ADVERSARY_FIELDS.items():
         violations += _check_set(f"adversary.{fname}", getattr(tm.adversary, fname), enum_cls)
-    for fname, enum_cls in _ATTACK_FIELDS.items():
+    for fname, enum_cls in ATTACK_FIELDS.items():
         violations += _check_set(f"attack.{fname}", getattr(tm.attack, fname), enum_cls)
 
     intrusive = {Premise.PHYSICAL_INVASIVE, Premise.PHYSICAL_SEMI_INVASIVE}
@@ -278,80 +277,14 @@ _PRESETS = {
 }
 
 
-class ThreatModelParseError(ValueError):
-    """Raised when a threat model document is malformed; carries the field path."""
-
-    def __init__(self, location: str, message: str):
-        self.location = location
-        super().__init__(f"{location}: {message}")
-
-
 def to_dict(tm: ThreatModel) -> dict:
     """JSON-ready dict; enum sets become sorted lists of lower_snake_case values."""
     return {
         "schema_version": SCHEMA_VERSION,
         "name": tm.name,
         "adversary": {f: sorted(m.value for m in getattr(tm.adversary, f))
-                      for f in _ADVERSARY_FIELDS},
+                      for f in ADVERSARY_FIELDS},
         "attack": {f: sorted(m.value for m in getattr(tm.attack, f))
-                   for f in _ATTACK_FIELDS},
+                   for f in ATTACK_FIELDS},
         "notes": tm.notes,
     }
-
-
-def serialize(tm: ThreatModel) -> str:
-    return json.dumps(to_dict(tm), indent=2)
-
-
-def from_dict(doc: dict) -> ThreatModel:
-    if not isinstance(doc, dict):
-        raise ThreatModelParseError("$", "expected a JSON object")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ThreatModelParseError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
-    name = doc.get("name")
-    if not isinstance(name, str) or not name:
-        raise ThreatModelParseError("name", "missing or not a non-empty string")
-
-    adversary = AdversaryModel(**_parse_section(doc, "adversary", _ADVERSARY_FIELDS))
-    attack = AttackModel(**_parse_section(doc, "attack", _ATTACK_FIELDS))
-    notes = doc.get("notes", "")
-    if not isinstance(notes, str):
-        raise ThreatModelParseError("notes", "must be a string")
-    return ThreatModel(name=name, adversary=adversary, attack=attack, notes=notes)
-
-
-def _parse_section(doc: dict, section: str, fields: dict) -> dict:
-    raw = doc.get(section)
-    if not isinstance(raw, dict):
-        raise ThreatModelParseError(section, "missing or not an object")
-    out = {}
-    for fname, enum_cls in fields.items():
-        if fname not in raw:
-            raise ThreatModelParseError(f"{section}.{fname}", "missing field")
-        out[fname] = frozenset(_parse_members(f"{section}.{fname}", raw[fname], enum_cls))
-    unknown = set(raw) - set(fields)
-    if unknown:
-        raise ThreatModelParseError(f"{section}.{sorted(unknown)[0]}", "unknown field")
-    return out
-
-
-def _parse_members(location: str, values, enum_cls) -> Iterable:
-    if not isinstance(values, list) or not values:
-        raise ThreatModelParseError(location, "must be a non-empty list")
-    members = []
-    for v in values:
-        try:
-            members.append(enum_cls(v))
-        except ValueError:
-            allowed = sorted(m.value for m in enum_cls)
-            raise ThreatModelParseError(location, f"unknown value {v!r}; allowed: {allowed}")
-    return members
-
-
-def deserialize(text: str) -> ThreatModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ThreatModelParseError("$", f"invalid JSON: {exc}") from exc
-    return from_dict(doc)

@@ -32,7 +32,7 @@ def test_threat_with_violations_exits_negative(tmp_path, capsys):
                                     resources=model.adversary.resources),
         attack=model.attack)
     path = tmp_path / "threat.json"
-    path.write_text(tm.serialize(broken))
+    path.write_text(json.dumps(tm.to_dict(broken)))
     assert cli.main(["threat", "validate", str(path), "--json"]) == cli.EXIT_NEGATIVE
     assert json.loads(capsys.readouterr().out)["ok"] is False
 
@@ -91,6 +91,19 @@ def test_risk_exits_ok(tmp_path, capsys):
     path = write_doc(tmp_path / "risk.json", risk_doc())
     assert cli.main(["risk", path, "--json"]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["name"] == "breach"
+
+
+def test_risk_list_priorities_exits_input_error(tmp_path, capsys):
+    path = write_doc(tmp_path / "risk.json", risk_doc(priorities=[4, 3, 2, 1]))
+    assert cli.main(["risk", path, "--json"]) == cli.EXIT_INPUT
+    assert "risk.priorities" in capsys.readouterr().err
+
+
+def test_threat_unknown_key_exits_input_error(tmp_path, capsys):
+    path = write_doc(tmp_path / "threat.json",
+                     dict(tm.to_dict(tm.preset("time_delay")), notez="delayed"))
+    assert cli.main(["threat", "validate", path]) == cli.EXIT_INPUT
+    assert "notez: unknown field" in capsys.readouterr().err
 
 
 def test_risk_bad_thresholds_exits_input_error(tmp_path, capsys):

@@ -93,6 +93,26 @@ def test_unnamed_plants_each_inject_their_own_base_power():
     assert traces["p_gen"].v[0] == 0.5 - (0.05 + 0.07)
 
 
+def test_metric_requests_pass_only_their_own_options(monkeypatch):
+    calls = []
+
+    def wrap(name):
+        real = getattr(engine, name)
+
+        def called(series, *args, **kwargs):
+            calls.append((name, args, sorted(kwargs)))
+            return real(series, *args, **kwargs)
+        monkeypatch.setattr(engine, name, called)
+
+    wrap("voltage_stability")
+    wrap("control_metrics")
+    doc = presets.preset_doc("case1_dia")
+    doc["meta"]["horizon"] = 0.05
+    del doc["metrics"][1]["limits"]  # the control request holds no band_pct either
+    engine.run(scenario_from_dict(doc))
+    assert calls == [("voltage_stability", (), []), ("control_metrics", (), ["command"])]
+
+
 def test_metric_on_unknown_trace_fails_before_the_run():
     doc = presets.preset_doc("case1_dia")
     doc["metrics"].append({"kind": "control", "trace": "ghost", "command": 1.0})

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from cpessim import presets
 from cpessim.attacks import AttackWindow, DoS, TimeDelay
 from cpessim.network import (AppConfig, EventQueue, NetLink, NetNode, NetworkSim,
                              NodeRole, PacketKind, min_hop_path)
+from cpessim.scenario import scenario_from_dict
 
 
 def single_link(bandwidth, prop=0.0, loss=0.0, rng=None):
@@ -219,10 +221,17 @@ def test_time_delay_shifts_arrivals_by_constant():
         assert d["t"] - b["t"] == pytest.approx(0.25, abs=1e-12)
 
 
+def case3_doc():
+    """The polled case-study network; its topology is checked at scenario load."""
+    return presets.preset_doc("case3_tda", "delay_0")
+
+
 def test_attach_attack_unknown_link():
-    sim = star(("o1",))
-    with pytest.raises(ValueError):
-        sim.attach_attacks([DoS(tap="nope", window=AttackWindow(((0.0, 1.0),)))])
+    doc = case3_doc()
+    doc["attacks"] = [{"type": "dos", "tap": "link:nope", "window": [[0.0, 1.0]]}]
+    with pytest.raises(ValueError) as err:
+        scenario_from_dict(doc)
+    assert err.value.location == "attacks[0].tap"
 
 
 # -- invariants ----------------------------------------------------------------------
@@ -309,15 +318,18 @@ def test_links_on_follows_route():
 
 
 def test_endpoint_without_links_rejected():
-    nodes = [NetNode(id="a"), NetNode(id="b"), NetNode(id="lonely")]
-    links = [NetLink(id="l", a="a", b="b", bandwidth=1e6)]
-    with pytest.raises(ValueError, match="has no links"):
-        NetworkSim(nodes, links)
+    doc = case3_doc()
+    doc["network"]["nodes"].append({"id": "lonely"})
+    with pytest.raises(ValueError, match="has no links") as err:
+        scenario_from_dict(doc)
+    assert err.value.location == "network.nodes[8]"
 
 
 def test_app_placement_validation():
-    with pytest.raises(ValueError):
-        NetworkSim([NetNode(id="r", role=NodeRole.ROUTER,
-                            app=AppConfig(kind="master"))], [])
+    doc = case3_doc()
+    doc["network"]["nodes"][1]["app"] = {"kind": "master"}  # the router
+    with pytest.raises(ValueError) as err:
+        scenario_from_dict(doc)
+    assert err.value.location == "network.nodes[1].app"
     with pytest.raises(ValueError):
         AppConfig(kind="outstation")  # missing asset

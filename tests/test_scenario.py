@@ -127,6 +127,12 @@ def test_kw_unit_conversion():
     assert grid.loads[0].base_demand == pytest.approx(0.3)
 
 
+def test_kw_grid_converts_machine_setpoint():
+    doc = presets.preset_doc("case3_tda", "delay_0")
+    doc["grid"]["machines"][0]["p_mech"] = 900  # kW, on s_base_kw 1000
+    assert scenario_from_dict(doc).build_grid().machines[0].p_mech == 0.9
+
+
 def test_bad_unit_rejected():
     doc = minimal_doc()
     doc["grid"]["unit"] = "MW"
@@ -338,6 +344,29 @@ def _drop_command(doc):
     del doc["metrics"][2]["command"]
 
 
+def _append(path, value):
+    """Mutation that appends ``value`` to the list at ``path``."""
+    def mutate(doc):
+        for key in path:
+            doc = doc[key]
+        doc.append(value)
+    return mutate
+
+
+def _drop_master(doc):
+    del doc["network"]["nodes"][0]["app"]
+
+
+def _isolate_out_crit(doc):
+    """Link out_crit only to a new endpoint, out of the master's reach."""
+    doc["network"]["nodes"].append({"id": "island"})
+    doc["network"]["links"][5]["a"] = "island"
+
+
+PRIORITIES = {"people_health_safety": 4, "uninterrupted_operation": 3,
+              "equipment_damage_legal": 2, "financial_profit": 1}
+
+
 @pytest.mark.parametrize("preset, variant, mutate, location", [
     ("case1_dia", None, _set(["grid", "machines", 0, "reactance"], "0.3"),
      "grid.machines[0].reactance"),
@@ -380,6 +409,31 @@ def _drop_command(doc):
      "network.links[0].bandwidth"),
     ("case4_td", "n1", _set(["grid", "breakers", 0, "schedule"], "open"),
      "grid.breakers[0].schedule"),
+    ("case1_dia", None, _set(["risk", "probability"], 2.0), "risk.probability"),
+    ("case1_dia", None, _set(["risk", "probability"], True), "risk.probability"),
+    ("case1_dia", None, _set(["risk", "impacts", "financial_profit"], 2.7),
+     "risk.impacts.financial_profit"),
+    ("case1_dia", None, _set(["risk", "priorities"], dict(PRIORITIES, financial_profit="1")),
+     "risk.priorities.financial_profit"),
+    ("case1_dia", None, _set(["risk", "priorities"], dict(PRIORITIES, financial_profit=1.9)),
+     "risk.priorities.financial_profit"),
+    ("case1_dia", None, _set(["risk", "pool_threshold"], [70, 50, 30]), "risk.pool_threshold"),
+    ("case1_dia", None, _set(["risk", "priorities"], [4, 3, 2, 1]), "risk.priorities"),
+    ("case1_dia", None, _set(["threat", "notez"], "firmware"), "threat.notez"),
+    ("case1_dia", None, _set(["threat", "attack", "asset"], "hmi"), "threat.attack.asset"),
+    ("case3_tda", "delay_0", _set(["network", "links", 0, "b"], "ghost"), "network.links[0].b"),
+    ("case3_tda", "delay_0", _append(["network", "links"], {
+        "id": "l_again", "a": "router", "b": "mgc", "bandwidth_mbps": 100.0}),
+     "network.links[7]"),
+    ("case3_tda", "delay_0", _append(["network", "nodes"], {"id": "lonely"}), "network.nodes[8]"),
+    ("case3_tda", "delay_0", _set(["network", "nodes", 1, "app"], {
+        "kind": "outstation", "asset": "load1"}), "network.nodes[1].app"),
+    ("case3_tda", "delay_0", _set(["network", "commands", 1, "asset"], "ghost"),
+     "network.commands[1].asset"),
+    ("case3_tda", "delay_0", _drop_master, "network.commands[0]"),
+    ("case3_tda", "delay_0", _set(["network", "nodes", 2, "app"], {"kind": "master"}),
+     "network.nodes[2].app"),
+    ("case3_tda", "delay_0", _isolate_out_crit, "network.nodes[6]"),
 ], ids=lambda case: None if callable(case) or case is None else str(case))
 def test_malformed_field_names_its_path(preset, variant, mutate, location):
     doc = presets.preset_doc(preset, variant)

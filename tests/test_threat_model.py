@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cpessim import threat_model as tm
+from cpessim.scenario import ScenarioError, parse_threat, read_json
 
 
 def test_all_presets_validate():
@@ -88,12 +89,16 @@ def test_validate_is_pure():
     assert tm.validate(model) == tm.validate(model) == []
 
 
-# -- serialization ----------------------------------------------------------
+# -- documents: tm.to_dict writes them, scenario.parse_threat reads them --------
+
+def round_trip(model):
+    return parse_threat(json.loads(json.dumps(tm.to_dict(model))), "")
+
 
 def test_round_trip_presets():
     for name in tm.PRESET_NAMES:
         model = tm.preset(name)
-        assert tm.deserialize(tm.serialize(model)) == model
+        assert round_trip(model) == model
 
 
 def test_document_schema_shape():
@@ -107,23 +112,26 @@ def test_document_schema_shape():
 def test_missing_asset_field_is_parse_error():
     doc = tm.to_dict(tm.preset("time_delay"))
     del doc["attack"]["asset"]
-    with pytest.raises(tm.ThreatModelParseError) as err:
-        tm.from_dict(doc)
+    with pytest.raises(ScenarioError) as err:
+        parse_threat(doc, "")
     assert err.value.location == "attack.asset"
 
 
 def test_unknown_enum_literal_names_field():
     doc = tm.to_dict(tm.preset("time_delay"))
     doc["attack"]["functional_level"] = ["l3"]
-    with pytest.raises(tm.ThreatModelParseError) as err:
-        tm.from_dict(doc)
+    with pytest.raises(ScenarioError) as err:
+        parse_threat(doc, "")
     assert err.value.location == "attack.functional_level"
     assert "l3" in str(err.value)
 
 
-def test_malformed_json_is_parse_error():
-    with pytest.raises(tm.ThreatModelParseError):
-        tm.deserialize("{not json")
+def test_malformed_json_is_parse_error(tmp_path):
+    path = tmp_path / "threat.json"
+    path.write_text("{not json")
+    with pytest.raises(ScenarioError) as err:
+        parse_threat(read_json(path), "")
+    assert err.value.location == "$"
 
 
 def _subset(enum_cls):
@@ -152,9 +160,9 @@ threat_models = st.builds(tm.ThreatModel,
 
 @given(threat_models)
 def test_round_trip_is_identity_on_valid_models(model):
-    assert tm.deserialize(tm.serialize(model)) == model
+    assert round_trip(model) == model
 
 
 @given(threat_models)
 def test_serialized_document_is_json(model):
-    json.loads(tm.serialize(model))
+    json.loads(json.dumps(tm.to_dict(model)))

@@ -1,0 +1,48 @@
+"""Print the sha256 of every exported file of the 15 preset variants.
+
+Each variant runs at its preset seed and at seed+3 and is exported exactly as
+``cpessim run`` exports it.  One line per file, sorted:
+``<sha256>  <preset>/<variant>/seed<N>/<path>``.  Run it from the repository
+root against the ``cpessim`` that ``PYTHONPATH`` selects, so two checkouts
+compare with a plain ``diff``:
+
+    PYTHONPATH=src python tools/export_hashes.py > change.txt
+    PYTHONPATH=<parent checkout>/src python tools/export_hashes.py > parent.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+from cpessim import engine, presets
+
+VARIANTS = (("case1_dia", "default"),
+            *(("case2_load", v) for v in ("a", "b", "c", "d")),
+            *(("case3_tda", v) for v in ("delay_0", "delay_0_5", "delay_5", "delay_15")),
+            *(("case4_td", v) for v in ("breaker_open", "breaker_open_close", "breaker_triple",
+                                        "n1", "n11", "n2")))
+SEED_OFFSETS = (0, 3)
+
+
+def main() -> int:
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, variant in VARIANTS:
+            sc = presets.preset_scenario(name, variant)
+            for offset in SEED_OFFSETS:
+                seed = sc.seed + offset
+                out = Path(tmp) / name / variant / f"seed{seed}"
+                engine.export(engine.run(sc, seed=seed), out, scenario_doc=sc.doc)
+                for path in sorted(p for p in out.rglob("*") if p.is_file()):
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    lines.append(f"{digest}  {path.relative_to(tmp).as_posix()}")
+    sys.stdout.write("".join(f"{line}\n" for line in sorted(lines, key=lambda l: l[66:])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
