@@ -31,7 +31,7 @@ from .metrics import (MetricReport, TimeSeries, control_metrics, cyber_metrics,
                       frequency_stability, voltage_stability)
 from .network import NetworkSim
 from .physical import (GridModel, NodalBoundary, ProtectionAction,
-                       StateSpaceGroup, demand_total, disconnect_machine,
+                       StateSpaceGroup, demand_total, disconnect_machine, float_sum,
                        group_step, lti_step, nodal_solve, protection_check,
                        solve_load_angle, swing_step)
 from .scenario import (Scenario, ScenarioError, build_protection, scenario_hash,
@@ -338,11 +338,11 @@ class _AggregateTier:
 
     def step(self, t: float, k: int, demand: float) -> None:
         machine = self.grid.machines[0]
-        p_inject = sum(self._power(plant) for plant in self.grid.plants)
+        p_inject = float_sum(self._power(plant) for plant in self.grid.plants)
         pinned = self._pinned()
         f_now = self.grid.f_nom if pinned else machine.frequency
-        p_fast = sum(fs.step(f_now, self.grid.f_nom, self.dt)
-                     for fs in self.grid.fast_sources)
+        p_fast = float_sum(fs.step(f_now, self.grid.f_nom, self.dt)
+                           for fs in self.grid.fast_sources)
         if pinned:
             machine.omega = machine.omega_sync
             machine.gov_power = 0.0
@@ -369,7 +369,7 @@ class _AggregateTier:
         machine = self.grid.machines[0]
         vals = [machine.p_mech + machine.gov_power]
         if self.grid.fast_sources:
-            vals.append(sum(fs.power for fs in self.grid.fast_sources))
+            vals.append(float_sum(fs.power for fs in self.grid.fast_sources))
         for plant, meas in zip(self.grid.plants, self._meas):
             signal = self._signal(plant)
             vals += [signal, meas]
@@ -409,8 +409,8 @@ class _MultiMachineTier:
         machines = [m for m in self.grid.machines if m.connected]
         if not machines:
             return 0.0
-        h_total = sum(m.inertia_const for m in machines)
-        return sum(m.inertia_const * m.frequency for m in machines) / h_total
+        h_total = float_sum(m.inertia_const for m in machines)
+        return float_sum(m.inertia_const * m.frequency for m in machines) / h_total
 
     def columns(self) -> list[tuple[str, str]]:
         return [(f"freq_{m.id}", "Hz") for m in self.grid.machines]
@@ -448,8 +448,8 @@ class _TdTier(_MultiMachineTier):
         # boundary-bus capacitors: absorb the mismatch current at topology changes
         self._g_c1 = 2 * cfg.pcc_shunt_c / dt
         self._g_c2 = 2 * cfg.shunt_c / dt
-        self._trans_states = np.array(i_src)
-        self._dist_states = np.array([i_f, self.v2])
+        self._trans_states = list(i_src)
+        self._dist_states = [i_f, self.v2]
         self._rebuild_td_groups()
 
     def _rebuild_td_groups(self) -> None:
@@ -493,16 +493,16 @@ class _TdTier(_MultiMachineTier):
             y = np.array([[y11, 0.0], [0.0, y22]])
         self.dist_group = StateSpaceGroup(name="distribution", A=a_d, D=d_d,
                                           s=self._dist_states)
-        self.boundary = NodalBoundary(Y=y, I=np.zeros(2))
+        self.boundary = NodalBoundary(Y=y, I=[0.0, 0.0])
 
     def on_disconnect(self, machine_id: str) -> None:
         for idx, src in enumerate(self.cfg.sources):
             if src.machine == machine_id:
-                self._trans_states = np.array(self.trans_group.s)
+                self._trans_states = list(self.trans_group.s)
                 self._trans_states[idx] = 0.0
 
     def on_topology_change(self) -> None:
-        self._dist_states = np.array(self.dist_group.s)
+        self._dist_states = list(self.dist_group.s)
         if not self.breaker.closed:
             self._dist_states[0] = 0.0
         self._rebuild_td_groups()
@@ -511,14 +511,14 @@ class _TdTier(_MultiMachineTier):
         cfg = self.cfg
         dt = self.dt
         v1 = self.v1
-        trans_s = self.trans_group.s.tolist()
+        trans_s = self.trans_group.s
         i1 = 0.0
         i_src_total = 0.0
         for idx, hist_gain, gamma, two_emf in self._live_sources:
             i_state = trans_s[idx]
             i_src_total += i_state
             i1 += hist_gain * i_state + gamma * (two_emf - v1)
-        i_f, v_c = self.dist_group.s.tolist()
+        i_f, v_c = self.dist_group.s
         i_f_closed = 0.0 if self._feeder is None else i_f
         i1 += self._g_c1 * v1 + (i_src_total - i_f_closed)
         i2 = self._g_c2 * v_c + (i_f_closed - cfg.load_conductance * v_c)
@@ -527,13 +527,13 @@ class _TdTier(_MultiMachineTier):
             i_hist_f = hist_gain_f * i_f + gamma_f * (v1 - v_c)
             i1 -= i_hist_f
             i2 += i_hist_f
-        self.boundary.I = np.array([i1, i2])
-        v1_new = float(nodal_solve(self.boundary)[0])
+        self.boundary.I = [i1, i2]
+        v1_new = nodal_solve(self.boundary)[0]
         v1_mid = 0.5 * (v1 + v1_new)
         group_step(self.trans_group, [v1_mid, 1.0], dt)
         group_step(self.dist_group, [0.0 if self._feeder is None else v1_mid], dt)
         self.v1 = v1_new
-        i_f_new, self.v2 = self.dist_group.s.tolist()
+        i_f_new, self.v2 = self.dist_group.s
         p_pcc = 0.0 if self._feeder is None else v1_new * i_f_new
 
         # machines see the (lagged, bounded) boundary transfer on top of local load

@@ -7,6 +7,15 @@ each machine swings against a common load bus through its transfer reactance.
 State-space groups coupled by a nodal boundary solve cover the integrated
 transmission/distribution scenarios.
 
+Every step kernel (``lti_step``, ``swing_step``, ``group_step``,
+``nodal_solve``, ``solve_load_angle`` and ``demand_total``) is plain
+left-to-right arithmetic on Python floats: sums through ``_dot`` and
+``float_sum``, linear systems through one LU factorisation (``_lu_factor``,
+made once per matrix) and substitution (``_lu_solve``).  No BLAS, LAPACK,
+fused multiply-add or compensated summation touches a step, so the same seed
+gives the same bytes on every host and Python version.  NumPy only checks
+shapes and conditioning and forms I +- dt/2 A, once per model or matrix.
+
 Conventions: omega in rad/s, frequency in Hz, power in per-unit on the grid
 base, angles in radians.  The swing inertia constant (seconds) is named
 ``inertia_const`` and the discrete-plant feedback matrix ``control_matrix``
@@ -18,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -130,6 +139,68 @@ def _dot(row: Sequence[float], vec: Sequence[float]) -> float:
     for i in range(1, len(row)):
         acc += row[i] * vec[i]
     return acc
+
+
+def float_sum(values: Iterable[float]) -> float:
+    """0.0 + values[0] + values[1] + ... left to right: what ``sum`` gives on
+    Python 3.10 and 3.11, on every version (3.12's ``sum`` of floats is
+    compensated, so its last bits differ)."""
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
+
+
+def _lu_factor(rows: Sequence[Sequence[float]]) -> tuple[list[int], list[list[float]]]:
+    """Doolittle LU of a square matrix with partial pivoting, on floats.
+
+    Returns ``(perm, lu)``: row ``i`` of the factored matrix is row
+    ``perm[i]`` of ``rows``; ``lu`` holds U on and above the diagonal and the
+    multipliers of the unit-diagonal L below it.  The pivot is the first
+    largest |a| in its column; an exactly zero pivot raises
+    ``SingularBoundaryError``.
+    """
+    a = [[float(x) for x in row] for row in rows]
+    n = len(a)
+    perm = list(range(n))
+    for j in range(n):
+        p = max(range(j, n), key=lambda i: abs(a[i][j]))
+        pivot = a[p][j]
+        if pivot == 0.0:
+            raise SingularBoundaryError(f"zero pivot in column {j}")
+        if p != j:
+            a[j], a[p] = a[p], a[j]
+            perm[j], perm[p] = perm[p], perm[j]
+        row_j = a[j]
+        for i in range(j + 1, n):
+            row_i = a[i]
+            f = row_i[j] / pivot
+            row_i[j] = f
+            for c in range(j + 1, n):
+                row_i[c] -= f * row_j[c]
+    return perm, a
+
+
+def _lu_solve(factors: tuple[list[int], list[list[float]]], b: Sequence[float]) -> list[float]:
+    """Solve A x = b from ``_lu_factor(A)``: permute b, then forward
+    substitution through L and back substitution through U, each running
+    left to right in plain float arithmetic."""
+    perm, lu = factors
+    n = len(lu)
+    x = [float(b[p]) for p in perm]
+    for i in range(1, n):
+        row = lu[i]
+        acc = x[i]
+        for j in range(i):
+            acc -= row[j] * x[j]
+        x[i] = acc
+    for i in range(n - 1, -1, -1):
+        row = lu[i]
+        acc = x[i]
+        for j in range(i + 1, n):
+            acc -= row[j] * x[j]
+        x[i] = acc / row[i]
+    return x
 
 
 def lti_step(plant: LtiPlant, noise: float = 0.0) -> tuple[list[float], float]:
@@ -379,25 +450,26 @@ class StateSpaceGroup:
     """One solver group: s' = A s + D v, advanced by the trapezoidal rule.
 
     ``A`` is fixed once the group is built: ``group_step`` keeps the bilinear
-    factors of the last ``dt`` it was given.
+    factors of the last ``dt`` it was given.  ``s`` is a list of floats.
     """
 
     name: str
     A: np.ndarray
     D: np.ndarray
-    s: np.ndarray
+    s: list
     _factors: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.D = np.atleast_2d(np.asarray(self.D, dtype=float))
-        self.s = np.atleast_1d(np.asarray(self.s, dtype=float))
-        q = self.s.shape[0]
+        s = np.atleast_1d(np.asarray(self.s, dtype=float))
+        q = s.shape[0]
         p = self.D.shape[1]
         checks = [("A", self.A.shape, (q, q)), ("D", self.D.shape, (q, p))]
         for label, got, want in checks:
             if got != want:
                 raise ValueError(f"group {self.name!r}: {label} has shape {got}, expected {want}")
+        self.s = s.tolist()
 
 
 @dataclass
@@ -424,25 +496,28 @@ class TdSystemConfig:
 
 
 def group_step(g: StateSpaceGroup, v_in: Sequence[float], dt: float) -> StateSpaceGroup:
-    """Trapezoidal (bilinear) step with the input held over the interval.
+    """Trapezoidal (bilinear) step with the input held over the interval:
+    (I - dt/2 A) s' = (I + dt/2 A) s + dt D v.
 
-    Replaces ``g.s`` with the new state and returns the same group.
+    The LU factors of (I - dt/2 A) are kept until ``dt`` changes, so a step
+    is two float products per state and one substitution.  Replaces ``g.s``
+    with the new state and returns the same group.
     """
-    v = np.atleast_1d(np.asarray(v_in, dtype=float))
-    if v.shape[0] != g.D.shape[1]:
-        raise ValueError(f"group {g.name!r}: input has length {v.shape[0]}, "
+    if len(v_in) != g.D.shape[1]:
+        raise ValueError(f"group {g.name!r}: input has length {len(v_in)}, "
                          f"expected {g.D.shape[1]}")
     if g._factors is None or g._factors[0] != dt:
-        eye = np.eye(g.s.shape[0])
+        eye = np.eye(len(g.s))
         half = 0.5 * dt * g.A
-        g._factors = (dt, eye - half, eye + half)
-    _, lhs, rhs_factor = g._factors
-    rhs = rhs_factor @ g.s + dt * (g.D @ v)
-    try:
-        g.s = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBoundaryError(
-            f"group {g.name!r}: (I - dt/2 A) is singular at dt={dt}") from exc
+        try:
+            lu = _lu_factor((eye - half).tolist())
+        except SingularBoundaryError as exc:
+            raise SingularBoundaryError(
+                f"group {g.name!r}: (I - dt/2 A) is singular at dt={dt}") from exc
+        g._factors = (dt, lu, (eye + half).tolist(), g.D.tolist())
+    _, lu, rhs_rows, d_rows = g._factors
+    s = g.s
+    g.s = _lu_solve(lu, [_dot(r, s) + dt * _dot(d, v_in) for r, d in zip(rhs_rows, d_rows)])
     return g
 
 
@@ -451,14 +526,13 @@ class NodalBoundary:
     """Shared-node admittance system Y V = I coupling the solver groups.
 
     ``Y`` is fixed once the boundary is built, so ``nodal_solve`` checks its
-    conditioning once; the engine builds a new boundary at every topology
-    change and sets ``I`` each step.
+    conditioning and factors it once; the engine builds a new boundary at
+    every topology change and sets ``I`` (a list or an array) each step.
     """
 
     Y: np.ndarray
     I: np.ndarray
-    _checked_y: Optional[np.ndarray] = field(default=None, init=False, repr=False,
-                                             compare=False)
+    _solver: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.Y = np.atleast_2d(np.asarray(self.Y))
@@ -469,25 +543,29 @@ class NodalBoundary:
             raise ValueError(f"I has length {self.I.shape[0]}, expected {self.Y.shape[0]}")
 
 
-def nodal_solve(b: NodalBoundary) -> np.ndarray:
-    """Solve Y V = I by dense LU; refuses ill-conditioned systems.
+def nodal_solve(b: NodalBoundary) -> list[float]:
+    """Solve Y V = I by LU substitution; refuses ill-conditioned systems.
 
-    The condition check runs on the first solve with a given ``Y`` object; the
-    residual check runs on every solve.  The printed form of the coupling
-    equation is ambiguous about orientation; the standard nodal reading
-    Y V = I is used throughout.
+    The first solve with a given ``Y`` object checks its condition number
+    and factors it; the residual check runs on every solve.  The printed
+    form of the coupling equation is ambiguous about orientation; the
+    standard nodal reading Y V = I is used throughout.
     """
-    if b._checked_y is not b.Y:
+    if b._solver is None or b._solver[0] is not b.Y:
         cond = np.linalg.cond(b.Y)
         if not np.isfinite(cond) or cond > NODAL_COND_LIMIT:
             raise SingularBoundaryError(f"boundary matrix condition estimate {cond:.3e} "
                                         f"exceeds {NODAL_COND_LIMIT:.0e}")
-        b._checked_y = b.Y
-    V = np.linalg.solve(b.Y, b.I)
-    residual = np.max(np.abs(b.Y @ V - b.I))
-    if residual >= NODAL_RESIDUAL_TOL:
-        raise SingularBoundaryError(f"nodal residual {residual:.3e} exceeds "
-                                    f"{NODAL_RESIDUAL_TOL:.0e}")
+        rows = b.Y.tolist()
+        b._solver = (b.Y, _lu_factor(rows), rows)
+    _, lu, rows = b._solver
+    I = b.I
+    V = _lu_solve(lu, I)
+    for row, i in zip(rows, I):
+        residual = abs(_dot(row, V) - i)
+        if not residual < NODAL_RESIDUAL_TOL:
+            raise SingularBoundaryError(f"nodal residual {residual:.3e} exceeds "
+                                        f"{NODAL_RESIDUAL_TOL:.0e}")
     return V
 
 
@@ -534,7 +612,7 @@ class GridModel:
 
 def demand_total(grid: GridModel) -> float:
     """Total system demand: all load draws (attacked ones included) plus losses."""
-    return sum(l.demand for l in grid.loads) + grid.p_loss
+    return float_sum(l.demand for l in grid.loads) + grid.p_loss
 
 
 def apply_contingency(grid: GridModel, events: Sequence[tuple[float, str]]) -> None:
@@ -560,6 +638,15 @@ def disconnect_machine(machine: Machine) -> None:
 # Common-bus power balance for the multi-machine tier
 # ---------------------------------------------------------------------------
 
+def _balance_residual(pairs: list[tuple[float, float]], theta: float,
+                      p_demand: float) -> float:
+    """sum_i K_i sin(delta_i - theta) - p_demand over (K_i, delta_i) pairs."""
+    acc = 0.0
+    for k, d in pairs:
+        acc += k * math.sin(d - theta)
+    return acc - p_demand
+
+
 def solve_load_angle(machines: Sequence[Machine], p_demand: float,
                      theta_guess: float = 0.0) -> float:
     """Angle of the common load bus such that the machine transfers sum to demand.
@@ -567,35 +654,33 @@ def solve_load_angle(machines: Sequence[Machine], p_demand: float,
     Solves sum_i K_i sin(delta_i - theta) = p_demand by Newton iteration with a
     bisection fallback; K_i is each connected machine's peak transfer power.
     """
-    active = [m for m in machines if m.connected]
-    if not active:
+    pairs = [(m.coupling, m.delta) for m in machines if m.connected]
+    if not pairs:
         raise SingularBoundaryError("no connected machines to balance demand")
-    ks = [m.coupling for m in active]
-    deltas = [m.delta for m in active]
-    k_total = sum(ks)
+    k_total = float_sum(k for k, _ in pairs)
     if p_demand > k_total:
         raise SingularBoundaryError(
             f"demand {p_demand:.4f} pu exceeds total transfer capability {k_total:.4f} pu")
 
-    def f(theta):
-        return sum(k * math.sin(d - theta) for k, d in zip(ks, deltas)) - p_demand
-
     theta = theta_guess
     for _ in range(60):
-        df = -sum(k * math.cos(d - theta) for k, d in zip(ks, deltas))
+        df = 0.0
+        for k, d in pairs:
+            df += k * math.cos(d - theta)
+        df = -df
         if abs(df) < 1e-12:
             break
-        step = f(theta) / df
+        step = _balance_residual(pairs, theta, p_demand) / df
         theta -= step
         if abs(step) < 1e-13:
             return theta
     # Newton failed to settle; bracket around the mean rotor angle instead.
-    center = sum(deltas) / len(deltas)
+    center = float_sum(d for _, d in pairs) / len(pairs)
     lo, hi = center - math.pi / 2, center + math.pi / 2
-    flo = f(lo)
+    flo = _balance_residual(pairs, lo, p_demand)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
+        fm = _balance_residual(pairs, mid, p_demand)
         if abs(fm) < 1e-12:
             return mid
         if (flo > 0) == (fm > 0):

@@ -24,8 +24,6 @@ from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import risk as risk_mod
 from . import threat_model as tm
 from .attacks import (AttackSpec, AttackWindow, BreakerAttack, ControlDia, DiaCombined,
@@ -34,7 +32,8 @@ from .network import (DEFAULT_MESSAGE_BYTES, AppConfig, NetLink, NetNode, NodeRo
                       min_hop_path)
 from .physical import (MAX_SWING_DT, Breaker, FastSource, FrequencyProtection,
                        Governor, GridModel, Load, LtiPlant, Machine, PlantFieldError,
-                       TdSource, TdSystemConfig, apply_contingency, demand_total)
+                       TdSource, TdSystemConfig, _lu_factor, _lu_solve, apply_contingency,
+                       demand_total, float_sum)
 
 SCHEMA_VERSION = 1
 
@@ -218,7 +217,7 @@ def build_grid(grid_doc: dict) -> GridModel:
     elif len(machines) > 1:
         balance_slack(grid, demand_total(grid))
     elif grid.pcc is None or not grid.pcc.closed:
-        machines[0].p_mech = demand_total(grid) - sum(p.power_base for p in plants)
+        machines[0].p_mech = demand_total(grid) - float_sum(p.power_base for p in plants)
     return grid
 
 
@@ -234,7 +233,7 @@ def balance_slack(grid: GridModel, demand: float) -> None:
     setpoints leave uncovered; every setpoint must then fit under its
     machine's coupling."""
     machines = grid.machines
-    total_pm = sum(m.p_mech for m in machines)
+    total_pm = float_sum(m.p_mech for m in machines)
     machines[0].p_mech += demand - total_pm
     for i, m in enumerate(machines):
         if m.p_mech > m.coupling:
@@ -255,10 +254,10 @@ def td_operating_point(cfg: TdSystemConfig, feeder_closed: bool
                                               "the feeder breaker starts open")
     g_f = 1.0 / cfg.feeder_r
     g_src = [1.0 / s.r for s in cfg.sources]
-    y = np.array([[sum(g_src) + g_f, -g_f],
-                  [-g_f, g_f + cfg.load_conductance]])
-    i = np.array([sum(g * s.emf for g, s in zip(g_src, cfg.sources)), 0.0])
-    v1, v2 = np.linalg.solve(y, i).tolist()
+    y = [[float_sum(g_src) + g_f, -g_f],
+         [-g_f, g_f + cfg.load_conductance]]
+    i = [float_sum(g * s.emf for g, s in zip(g_src, cfg.sources)), 0.0]
+    v1, v2 = _lu_solve(_lu_factor(y), i)
     i_src = [g * (s.emf - v1) for g, s in zip(g_src, cfg.sources)]
     i_f = (v1 - v2) / cfg.feeder_r
     if v1 * i_f <= 0:
@@ -356,15 +355,18 @@ def _tagged(table: dict, tag: str, loc: str, raw: dict, **parsed):
 
 def _check_network(net: NetworkConfig, grid: GridModel) -> None:
     """The topology must route every packet the run sends: each link joins
-    two known nodes, once; each endpoint has a link; the one master reaches
-    every outstation; each outstation reads an asset the engine's sensor
-    lookup resolves; and each command goes to a bound outstation."""
+    two different known nodes, once; each endpoint has a link; the one master
+    reaches every outstation; each outstation reads its own asset, one the
+    engine's sensor lookup resolves; and each command goes to a bound
+    outstation."""
     adjacency = {n.id: [] for n in net.nodes}
     for i, link in enumerate(net.links):
         for end in "ab":
             if getattr(link, end) not in adjacency:
                 raise ScenarioError(f"network.links[{i}].{end}",
                                     f"unknown node {getattr(link, end)!r}")
+        if link.a == link.b:
+            raise ScenarioError(f"network.links[{i}]", f"link joins {link.a!r} to itself")
         if link.b in adjacency[link.a]:
             raise ScenarioError(f"network.links[{i}]",
                                 f"parallel link between {link.a!r} and {link.b!r}")
@@ -373,6 +375,7 @@ def _check_network(net: NetworkConfig, grid: GridModel) -> None:
 
     masters = [n.id for n in net.nodes if n.app and n.app.kind == "master"]
     assets = {x.id for x in (*grid.machines, *grid.loads, *grid.breakers, *grid.fast_sources)}
+    bound = {}  # asset -> the outstation that reads it
     for i, node in enumerate(net.nodes):
         loc = f"network.nodes[{i}]"
         if node.role is NodeRole.ENDPOINT and not adjacency[node.id]:
@@ -383,14 +386,19 @@ def _check_network(net: NetworkConfig, grid: GridModel) -> None:
             raise ScenarioError(f"{loc}.app", "apps run only on endpoints")
         if node.app.kind == "master" and node.id != masters[0]:
             raise ScenarioError(f"{loc}.app", f"second master; {masters[0]!r} is the master")
-        if node.app.kind == "outstation" and node.app.asset not in assets:
-            raise ScenarioError(f"{loc}.app.asset", f"unknown grid asset {node.app.asset!r}")
+        if node.app.kind == "outstation":
+            asset = node.app.asset
+            if asset not in assets:
+                raise ScenarioError(f"{loc}.app.asset", f"unknown grid asset {asset!r}")
+            if asset in bound:
+                raise ScenarioError(f"{loc}.app.asset", f"asset {asset!r} is already "
+                                                        f"bound to outstation {bound[asset]!r}")
+            bound[asset] = node.id
         if masters:  # a network without a master sends nothing
             try:
                 min_hop_path(adjacency, masters[0], node.id)
             except ValueError as exc:
                 raise ScenarioError(loc, str(exc)) from exc
-    bound = {n.app.asset for n in net.nodes if n.app and n.app.kind == "outstation"}
     for i, cmd in enumerate(net.commands):
         if not masters:
             raise ScenarioError(f"network.commands[{i}]", "commands need a master app")

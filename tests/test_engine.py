@@ -225,6 +225,31 @@ def test_td_boundary_matrix_follows_live_topology(variant, topologies, monkeypat
     assert mismatches == []
 
 
+CASE4_VARIANTS = ("breaker_open", "breaker_open_close", "breaker_triple", "n1", "n11", "n2")
+
+
+@pytest.mark.parametrize("variant", CASE4_VARIANTS)
+def test_td_steady_state_is_exact(variant):
+    # every case4 event comes at 1.5 s (row 1,500): up to it the T&D kernel
+    # must hold its start-up point bit-exactly, which keeps those CSV rows at "1.0"
+    result = engine.run(presets.preset_scenario("case4_td", variant))
+    for name in ("v_pcc", "v_dist"):
+        trace = result.traces[name]
+        assert trace.t[1500] == 1.5
+        assert np.all(trace.v[:1501] == 1.0), name
+        assert trace.v[1501] != 1.0, name
+
+
+def test_td_step_runs_without_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called on the T&D path")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    sc = presets.preset_scenario("case4_td", "n11")
+    result = engine.run(sc)
+    assert result.traces["v_pcc"].t[-1] == pytest.approx(sc.horizon)
+
+
 # -- determinism and batches ------------------------------------------------------------
 
 @pytest.mark.parametrize("preset", ["case1_dia", "case3_tda"])

@@ -239,6 +239,12 @@ def test_demand_total_shed_contributes_zero():
     assert phys.demand_total(grid) == 0.0
 
 
+def test_demand_total_sums_left_to_right():
+    # math.fsum, and Python 3.12's sum(), round this total to 1.0
+    grid = GridModel(machines=[machine()], loads=[Load(f"l{i}", 0.1) for i in range(10)])
+    assert phys.demand_total(grid) == 0.9999999999999999
+
+
 def test_demand_total_matches_brute_force():
     rng = np.random.default_rng(11)
     loads = [Load(f"l{i}", float(rng.uniform(0, 10))) for i in range(20)]
@@ -315,6 +321,14 @@ def test_nodal_residual_on_random_diagonally_dominant():
 def test_nodal_rejects_singular():
     with pytest.raises(phys.SingularBoundaryError):
         phys.nodal_solve(NodalBoundary(Y=[[1.0, 1.0], [1.0, 1.0]], I=[1.0, 1.0]))
+
+
+def test_nodal_rejects_non_finite_residual():
+    b = NodalBoundary(Y=[[2.0, -1.0], [-1.0, 2.0]], I=[1.0, 0.0])
+    phys.nodal_solve(b)
+    b.I = [math.nan, 0.0]
+    with pytest.raises(phys.SingularBoundaryError, match="nodal residual nan"):
+        phys.nodal_solve(b)
 
 
 # -- protection ---------------------------------------------------------------------
@@ -424,11 +438,36 @@ def test_group_step_equals_uncached_bilinear_formula():
     for k, dt in enumerate([0.01, 0.01, 0.002, 0.002, 0.01]):
         v = [math.sin(k), 1.0]
         s = g.s
-        expected = np.linalg.solve(eye - dt / 2 * a,
-                                   (eye + dt / 2 * a) @ s + dt * (d @ np.array(v)))
+        rhs = [phys._dot(r, s) + dt * phys._dot(d_row, v)
+               for r, d_row in zip((eye + dt / 2 * a).tolist(), d.tolist())]
+        expected = phys._lu_solve(phys._lu_factor((eye - dt / 2 * a).tolist()), rhs)
         assert phys.group_step(g, v, dt) is g
-        assert np.array_equal(g.s, expected)
+        assert g.s == expected
         assert g.s is not s
+        lapack = np.linalg.solve(eye - dt / 2 * a, (eye + dt / 2 * a) @ s + dt * (d @ v))
+        assert np.allclose(g.s, lapack, rtol=1e-12, atol=0.0)
+
+
+def test_lu_solve_matches_numpy():
+    rng = np.random.default_rng(17)
+    swapped = phys._lu_factor([[0.0, 1.0], [1.0, 0.0]])
+    assert swapped[0] == [1, 0]
+    assert phys._lu_solve(swapped, [2.0, 3.0]) == [3.0, 2.0]
+    pivoted = 0
+    for _ in range(1000):
+        n = int(rng.integers(2, 7))
+        a = rng.normal(size=(n, n))
+        b = rng.normal(size=n)
+        factors = phys._lu_factor(a.tolist())
+        pivoted += factors[0] != list(range(n))
+        x = phys._lu_solve(factors, b.tolist())
+        assert all(type(xi) is float for xi in x)
+        assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-12, atol=0.0)
+    assert pivoted > 500
+    with pytest.raises(phys.SingularBoundaryError):
+        phys._lu_factor([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(phys.SingularBoundaryError):
+        phys._lu_factor([[0.0, 1.0], [0.0, 2.0]])
 
 
 def test_nodal_checks_condition_once_per_matrix(monkeypatch):

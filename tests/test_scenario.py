@@ -434,6 +434,11 @@ PRIORITIES = {"people_health_safety": 4, "uninterrupted_operation": 3,
     ("case3_tda", "delay_0", _set(["network", "nodes", 2, "app"], {"kind": "master"}),
      "network.nodes[2].app"),
     ("case3_tda", "delay_0", _isolate_out_crit, "network.nodes[6]"),
+    ("case3_tda", "delay_0", _append(["network", "links"], {
+        "id": "l_loop", "a": "router", "b": "router", "bandwidth_mbps": 100.0}),
+     "network.links[7]"),
+    ("case3_tda", "delay_0", _set(["network", "nodes", 5, "app", "asset"], "load1"),
+     "network.nodes[5].app.asset"),
 ], ids=lambda case: None if callable(case) or case is None else str(case))
 def test_malformed_field_names_its_path(preset, variant, mutate, location):
     doc = presets.preset_doc(preset, variant)

@@ -9,10 +9,16 @@ compare with a plain ``diff``:
     PYTHONPATH=src python tools/export_hashes.py > change.txt
     PYTHONPATH=<parent checkout>/src python tools/export_hashes.py > parent.txt
     diff parent.txt change.txt
+
+``--out DIR`` keeps the exported tree under DIR (laid out as the paths
+above) instead of a temporary directory, so ``tools/trace_diff.py`` can
+compare the traces of two checkouts.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
 import sys
 import tempfile
@@ -28,9 +34,18 @@ VARIANTS = (("case1_dia", "default"),
 SEED_OFFSETS = (0, 3)
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", metavar="DIR",
+                        help="keep the exported tree under DIR instead of a temporary directory")
+    args = parser.parse_args(argv)
     lines = []
-    with tempfile.TemporaryDirectory() as tmp:
+    if args.out is None:
+        keep = tempfile.TemporaryDirectory()
+    else:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        keep = contextlib.nullcontext(args.out)
+    with keep as tmp:
         for name, variant in VARIANTS:
             sc = presets.preset_scenario(name, variant)
             for offset in SEED_OFFSETS:
