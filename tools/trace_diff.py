@@ -34,7 +34,7 @@ def abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d
 
 
-def compare(a_root: Path, b_root: Path, bound: float = BOUND, out=sys.stdout) -> int:
+def compare(a_root: Path, b_root: Path, out=sys.stdout) -> int:
     """Print one line per trace and return the exit code."""
     def traces(root: Path) -> set[Path]:
         return {p.relative_to(root) for p in root.rglob("traces/*.csv")}
@@ -57,12 +57,12 @@ def compare(a_root: Path, b_root: Path, bound: float = BOUND, out=sys.stdout) ->
         dt = abs_diff(a.t, b.t)
         largest = float(max(dv.max(initial=0.0), dt.max(initial=0.0)))
         worst = max(worst, largest)
-        failed |= not largest <= bound
+        failed |= not largest <= BOUND
         out.write(f"{rel.as_posix()}  max_abs_diff={largest:.3e}  "
                   f"differing={int(np.count_nonzero(dv))}/{len(dv)}"
                   f"{'  t differs' if dt.any() else ''}\n")
     out.write(f"{len(a_names | b_names)} traces, largest difference {worst:.3e}, "
-              f"bound {bound:.0e}: {'FAIL' if failed else 'ok'}\n")
+              f"bound {BOUND:.0e}: {'FAIL' if failed else 'ok'}\n")
     return 1 if failed else 0
 
 
