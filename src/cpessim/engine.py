@@ -78,7 +78,7 @@ class _Run:
         self.grid: GridModel = sc.build_grid()
         self.log: list[dict] = []
         self.attack_samples: list[dict] = []
-        self.staged_commands: list[tuple[str, str, object, float]] = []
+        self.staged_commands: list[tuple[str, str]] = []  # (asset, action)
         self.n_steps = int(round(sc.horizon / self.dt))
         self._prev_action = ProtectionAction.NONE
         self._topology_dirty = False
@@ -104,15 +104,12 @@ class _Run:
             self.net = NetworkSim(cfg.nodes, cfg.links, rng=rng_for(self.seed, "net"),
                                   message_bytes=cfg.message_bytes)
             self.net.attach_attacks(link_specs)
-            self.net.sensor_read = self._sensor_read
-            self.net.command_sink = self._stage_command
+            self.net.command_sink = lambda asset, action, _t: self.staged_commands.append(
+                (asset, action))
             self.log = self.net.log  # one shared chronological log
-            if any(n.app and n.app.kind == "master" for n in cfg.nodes):
-                outstations = any(n.app and n.app.kind == "outstation" for n in cfg.nodes)
-                if outstations and cfg.poll_period > 0:
-                    self.net.start_polling(cfg.poll_period, cfg.poll_start)
-                for cmd in cfg.commands:
-                    self._schedule_command(cmd)
+            self.net.start_polling(cfg.poll_period, cfg.poll_start)
+            for cmd in cfg.commands:  # scenario load ensures a master sends them
+                self._schedule_command(cmd["t"], cmd["asset"], cmd["action"])
 
         # physical tier
         if self.grid.td_system is not None:
@@ -139,32 +136,10 @@ class _Run:
 
     # -- grid/network glue ----------------------------------------------------
 
-    def _sensor_read(self, asset: str) -> float:
-        try:
-            return self.grid.machine(asset).frequency
-        except KeyError:
-            pass
-        try:
-            return self.grid.load(asset).demand
-        except KeyError:
-            pass
-        try:
-            return 1.0 if self.grid.breaker(asset).closed else 0.0
-        except KeyError:
-            pass
-        for fs in self.grid.fast_sources:
-            if fs.id == asset:
-                return fs.power
-        raise KeyError(f"unknown asset {asset!r}")  # rejected at scenario load
+    def _schedule_command(self, t: float, asset: str, action: str) -> None:
+        self.net.events.push(t, lambda: self.net.send_command(asset, action, now=t))
 
-    def _stage_command(self, asset: str, action: str, value, arrival: float) -> None:
-        self.staged_commands.append((asset, action, value, arrival))
-
-    def _schedule_command(self, cmd: dict) -> None:
-        t, asset, action, value = cmd["t"], cmd["asset"], cmd["action"], cmd.get("value")
-        self.net.events.push(t, lambda: self.net.send_command(asset, action, value, now=t))
-
-    def _apply_command(self, asset: str, action: str, value, t: float) -> None:
+    def _apply_command(self, asset: str, action: str, t: float) -> None:
         if action in ("shed", "unshed"):
             load = self.grid.load(asset)
             if action == "shed" and not load.sheddable:
@@ -234,8 +209,8 @@ class _Run:
                          manifest=manifest)
 
     def _apply_boundary(self, t: float) -> None:
-        for asset, action, value, _arrival in self.staged_commands:
-            self._apply_command(asset, action, value, t)
+        for asset, action in self.staged_commands:
+            self._apply_command(asset, action, t)
         self.staged_commands.clear()
         while self.pending_breaker and self.pending_breaker[0][0] <= t + _TIME_EPS:
             _, breaker_id, action = self.pending_breaker.pop(0)
@@ -622,8 +597,7 @@ def export(result: RunResult, out_dir, scenario_doc: Optional[dict] = None) -> P
         _write_atomic(out / "traces" / f"{name}.csv", series.to_csv())
     _write_atomic(out / "events.json",
                   json.dumps({"events": result.event_log,
-                              "attack_samples": result.attack_samples}, indent=2))
-    _write_atomic(out / "events.csv", _events_csv(result.event_log))
+                              "attack_samples": result.attack_samples}, separators=(",", ":")))
     report = report_dict(result)
     _write_atomic(out / "report.json", json.dumps(report, indent=2))
     _write_atomic(out / "report.txt", _report_text(report))
@@ -642,15 +616,6 @@ def report_dict(result: RunResult) -> dict:
         "risk": (risk_mod.report_to_dict(result.risk_report)
                  if result.risk_report else None),
     }
-
-
-def _events_csv(event_log: list[dict]) -> str:
-    lines = ["t,event,node,packet_id,detail"]
-    for e in event_log:
-        detail = ";".join(f"{k}={e['detail'][k]}" for k in sorted(e["detail"]))
-        pid = "" if e["packet_id"] is None else str(e["packet_id"])
-        lines.append(f"{e['t']!r},{e['event']},{e['node']},{pid},\"{detail}\"")
-    return "\n".join(lines) + "\n"
 
 
 def _report_text(report: dict) -> str:

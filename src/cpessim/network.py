@@ -3,9 +3,11 @@
 Nodes exchange typed packets over links with bandwidth, propagation delay,
 optional jitter, and loss.  Routing is static minimum-hop, fixed at scenario
 load.  Master/outstation apps implement polling semantics: the master polls
-each outstation periodically and issues control commands whose payloads are
-applied to grid assets on delivery.  All ordering is defined on the virtual
-clock; ties dispatch in insertion order so runs are reproducible.
+each outstation periodically and each outstation answers with an empty
+measurement report.  A control command's payload is its action, handed to the
+grid through ``command_sink`` when it reaches the asset's outstation.  All
+ordering is defined on the virtual clock; ties dispatch in insertion order so
+runs are reproducible.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class Packet:
     size: int                   # bytes
     created_at: float
     kind: PacketKind
-    payload: object = None
+    payload: Optional[str] = None  # a command's action
 
     def __post_init__(self):
         if self.size <= 0:
@@ -154,10 +156,11 @@ def min_hop_path(adjacency: dict[str, list[str]], src: str, dst: str) -> list[st
 
 
 class NetworkSim:
-    """Event-driven network bound to a grid through sensor/command callbacks.
+    """Event-driven network bound to a grid through a command callback.
 
     The topology is taken as given: scenario load checks ids, link ends,
-    parallel links, app placement and attack taps."""
+    parallel links, app placement (one master, at most one outstation per
+    asset) and attack taps."""
 
     def __init__(self, nodes: Sequence[NetNode], links: Sequence[NetLink],
                  rng: Optional[np.random.Generator] = None,
@@ -176,8 +179,10 @@ class NetworkSim:
         self._dos: dict[str, list[DoS]] = {}
         self._delays: dict[str, list[TimeDelay]] = {}
         self._routes: dict[tuple[str, str], list[str]] = {}
-        self.sensor_read: Callable[[str], float] = lambda asset: 0.0
-        self.command_sink: Callable[[str, str, object, float], None] = lambda *a: None
+        self.command_sink: Callable[[str, str, float], None] = lambda *a: None
+        self.master = next((n.id for n in nodes if n.app and n.app.kind == "master"), None)
+        self.outstations = {n.app.asset: n.id for n in nodes
+                            if n.app and n.app.kind == "outstation"}
 
         for link in links:
             pair = (link.a, link.b)
@@ -204,25 +209,12 @@ class NetworkSim:
         path = self.route(src, dst)
         return [self._link_by_pair[(a, b)] for a, b in zip(path, path[1:])]
 
-    def baseline_delay(self, src: str, dst: str, size_bytes: Optional[int] = None) -> float:
+    def baseline_delay(self, src: str, dst: str) -> float:
         """Deterministic end-to-end delay along the route: sum of tx + prop per hop."""
-        size = size_bytes if size_bytes is not None else self.message_bytes
         total = 0.0
         for link in self.links_on(src, dst):
-            total += link.tx_time(size) + link.prop_delay
+            total += link.tx_time(self.message_bytes) + link.prop_delay
         return total
-
-    def outstation_for(self, asset: str) -> NetNode:
-        for node in self.nodes.values():
-            if node.app and node.app.kind == "outstation" and node.app.asset == asset:
-                return node
-        raise KeyError(f"no outstation bound to asset {asset!r}")
-
-    def master_node(self) -> NetNode:
-        for node in self.nodes.values():
-            if node.app and node.app.kind == "master":
-                return node
-        raise KeyError("no master app configured")
 
     def attach_attacks(self, specs: Sequence) -> None:
         for spec in specs:
@@ -305,7 +297,7 @@ class NetworkSim:
                    "src": pkt.src, "dst": pkt.dst})
         if pkt.kind is PacketKind.CONTROL_COMMAND:
             self._log(now, "command_lost", pkt.dst, pkt.id,
-                      {"reason": reason, "payload": _payload_summary(pkt.payload)})
+                      {"reason": reason, "payload": f"action={pkt.payload}"})
 
     def _deliver(self, pkt: Packet, node_id: str, now: float) -> None:
         self._log(now, "deliver", node_id, pkt.id,
@@ -316,50 +308,37 @@ class NetworkSim:
         if app is None:
             return
         if app.kind == "outstation" and pkt.kind is PacketKind.POLL:
-            value = self.sensor_read(app.asset)
-            self.send_packet(node_id, pkt.src, PacketKind.MEASUREMENT_REPORT,
-                             payload={"asset": app.asset, "value": value,
-                                      "poll_id": pkt.id},
-                             now=now)
+            self.send_packet(node_id, pkt.src, PacketKind.MEASUREMENT_REPORT, now=now)
         elif app.kind == "outstation" and pkt.kind is PacketKind.CONTROL_COMMAND:
-            action, value = pkt.payload["action"], pkt.payload.get("value")
-            self.command_sink(app.asset, action, value, now)
+            self.command_sink(app.asset, pkt.payload, now)
 
     # -- applications --------------------------------------------------------
 
     def start_polling(self, period: float, start: float = 0.0) -> None:
-        """Master polls each outstation once per period, round-robin staggered."""
-        if period <= 0:
-            raise ValueError("poll period must be > 0")
-        master = self.master_node()
-        outstations = sorted(n.id for n in self.nodes.values()
-                             if n.app and n.app.kind == "outstation")
-        if not outstations:
-            raise ValueError("polling needs at least one outstation")
+        """Master polls each outstation once per period, round-robin staggered.
+
+        A period of 0, or a network without a master or an outstation, polls
+        nothing."""
+        if period < 0:
+            raise ValueError("poll period must be >= 0")
+        outstations = sorted(self.outstations.values())
+        if period == 0 or self.master is None or not outstations:
+            return
         slot = period / len(outstations)
 
         def emit(out: str, offset: float, k: int):
             t = start + offset + k * period  # multiplicative: no float accumulation
-            self.send_packet(master.id, out, PacketKind.POLL, now=t)
+            self.send_packet(self.master, out, PacketKind.POLL, now=t)
             self.events.push(t + period, lambda: emit(out, offset, k + 1))
 
         for j, out in enumerate(outstations):
             self.events.push(start + j * slot,
                              lambda out=out, j=j: emit(out, j * slot, 0))
 
-    def send_command(self, asset: str, action: str, value=None,
-                     now: Optional[float] = None) -> Packet:
+    def send_command(self, asset: str, action: str, now: Optional[float] = None) -> Packet:
         """Issue a control command from the master to the outstation bound to asset."""
-        master = self.master_node()
-        out = self.outstation_for(asset)
-        return self.send_packet(master.id, out.id, PacketKind.CONTROL_COMMAND,
-                                payload={"action": action, "value": value}, now=now)
+        return self.send_packet(self.master, self.outstations[asset],
+                                PacketKind.CONTROL_COMMAND, payload=action, now=now)
 
     def run_until(self, t_end: float) -> None:
         self.events.run_until(t_end)
-
-
-def _payload_summary(payload) -> str:
-    if isinstance(payload, dict):
-        return ",".join(f"{k}={payload[k]}" for k in sorted(payload) if k != "value") or "-"
-    return str(payload)

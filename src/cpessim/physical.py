@@ -281,8 +281,8 @@ class Machine:
         return self.v_internal * self.v_recv / self.reactance
 
 
-def _swing_rates(m: Machine, p_elec, accel_gain: float, f_nom: float,
-                 delta: float, omega: float, gp: float) -> tuple[float, float, float]:
+def _swing_rates(m: Machine, p_elec: float, accel_gain: float, f_nom: float,
+                 omega: float, gp: float) -> tuple[float, float, float]:
     """Time derivatives of (delta, omega, gov_power) at one RK4 stage."""
     gov = m.governor
     if gov is None:
@@ -292,21 +292,20 @@ def _swing_rates(m: Machine, p_elec, accel_gain: float, f_nom: float,
         dgp = (gov.target(omega / _TWO_PI, f_nom) - gp) / gov.time_constant
     else:
         boost, dgp = gov.target(omega / _TWO_PI, f_nom), 0.0
-    p_acc = m.p_mech + boost - (p_elec(delta) if callable(p_elec) else p_elec)
+    p_acc = m.p_mech + boost - p_elec
     if m.damping:
         p_acc -= m.damping * (omega - m.omega_sync) / m.omega_sync
     return omega - m.omega_sync, accel_gain * p_acc, dgp
 
 
-def swing_step(machine: Machine, p_elec, dt: float, step_index=None) -> Machine:
+def swing_step(machine: Machine, p_elec: float, dt: float, step_index=None) -> Machine:
     """Advance rotor angle/speed one fixed step with classical 4th-order Runge-Kutta.
 
     Updates ``machine.delta``, ``omega`` and ``gov_power`` in place and returns
     the same ``Machine``; on divergence it raises and leaves the state as it was.
-    ``p_elec`` is either a constant electrical power (pu) or a callable of the
-    rotor angle, which lets the integrator see the angle dependence within the
-    step.  The governor, when configured, adds its droop boost to the scheduled
-    mechanical power.
+    ``p_elec`` is the electrical power (pu), held for the whole step.  The
+    governor, when configured, adds its droop boost to the scheduled mechanical
+    power.
     """
     if dt <= 0 or dt > MAX_SWING_DT:
         raise ValueError(f"dt must be in (0, {MAX_SWING_DT}] s, got {dt}")
@@ -314,13 +313,13 @@ def swing_step(machine: Machine, p_elec, dt: float, step_index=None) -> Machine:
     f_nom = machine.f_nom
     half = 0.5 * dt
     d0, w0, g0 = machine.delta, machine.omega, machine.gov_power
-    k1d, k1w, k1g = _swing_rates(machine, p_elec, accel_gain, f_nom, d0, w0, g0)
+    k1d, k1w, k1g = _swing_rates(machine, p_elec, accel_gain, f_nom, w0, g0)
     k2d, k2w, k2g = _swing_rates(machine, p_elec, accel_gain, f_nom,
-                                 d0 + half * k1d, w0 + half * k1w, g0 + half * k1g)
+                                 w0 + half * k1w, g0 + half * k1g)
     k3d, k3w, k3g = _swing_rates(machine, p_elec, accel_gain, f_nom,
-                                 d0 + half * k2d, w0 + half * k2w, g0 + half * k2g)
+                                 w0 + half * k2w, g0 + half * k2g)
     k4d, k4w, k4g = _swing_rates(machine, p_elec, accel_gain, f_nom,
-                                 d0 + dt * k3d, w0 + dt * k3w, g0 + dt * k3g)
+                                 w0 + dt * k3w, g0 + dt * k3g)
     sixth = dt / 6.0
     delta = d0 + sixth * (k1d + 2 * k2d + 2 * k3d + k4d)
     omega = w0 + sixth * (k1w + 2 * k2w + 2 * k3w + k4w)

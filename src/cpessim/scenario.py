@@ -53,7 +53,7 @@ class NetworkConfig:
     poll_period: float = 0.1  # s; 0 turns polling off
     poll_start: float = 0.0
     message_bytes: int = DEFAULT_MESSAGE_BYTES
-    commands: list[dict] = field(default_factory=list)  # {t, asset, action, value?}
+    commands: list[dict] = field(default_factory=list)  # {t, asset, action}
 
 
 @dataclass
@@ -313,14 +313,17 @@ def _parse_link(loc: str, raw: dict) -> NetLink:
                  bandwidth=lambda mbps: _positive(mbps) * 1e6, prop_delay=_ms, jitter=_ms)
 
 
+_COMMAND_TARGETS = {"shed": "load", "unshed": "load",
+                    "open_breaker": "breaker", "close_breaker": "breaker"}
+
+
 def _parse_command(loc: str, raw: dict) -> dict:
-    _check_keys(raw, loc, "t asset action value")
+    _check_keys(raw, loc, "t asset action")
     action = _value(raw, loc, "action", "str")
-    if action not in ("shed", "unshed", "open_breaker", "close_breaker"):
+    if action not in _COMMAND_TARGETS:
         raise ScenarioError(f"{loc}.action", f"unknown action {action!r}")
     return {"t": _value(raw, loc, "t", "float", convert=_non_negative),
-            "asset": _value(raw, loc, "asset", "str"),
-            "action": action, "value": raw.get("value")}
+            "asset": _value(raw, loc, "asset", "str"), "action": action}
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +359,10 @@ def _tagged(table: dict, tag: str, loc: str, raw: dict, **parsed):
 def _check_network(net: NetworkConfig, grid: GridModel) -> None:
     """The topology must route every packet the run sends: each link joins
     two different known nodes, once; each endpoint has a link; the one master
-    reaches every outstation; each outstation reads its own asset, one the
-    engine's sensor lookup resolves; and each command goes to a bound
-    outstation."""
+    reaches every outstation; each outstation is bound to its own known grid
+    asset; and each command goes to a bound outstation, with an action that
+    fits its asset's kind (a load's shed or unshed, a breaker's open or
+    close)."""
     adjacency = {n.id: [] for n in net.nodes}
     for i, link in enumerate(net.links):
         for end in "ab":
@@ -374,7 +378,8 @@ def _check_network(net: NetworkConfig, grid: GridModel) -> None:
         adjacency[link.b].append(link.a)
 
     masters = [n.id for n in net.nodes if n.app and n.app.kind == "master"]
-    assets = {x.id for x in (*grid.machines, *grid.loads, *grid.breakers, *grid.fast_sources)}
+    kinds = {"load": {x.id for x in grid.loads}, "breaker": {x.id for x in grid.breakers}}
+    assets = {x.id for x in (*grid.machines, *grid.fast_sources)}.union(*kinds.values())
     bound = {}  # asset -> the outstation that reads it
     for i, node in enumerate(net.nodes):
         loc = f"network.nodes[{i}]"
@@ -405,6 +410,11 @@ def _check_network(net: NetworkConfig, grid: GridModel) -> None:
         if cmd["asset"] not in bound:
             raise ScenarioError(f"network.commands[{i}].asset",
                                 f"no outstation is bound to asset {cmd['asset']!r}")
+        kind = _COMMAND_TARGETS[cmd["action"]]
+        if cmd["asset"] not in kinds[kind]:
+            raise ScenarioError(f"network.commands[{i}].action",
+                                f"{cmd['action']!r} needs a {kind}; "
+                                f"{cmd['asset']!r} is not one")
 
 
 def _check_taps(attacks, grid: GridModel, network: Optional[NetworkConfig]) -> None:

@@ -172,6 +172,18 @@ def test_case3_delay_5_reaches_underfrequency_trip():
     assert nadir(result) == pytest.approx(56.646, abs=5e-4)
 
 
+@pytest.mark.parametrize("variant, delay", [("delay_0", 0.0), ("delay_0_5", 0.5),
+                                            ("delay_5", 5.0), ("delay_15", 15.0)])
+def test_case3_commands_apply_one_step_after_arrival(variant, delay):
+    # each command arrives ~2.05 ms after it is sent and acts at the next 1 ms boundary
+    log = engine.run(presets.preset_scenario("case3_tda", variant)).event_log
+    [opened] = [e["t"] for e in log if e["event"] == "breaker" and e["node"] == "pcc"]
+    [shed] = [e["t"] for e in log if e["event"] == "command_applied" and e["node"] == "load1"]
+    assert opened == pytest.approx(10.003, abs=1e-9)
+    assert shed == pytest.approx(10.103 + delay, abs=1e-9)
+    assert not [e for e in log if e["event"] in ("command_lost", "command_rejected")]
+
+
 def test_case4_td_n2_nadir():
     assert nadir(engine.run(presets.preset_scenario("case4_td", "n2"))) \
         == pytest.approx(59.187, abs=5e-4)
@@ -248,6 +260,19 @@ def test_td_step_runs_without_lapack(monkeypatch):
     sc = presets.preset_scenario("case4_td", "n11")
     result = engine.run(sc)
     assert result.traces["v_pcc"].t[-1] == pytest.approx(sc.horizon)
+
+
+# -- export ------------------------------------------------------------------------------
+
+@pytest.mark.parametrize("preset, variant", [("case1_dia", None), ("case3_tda", "delay_0")])
+def test_export_writes_each_artifact_once(preset, variant, tmp_path):
+    sc = short(preset, variant, horizon=0.5)
+    result = engine.run(sc)
+    out = engine.export(result, tmp_path / "run", scenario_doc=sc.doc)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "events.json", "manifest.json", "report.json", "report.txt", "scenario.json", "traces"]
+    assert json.loads((out / "events.json").read_text()) == {
+        "events": result.event_log, "attack_samples": result.attack_samples}
 
 
 # -- determinism and batches ------------------------------------------------------------

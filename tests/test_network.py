@@ -168,15 +168,23 @@ def test_round_trip_is_twice_one_way():
     assert reply["t"] - poll["t"] == pytest.approx(2 * one_way, rel=1e-9)
 
 
+def test_polling_off_without_period_master_or_outstation():
+    for sim, period in ((star(("o1",)), 0.0), (star(()), 0.1), (single_link(1e6), 0.1)):
+        sim.start_polling(period=period)
+        sim.run_until(1.0)
+        assert sim.log == []
+    with pytest.raises(ValueError):
+        star(("o1",)).start_polling(period=-0.1)
+
+
 def test_send_command_applies_payload():
     sim = star(("o1",))
     received = []
-    sim.command_sink = lambda asset, action, value, t: received.append(
-        (asset, action, value, t))
+    sim.command_sink = lambda asset, action, t: received.append((asset, action, t))
     sim.send_command("o1", "shed", now=0.0)
     sim.run_until(1.0)
     assert len(received) == 1
-    asset, action, value, t = received[0]
+    asset, action, t = received[0]
     assert (asset, action) == ("o1", "shed")
     assert t == pytest.approx(sim.baseline_delay("m", "o1"), rel=1e-9)
 

@@ -439,6 +439,12 @@ PRIORITIES = {"people_health_safety": 4, "uninterrupted_operation": 3,
      "network.links[7]"),
     ("case3_tda", "delay_0", _set(["network", "nodes", 5, "app", "asset"], "load1"),
      "network.nodes[5].app.asset"),
+    ("case3_tda", "delay_0", _set(["network", "commands", 0, "action"], "shed"),
+     "network.commands[0].action"),
+    ("case3_tda", "delay_0", _set(["network", "commands", 1, "action"], "open_breaker"),
+     "network.commands[1].action"),
+    ("case3_tda", "delay_0", _set(["network", "commands", 0, "value"], 1.0),
+     "network.commands[0].value"),
 ], ids=lambda case: None if callable(case) or case is None else str(case))
 def test_malformed_field_names_its_path(preset, variant, mutate, location):
     doc = presets.preset_doc(preset, variant)
