@@ -34,7 +34,10 @@ class AttackWindow:
                                  "or are out of order")
 
     def contains(self, t: float) -> bool:
-        return any(s <= t < e for s, e in self.intervals)
+        for s, e in self.intervals:
+            if s <= t < e:
+                return True
+        return False
 
 
 EMPTY_WINDOW = AttackWindow(())

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import tempfile
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -31,7 +32,7 @@ from .metrics import (MetricReport, TimeSeries, control_metrics, cyber_metrics,
                       frequency_stability, voltage_stability)
 from .network import NetworkSim
 from .physical import (GridModel, NodalBoundary, ProtectionAction,
-                       StateSpaceGroup, demand_total, disconnect_machine, float_sum,
+                       StateSpaceGroup, demand_total, disconnect_machine,
                        group_step, lti_step, nodal_solve, protection_check,
                        solve_load_angle, swing_step)
 from .scenario import (Scenario, ScenarioError, build_protection, scenario_hash,
@@ -127,7 +128,7 @@ class _Run:
                    *[(f"shed_{load.id}", "state") for load in self._shed_loads]]
         self.trace_names = [name for name, _ in columns]
         self.trace_units = [unit for _, unit in columns]
-        self._rows = np.empty((self.n_steps + 1, len(columns)))
+        self._rows = array("d")  # row after row, reshaped once the run ends
         for i, req in enumerate(sc.metrics_requested):
             if req["kind"] != "cyber" and req["trace"] not in self.trace_names:
                 raise ScenarioError(f"metrics[{i}].trace",
@@ -140,13 +141,8 @@ class _Run:
         self.net.events.push(t, lambda: self.net.send_command(asset, action, now=t))
 
     def _apply_command(self, asset: str, action: str, t: float) -> None:
-        if action in ("shed", "unshed"):
-            load = self.grid.load(asset)
-            if action == "shed" and not load.sheddable:
-                self._log(t, "command_rejected", asset, {"action": action,
-                                                         "reason": "not sheddable"})
-                return
-            load.shed = action == "shed"
+        if action in ("shed", "unshed"):  # scenario load ensures a shed load is sheddable
+            self.grid.load(asset).shed = action == "shed"
         elif action in ("open_breaker", "close_breaker"):
             self._set_breaker(self.grid.breaker(asset), action == "close_breaker", t)
             return
@@ -167,25 +163,28 @@ class _Run:
 
     def execute(self) -> RunResult:
         sc = self.sc
-        n_steps = self.n_steps
+        n_steps, dt, grid, net = self.n_steps, self.dt, self.grid, self.net
+        step, record, apply_boundary = self.tier.step, self._record, self._apply_boundary
+        load_windows = self._apply_load_windows if self.load_attacks else None
         self._apply_load_windows(0.0)
-        self._record(0.0, 0, demand_total(self.grid))
+        record(0.0, demand_total(grid))
 
         for k in range(n_steps):
-            t = k * self.dt
-            t_next = (k + 1) * self.dt
-            self._apply_boundary(t)
-            if self.net is not None:
-                self.net.run_until(t_next)
-            self._apply_load_windows(t)
-            demand = demand_total(self.grid)
-            self.tier.step(t, k, demand)
-            self._record(t_next, k + 1, demand)
+            t = k * dt
+            t_next = (k + 1) * dt
+            apply_boundary(t)
+            if net is not None:
+                net.run_until(t_next)
+            if load_windows is not None:
+                load_windows(t)
+            demand = demand_total(grid)
+            step(t, k, demand)
+            record(t_next, demand)
 
         # every trace shares one read-only time axis; columns become contiguous rows
-        t_axis = np.arange(n_steps + 1) * self.dt
+        t_axis = np.arange(n_steps + 1) * dt
         t_axis.flags.writeable = False
-        columns = self._rows.T.copy()
+        columns = np.frombuffer(self._rows).reshape(n_steps + 1, -1).T.copy()
         self._rows = None
         traces = {name: TimeSeries(t=t_axis, v=column, unit=unit, name=name)
                   for name, unit, column in zip(self.trace_names, self.trace_units, columns)}
@@ -233,11 +232,16 @@ class _Run:
 
     # -- recording ---------------------------------------------------------------
 
-    def _record(self, t: float, k: int, demand: float) -> None:
+    def _record(self, t: float, demand: float) -> None:
         freq = self.tier.frequency()
-        self._rows[k] = [freq, demand, *self.tier.values(),
-                         *[1.0 if b.closed else 0.0 for b in self.grid.breakers],
-                         *[1.0 if load.shed else 0.0 for load in self._shed_loads]]
+        rows = self._rows
+        rows.append(freq)
+        rows.append(demand)
+        rows.extend(self.tier.values())
+        for b in self.grid.breakers:
+            rows.append(1.0 if b.closed else 0.0)
+        for load in self._shed_loads:
+            rows.append(1.0 if load.shed else 0.0)
         action = protection_check(freq, self.grid.protection)
         if action is not self._prev_action:
             self._log(t, "protection", "grid", {"action": action.value,
@@ -267,9 +271,10 @@ class _AggregateTier:
                         for spec in sc.attacks if isinstance(spec, DiaCombined)}
         ctrl_attacks = {spec.tap.partition(":")[2]: spec
                         for spec in sc.attacks if isinstance(spec, ControlDia)}
-        # (plant, measurement-tap attack, control-tap attack) per control loop
-        self.loops = [(plant, meas_attacks.get(plant.name), ctrl_attacks.get(plant.name))
-                      for plant in grid.plants]
+        # (plant, measurement-tap attack, control-tap attack, and the taps their
+        # samples are logged under) per control loop
+        self.loops = [(plant, meas_attacks.get(plant.name), ctrl_attacks.get(plant.name),
+                       f"meas:{plant.name}", f"ctrl:{plant.name}") for plant in grid.plants]
         # last sensed value per plant; before the first sample, the true output
         self._meas = [self._signal(plant) for plant in grid.plants]
         self.pcc = grid.pcc
@@ -287,7 +292,7 @@ class _AggregateTier:
         return plant.power_base + plant.power_gain * plant.x[0]
 
     def _advance_plants(self, t: float) -> None:
-        for i, (plant, spec, cspec) in enumerate(self.loops):
+        for i, (plant, spec, cspec, meas_tap, ctrl_tap) in enumerate(self.loops):
             op = plant.operating_point
             noise = self.rng_phys.normal(0.0, plant.noise_std) if plant.noise_std > 0 else 0.0
             x_next, y_dev = lti_step(plant, noise)
@@ -295,7 +300,7 @@ class _AggregateTier:
             if spec is not None:
                 y_att, dy = apply_dia(y_abs, t, spec, self.rng_attack)
                 if dy != 0:
-                    self.attack_samples.append({"t": t, "tap": f"meas:{plant.name}",
+                    self.attack_samples.append({"t": t, "tap": meas_tap,
                                                 "delta": [dy]})
             else:
                 y_att = y_abs
@@ -305,19 +310,23 @@ class _AggregateTier:
                 for j, u_j in enumerate(u_cmd):
                     u_cmd[j], du = apply_control_dia(u_j, t, cspec)
                 if du != 0:
-                    self.attack_samples.append({"t": t, "tap": f"ctrl:{plant.name}",
+                    self.attack_samples.append({"t": t, "tap": ctrl_tap,
                                                 "delta": [du]})
             plant.x = x_next
             plant.u = u_cmd
             self._meas[i] = y_att
 
     def step(self, t: float, k: int, demand: float) -> None:
-        machine = self.grid.machines[0]
-        p_inject = float_sum(self._power(plant) for plant in self.grid.plants)
+        grid = self.grid
+        machine = grid.machines[0]
+        p_inject = 0.0
+        for plant in grid.plants:
+            p_inject += self._power(plant)
         pinned = self._pinned()
-        f_now = self.grid.f_nom if pinned else machine.frequency
-        p_fast = float_sum(fs.step(f_now, self.grid.f_nom, self.dt)
-                           for fs in self.grid.fast_sources)
+        f_now = grid.f_nom if pinned else machine.frequency
+        p_fast = 0.0
+        for fs in grid.fast_sources:
+            p_fast += fs.step(f_now, grid.f_nom, self.dt)
         if pinned:
             machine.omega = machine.omega_sync
             machine.gov_power = 0.0
@@ -344,7 +353,10 @@ class _AggregateTier:
         machine = self.grid.machines[0]
         vals = [machine.p_mech + machine.gov_power]
         if self.grid.fast_sources:
-            vals.append(float_sum(fs.power for fs in self.grid.fast_sources))
+            p_fast = 0.0
+            for fs in self.grid.fast_sources:
+                p_fast += fs.power
+            vals.append(p_fast)
         for plant, meas in zip(self.grid.plants, self._meas):
             signal = self._signal(plant)
             vals += [signal, meas]
@@ -381,11 +393,12 @@ class _MultiMachineTier:
         self._swing(demand, k)
 
     def frequency(self) -> float:
-        machines = [m for m in self.grid.machines if m.connected]
-        if not machines:
-            return 0.0
-        h_total = float_sum(m.inertia_const for m in machines)
-        return float_sum(m.inertia_const * m.frequency for m in machines) / h_total
+        h_total = weighted = 0.0
+        for m in self.grid.machines:
+            if m.connected:
+                h_total += m.inertia_const
+                weighted += m.inertia_const * m.frequency
+        return weighted / h_total if h_total else 0.0  # inertia_const > 0: 0 iff none connected
 
     def columns(self) -> list[tuple[str, str]]:
         return [(f"freq_{m.id}", "Hz") for m in self.grid.machines]

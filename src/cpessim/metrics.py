@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .physical import FrequencyProtection, ProtectionAction, protection_check
+from .physical import FrequencyProtection, protection_bands
 
 DEFAULT_SS_FRACTION = 0.1       # steady state estimated over the trace tail
 DEFAULT_VOLT_LIMITS = (0.95, 1.05)
@@ -202,25 +202,13 @@ def max_rocof(s: TimeSeries) -> float:
 
 def _intervals_where(t: np.ndarray, mask: np.ndarray) -> list[tuple[float, float]]:
     """Contiguous sample runs where mask holds, as (t_start, t_end) pairs."""
-    out = []
-    start = None
-    for i, flag in enumerate(mask):
-        if flag and start is None:
-            start = t[i]
-        elif not flag and start is not None:
-            out.append((float(start), float(t[i - 1])))
-            start = None
-    if start is not None:
-        out.append((float(start), float(t[-1])))
-    return out
+    edges = np.flatnonzero(np.diff(np.asarray(mask, dtype=np.int8), prepend=0, append=0))
+    return list(zip(t[edges[0::2]].tolist(), t[edges[1::2] - 1].tolist()))
 
 
 def frequency_stability(s: TimeSeries, protection: FrequencyProtection) -> MetricReport:
-    actions = [protection_check(float(f), protection) for f in s.v]
     intervals = {}
-    for action in (ProtectionAction.GOVERNOR, ProtectionAction.LOAD_SHED,
-                   ProtectionAction.UNDERFREQ_TRIP, ProtectionAction.OVERFREQ_TRIP):
-        mask = np.array([a is action for a in actions])
+    for action, mask in protection_bands(s.v, protection).items():
         if mask.any():
             intervals[action.value] = _intervals_where(s.t, mask)
     return MetricReport(

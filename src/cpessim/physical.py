@@ -8,13 +8,17 @@ State-space groups coupled by a nodal boundary solve cover the integrated
 transmission/distribution scenarios.
 
 Every step kernel (``lti_step``, ``swing_step``, ``group_step``,
-``nodal_solve``, ``solve_load_angle`` and ``demand_total``) is plain
-left-to-right arithmetic on Python floats: sums through ``_dot`` and
-``float_sum``, linear systems through one LU factorisation (``_lu_factor``,
-made once per matrix) and substitution (``_lu_solve``).  No BLAS, LAPACK,
-fused multiply-add or compensated summation touches a step, so the same seed
-gives the same bytes on every host and Python version.  NumPy only checks
-shapes and conditioning and forms I +- dt/2 A, once per model or matrix.
+``nodal_solve``, ``solve_load_angle``, ``demand_total`` and
+``FastSource.step``) is plain left-to-right arithmetic on Python floats:
+sums accumulate into one local in a fixed order (rows through ``_dot``,
+build-time totals through ``float_sum``), linear systems go through one LU
+factorisation (``_lu_factor``, made once per matrix) and substitution
+(``_lu_solve``).  ``swing_step`` is one RK4 body on locals for every kind of
+governor.  No BLAS, LAPACK, fused multiply-add or compensated summation
+touches a step, so the same seed gives the same bytes on every host and
+Python version.  NumPy only checks shapes and conditioning, forms
+I +- dt/2 A once per model or matrix, and sorts a finished frequency trace
+into ``protection_check``'s bands (``protection_bands``).
 
 Conventions: omega in rad/s, frequency in Hz, power in per-unit on the grid
 base, angles in radians.  The swing inertia constant (seconds) is named
@@ -281,53 +285,68 @@ class Machine:
         return self.v_internal * self.v_recv / self.reactance
 
 
-def _swing_rates(m: Machine, p_elec: float, accel_gain: float, f_nom: float,
-                 omega: float, gp: float) -> tuple[float, float, float]:
-    """Time derivatives of (delta, omega, gov_power) at one RK4 stage."""
-    gov = m.governor
-    if gov is None:
-        boost = dgp = 0.0
-    elif gov.time_constant > 0:
-        boost = gp
-        dgp = (gov.target(omega / _TWO_PI, f_nom) - gp) / gov.time_constant
-    else:
-        boost, dgp = gov.target(omega / _TWO_PI, f_nom), 0.0
-    p_acc = m.p_mech + boost - p_elec
-    if m.damping:
-        p_acc -= m.damping * (omega - m.omega_sync) / m.omega_sync
-    return omega - m.omega_sync, accel_gain * p_acc, dgp
-
-
 def swing_step(machine: Machine, p_elec: float, dt: float, step_index=None) -> Machine:
     """Advance rotor angle/speed one fixed step with classical 4th-order Runge-Kutta.
 
     Updates ``machine.delta``, ``omega`` and ``gov_power`` in place and returns
     the same ``Machine``; on divergence it raises and leaves the state as it was.
     ``p_elec`` is the electrical power (pu), held for the whole step.  The
-    governor, when configured, adds its droop boost to the scheduled mechanical
-    power.
+    governor, when configured, adds its droop boost (``Governor.target``,
+    inlined) to the scheduled mechanical power: through its actuator state
+    when it has a lag, directly when it has none.  Each stage's rates are
+    added into ``k1 + 2*k2 + 2*k3 + k4`` as they come, left to right.
     """
     if dt <= 0 or dt > MAX_SWING_DT:
         raise ValueError(f"dt must be in (0, {MAX_SWING_DT}] s, got {dt}")
-    accel_gain = machine.omega_sync / (2.0 * machine.inertia_const)
-    f_nom = machine.f_nom
-    half = 0.5 * dt
-    d0, w0, g0 = machine.delta, machine.omega, machine.gov_power
-    k1d, k1w, k1g = _swing_rates(machine, p_elec, accel_gain, f_nom, w0, g0)
-    k2d, k2w, k2g = _swing_rates(machine, p_elec, accel_gain, f_nom,
-                                 w0 + half * k1w, g0 + half * k1g)
-    k3d, k3w, k3g = _swing_rates(machine, p_elec, accel_gain, f_nom,
-                                 w0 + half * k2w, g0 + half * k2g)
-    k4d, k4w, k4g = _swing_rates(machine, p_elec, accel_gain, f_nom,
-                                 w0 + dt * k3w, g0 + dt * k3g)
-    sixth = dt / 6.0
-    delta = d0 + sixth * (k1d + 2 * k2d + 2 * k3d + k4d)
-    omega = w0 + sixth * (k1w + 2 * k2w + 2 * k3w + k4w)
+    w_sync = machine.omega_sync
+    accel_gain = w_sync / (2.0 * machine.inertia_const)
+    f_nom = w_sync / _TWO_PI
+    p_mech, damping = machine.p_mech, machine.damping
     gov = machine.governor
+    if gov is not None:
+        gain, deadband, lag = gov.gain, gov.deadband, gov.time_constant
+        min_boost, max_boost = gov.min_boost, gov.max_boost
+    d0, w0, g0 = machine.delta, machine.omega, machine.gov_power
+    half = 0.5 * dt
+    w, gp = w0, g0
+    sum_d = sum_w = sum_g = -0.0  # -0.0 + x is x, signed zeros included
+    for to_next, weight in ((half, 1.0), (half, 2.0), (dt, 2.0), (None, 1.0)):
+        rate_d = w - w_sync
+        boost = rate_g = 0.0
+        if gov is not None:
+            dev = f_nom - w / _TWO_PI
+            if abs(dev) <= deadband:
+                target = 0.0
+            else:
+                dev -= math.copysign(deadband, dev)
+                target = gain * dev  # min(max(target, min_boost), max_boost), sans calls
+                if target < min_boost:
+                    target = min_boost
+                if target > max_boost:
+                    target = max_boost
+            if lag > 0:
+                boost = gp
+                rate_g = (target - gp) / lag
+            else:
+                boost = target
+        p_acc = p_mech + boost - p_elec
+        if damping:
+            p_acc -= damping * rate_d / w_sync
+        rate_w = accel_gain * p_acc
+        sum_d += weight * rate_d
+        sum_w += weight * rate_w
+        sum_g += weight * rate_g
+        if to_next is None:
+            break
+        w = w0 + to_next * rate_w
+        gp = g0 + to_next * rate_g
+    sixth = dt / 6.0
+    delta = d0 + sixth * sum_d
+    omega = w0 + sixth * sum_w
     if gov is None:
         gp = 0.0
-    elif gov.time_constant > 0:
-        gp = g0 + sixth * (k1g + 2 * k2g + 2 * k3g + k4g)
+    elif lag > 0:
+        gp = g0 + sixth * sum_g
     else:
         gp = gov.target(omega / _TWO_PI, f_nom)
 
@@ -416,6 +435,20 @@ def protection_check(f: float, p: FrequencyProtection) -> ProtectionAction:
     return ProtectionAction.NONE
 
 
+def protection_bands(v: np.ndarray,
+                     p: FrequencyProtection) -> dict[ProtectionAction, np.ndarray]:
+    """Per-sample masks of the bands ``protection_check`` names, taken in its
+    precedence: trips, then the shed band, then the governor band.  A sample
+    in none of them (NaN included) is ``NONE``."""
+    over = v >= p.overfreq_trip
+    under = (v <= p.underfreq_trip) & ~over
+    taken = over | under
+    shed = (p.shed_low <= v) & (v <= p.shed_high) & ~taken
+    governor = (np.abs(v - p.f_nom) > p.governor_deadband) & ~(taken | shed)
+    return {ProtectionAction.GOVERNOR: governor, ProtectionAction.LOAD_SHED: shed,
+            ProtectionAction.UNDERFREQ_TRIP: under, ProtectionAction.OVERFREQ_TRIP: over}
+
+
 # ---------------------------------------------------------------------------
 # Fast power sources (battery-style frequency support)
 # ---------------------------------------------------------------------------
@@ -431,7 +464,12 @@ class FastSource:
     power: float = 0.0          # current output, pu
 
     def step(self, f: float, f_nom: float, dt: float) -> float:
-        target = min(max(self.gain * (f_nom - f), -self.max_power), self.max_power)
+        cap = self.max_power
+        target = self.gain * (f_nom - f)  # min(max(target, -cap), cap), sans calls
+        if target < -cap:
+            target = -cap
+        if target > cap:
+            target = cap
         if self.time_constant <= 0:
             self.power = target
         else:
@@ -611,7 +649,10 @@ class GridModel:
 
 def demand_total(grid: GridModel) -> float:
     """Total system demand: all load draws (attacked ones included) plus losses."""
-    return float_sum(l.demand for l in grid.loads) + grid.p_loss
+    acc = 0.0
+    for l in grid.loads:
+        acc += l.demand
+    return acc + grid.p_loss
 
 
 def apply_contingency(grid: GridModel, events: Sequence[tuple[float, str]]) -> None:
@@ -656,7 +697,9 @@ def solve_load_angle(machines: Sequence[Machine], p_demand: float,
     pairs = [(m.coupling, m.delta) for m in machines if m.connected]
     if not pairs:
         raise SingularBoundaryError("no connected machines to balance demand")
-    k_total = float_sum(k for k, _ in pairs)
+    k_total = 0.0
+    for k, _ in pairs:
+        k_total += k
     if p_demand > k_total:
         raise SingularBoundaryError(
             f"demand {p_demand:.4f} pu exceeds total transfer capability {k_total:.4f} pu")

@@ -362,7 +362,7 @@ def _check_network(net: NetworkConfig, grid: GridModel) -> None:
     reaches every outstation; each outstation is bound to its own known grid
     asset; and each command goes to a bound outstation, with an action that
     fits its asset's kind (a load's shed or unshed, a breaker's open or
-    close)."""
+    close) and, for a shed, a sheddable load."""
     adjacency = {n.id: [] for n in net.nodes}
     for i, link in enumerate(net.links):
         for end in "ab":
@@ -379,6 +379,7 @@ def _check_network(net: NetworkConfig, grid: GridModel) -> None:
 
     masters = [n.id for n in net.nodes if n.app and n.app.kind == "master"]
     kinds = {"load": {x.id for x in grid.loads}, "breaker": {x.id for x in grid.breakers}}
+    sheddable = {x.id for x in grid.loads if x.sheddable}
     assets = {x.id for x in (*grid.machines, *grid.fast_sources)}.union(*kinds.values())
     bound = {}  # asset -> the outstation that reads it
     for i, node in enumerate(net.nodes):
@@ -415,6 +416,9 @@ def _check_network(net: NetworkConfig, grid: GridModel) -> None:
             raise ScenarioError(f"network.commands[{i}].action",
                                 f"{cmd['action']!r} needs a {kind}; "
                                 f"{cmd['asset']!r} is not one")
+        if cmd["action"] == "shed" and cmd["asset"] not in sheddable:
+            raise ScenarioError(f"network.commands[{i}].asset",
+                                f"load {cmd['asset']!r} is not sheddable")
 
 
 def _check_taps(attacks, grid: GridModel, network: Optional[NetworkConfig]) -> None:

@@ -166,6 +166,21 @@ def test_iae_nonnegative_and_zero_on_self():
 
 # -- frequency / voltage stability ------------------------------------------------
 
+@pytest.mark.parametrize("mask, expected", [
+    ([], []),
+    ([True], [(0.0, 0.0)]),
+    ([False], []),
+    ([True] * 4, [(0.0, 3.0)]),
+    ([False] * 4, []),
+    ([True, False, False, True], [(0.0, 0.0), (3.0, 3.0)]),
+    ([True, True, False, True, True], [(0.0, 1.0), (3.0, 4.0)]),
+    ([False, True, True, False, True, False], [(1.0, 2.0), (4.0, 4.0)]),
+])
+def test_intervals_where_edge_cases(mask, expected):
+    t = np.arange(len(mask)) * 1.0
+    assert mx._intervals_where(t, np.array(mask, dtype=bool)) == expected
+
+
 def test_frequency_stability_constant_nominal():
     t = np.arange(0, 1, 1e-3)
     rep = mx.frequency_stability(series(t, np.full_like(t, 60.0)),

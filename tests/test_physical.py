@@ -209,6 +209,78 @@ def test_swing_divergence_carries_step_index():
     assert err.value.step_index is not None
 
 
+def reference_swing_step(m: Machine, p_elec: float, dt: float) -> tuple[float, float, float]:
+    """(delta, omega, gov_power) after one RK4 step written stage by stage:
+    a rate function called at each stage, ``Governor.target`` for the droop,
+    and the weighted sums k1 + 2*k2 + 2*k3 + k4 formed left to right."""
+    accel_gain = m.omega_sync / (2.0 * m.inertia_const)
+    gov = m.governor
+
+    def rates(omega, gp):
+        if gov is None:
+            boost = dgp = 0.0
+        elif gov.time_constant > 0:
+            boost = gp
+            dgp = (gov.target(omega / (2 * math.pi), m.f_nom) - gp) / gov.time_constant
+        else:
+            boost, dgp = gov.target(omega / (2 * math.pi), m.f_nom), 0.0
+        p_acc = m.p_mech + boost - p_elec
+        if m.damping:
+            p_acc -= m.damping * (omega - m.omega_sync) / m.omega_sync
+        return omega - m.omega_sync, accel_gain * p_acc, dgp
+
+    half = 0.5 * dt
+    w0, g0 = m.omega, m.gov_power
+    k1 = rates(w0, g0)
+    k2 = rates(w0 + half * k1[1], g0 + half * k1[2])
+    k3 = rates(w0 + half * k2[1], g0 + half * k2[2])
+    k4 = rates(w0 + dt * k3[1], g0 + dt * k3[2])
+    d, w, g = (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i] for i in range(3))
+    sixth = dt / 6.0
+    omega = w0 + sixth * w
+    if gov is None:
+        gp = 0.0
+    elif gov.time_constant > 0:
+        gp = g0 + sixth * g
+    else:
+        gp = gov.target(omega / (2 * math.pi), m.f_nom)
+    return m.delta + sixth * d, omega, gp
+
+
+@pytest.mark.parametrize("governor", ["none", "lagged", "instantaneous"])
+@pytest.mark.parametrize("damping", [0.0, 0.15])
+def test_swing_step_equals_stagewise_rk4(governor, damping):
+    rng = np.random.default_rng([len(governor), int(damping * 100)])
+    deadband_hits = caps_hit = 0
+    for i in range(300):
+        gov = None
+        if governor != "none":
+            capped = i % 2 == 0
+            lag = float(rng.uniform(0.05, 1.0)) if governor == "lagged" else 0.0
+            gov = Governor(gain=float(rng.uniform(0.1, 2.0)), deadband=0.036, time_constant=lag,
+                           min_boost=-0.05 if capped else -math.inf,
+                           max_boost=0.05 if capped else math.inf)
+        # every third state starts inside the deadband (0.2 rad/s is 0.032 Hz); an
+        # angle or speed of 0 keeps the last bits of the first step's increment
+        spread = 0.2 if i % 3 == 0 else 20.0
+        m = machine(h=float(rng.uniform(0.5, 10.0)), pm=float(rng.uniform(0.0, 1.0)),
+                    delta=0.0 if i % 2 else float(rng.uniform(-1.0, 1.0)),
+                    omega=0.0 if i % 5 == 0 else WS + float(rng.uniform(-spread, spread)),
+                    governor=gov, gov_power=float(rng.uniform(-0.1, 0.1)), damping=damping)
+        p_elec = float(rng.uniform(0.0, 1.5))
+        dt = float(rng.choice([1e-3, 5e-3, 1e-2]))
+        for _ in range(5):
+            if gov is not None:
+                deviation = abs(m.f_nom - m.frequency) - gov.deadband
+                deadband_hits += deviation <= 0
+                caps_hit += gov.max_boost == 0.05 and gov.gain * deviation > 0.05
+            expected = reference_swing_step(m, p_elec, dt)
+            phys.swing_step(m, p_elec, dt)
+            assert (m.delta, m.omega, m.gov_power) == expected
+    if governor != "none":
+        assert deadband_hits > 100 and caps_hit > 100
+
+
 def test_governor_deadband_and_droop():
     gov = Governor(gain=1.0, deadband=0.036, max_boost=0.2)
     assert gov.target(60.0, 60.0) == 0.0
@@ -347,6 +419,21 @@ def test_protection_regions():
 def test_protection_is_total_over_positive_frequencies(f):
     action = phys.protection_check(f, FrequencyProtection())
     assert action in ProtectionAction
+
+
+def test_protection_bands_match_protection_check_per_sample():
+    p = FrequencyProtection()
+    edges = [p.underfreq_trip, p.shed_low, p.shed_high, p.overfreq_trip,
+             p.f_nom - p.governor_deadband, p.f_nom + p.governor_deadband, p.f_nom]
+    near = [np.nextafter(f, direction) for f in edges for direction in (-np.inf, np.inf)]
+    v = np.array(edges + near + [math.nan, math.inf, -math.inf, 0.0]
+                 + list(np.random.default_rng(5).uniform(55.0, 65.0, 2000)))
+    bands = phys.protection_bands(v, p)
+    for i, f in enumerate(v.tolist()):
+        named = [action for action, mask in bands.items() if mask[i]]
+        assert named == ([] if phys.protection_check(f, p) is ProtectionAction.NONE
+                         else [phys.protection_check(f, p)]), f
+    assert all(bands[action].any() for action in bands)
 
 
 def test_protection_threshold_ordering_enforced():

@@ -445,6 +445,8 @@ PRIORITIES = {"people_health_safety": 4, "uninterrupted_operation": 3,
      "network.commands[1].action"),
     ("case3_tda", "delay_0", _set(["network", "commands", 0, "value"], 1.0),
      "network.commands[0].value"),
+    ("case3_tda", "delay_0", _set(["network", "commands", 1, "asset"], "critical"),
+     "network.commands[1].asset"),
 ], ids=lambda case: None if callable(case) or case is None else str(case))
 def test_malformed_field_names_its_path(preset, variant, mutate, location):
     doc = presets.preset_doc(preset, variant)

@@ -1,16 +1,28 @@
 import importlib.util
 import io
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cpessim import presets
 from cpessim.metrics import TimeSeries
 
-_SPEC = importlib.util.spec_from_file_location(
-    "trace_diff", Path(__file__).resolve().parents[1] / "tools" / "trace_diff.py")
-trace_diff = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(trace_diff)
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+PINNED = Path(__file__).with_name("export_hashes.txt")
+
+
+def load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+trace_diff = load_tool("trace_diff")
+export_hashes = load_tool("export_hashes")
+ab_time = load_tool("ab_time")
 
 
 def write_tree(root: Path, traces: dict[str, list[float]]) -> Path:
@@ -54,3 +66,63 @@ def test_trace_diff_fails_on_trees_without_traces(tmp_path):
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
     assert compare(tmp_path / "a", tmp_path / "b")[0] == 1
+
+
+def digests(lines) -> dict[str, str]:
+    """path -> sha256 from ``<sha256>  <path>`` lines."""
+    return {line[66:]: line[:64] for line in lines}
+
+
+def test_exports_match_pinned_hashes():
+    pinned = digests(PINNED.read_text().splitlines())
+    got = digests(export_hashes.export_hashes())
+    differing = sorted(path for path in pinned.keys() | got.keys()
+                       if pinned.get(path) != got.get(path))
+    assert not differing, (f"{len(differing)} exported files differ from {PINNED.name}:\n"
+                           + "\n".join(differing))
+
+
+def test_pinned_hashes_see_one_ulp(monkeypatch):
+    run = export_hashes.engine.run
+
+    def nudged_run(sc, seed=None):
+        result = run(sc, seed=seed)
+        if sc.name == "case2_load_a":
+            v = result.traces["freq"].v
+            v[100] = np.nextafter(v[100], np.inf)
+        return result
+
+    monkeypatch.setattr(export_hashes.engine, "run", nudged_run)
+    pinned = digests(PINNED.read_text().splitlines())
+    got = digests(export_hashes.export_hashes(
+        variants=(("case2_load", "a"), ("case2_load", "b")), seed_offsets=(0,)))
+    seed = presets.preset_scenario("case2_load", "a").seed
+    assert sorted(path for path, digest in got.items() if pinned[path] != digest) == [
+        f"case2_load/a/seed{seed}/traces/freq.csv"]
+
+
+def ab_time_row(src: Path, change_src: Path, capsys) -> tuple[int, str, str]:
+    code = ab_time.main([str(src), "--change-src", str(change_src), "--repeats", "1",
+                         "--variant", "case4_td/n11"])
+    out = capsys.readouterr().out
+    (row,) = [line for line in out.splitlines() if line.startswith("case4_td/n11 ")]
+    return code, row, out.splitlines()[-1]
+
+
+def test_ab_time_reports_one_checkout_against_itself(capsys):
+    src = TOOLS.parent / "src"
+    code, row, last = ab_time_row(src, src, capsys)
+    assert code == 0
+    assert row.split()[-1] in ("0/1", "1/1")
+    assert last == "outputs identical"
+
+
+def test_ab_time_fails_when_a_trace_moves(tmp_path, capsys):
+    shutil.copytree(TOOLS.parent / "src" / "cpessim", tmp_path / "cpessim")
+    physical = tmp_path / "cpessim" / "physical.py"
+    text = physical.read_text()
+    assert "sixth = dt / 6.0" in text
+    physical.write_text(text.replace("sixth = dt / 6.0", "sixth = dt / 6.0 * (1 + 1e-12)"))
+    code, _, last = ab_time_row(TOOLS.parent / "src", tmp_path, capsys)
+    assert code == 1
+    assert last == "1 variants differ"

@@ -12,7 +12,8 @@ compare with a plain ``diff``:
 
 ``--out DIR`` keeps the exported tree under DIR (laid out as the paths
 above) instead of a temporary directory, so ``tools/trace_diff.py`` can
-compare the traces of two checkouts.
+compare the traces of two checkouts.  ``export_hashes()`` returns the same
+lines; ``tests/export_hashes.txt`` pins them.
 """
 
 from __future__ import annotations
@@ -34,30 +35,36 @@ VARIANTS = (("case1_dia", "default"),
 SEED_OFFSETS = (0, 3)
 
 
+def export_hashes(variants=VARIANTS, seed_offsets=SEED_OFFSETS, out=None) -> list[str]:
+    """Run and export each variant at each seed offset; return one
+    ``<sha256>  <preset>/<variant>/seed<N>/<path>`` line per exported file,
+    sorted by path.  The tree is kept under ``out`` when it is given."""
+    lines = []
+    if out is None:
+        keep = tempfile.TemporaryDirectory()
+    else:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        keep = contextlib.nullcontext(out)
+    with keep as tmp:
+        for name, variant in variants:
+            sc = presets.preset_scenario(name, variant)
+            for offset in seed_offsets:
+                seed = sc.seed + offset
+                run_dir = Path(tmp) / name / variant / f"seed{seed}"
+                engine.export(engine.run(sc, seed=seed), run_dir, scenario_doc=sc.doc)
+                for path in sorted(p for p in run_dir.rglob("*") if p.is_file()):
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    lines.append(f"{digest}  {path.relative_to(tmp).as_posix()}")
+    return sorted(lines, key=lambda line: line[66:])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", metavar="DIR",
                         help="keep the exported tree under DIR instead of a temporary directory")
     args = parser.parse_args(argv)
-    lines = []
-    if args.out is None:
-        keep = tempfile.TemporaryDirectory()
-    else:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        keep = contextlib.nullcontext(args.out)
-    with keep as tmp:
-        for name, variant in VARIANTS:
-            sc = presets.preset_scenario(name, variant)
-            for offset in SEED_OFFSETS:
-                seed = sc.seed + offset
-                out = Path(tmp) / name / variant / f"seed{seed}"
-                engine.export(engine.run(sc, seed=seed), out, scenario_doc=sc.doc)
-                for path in sorted(p for p in out.rglob("*") if p.is_file()):
-                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                    lines.append(f"{digest}  {path.relative_to(tmp).as_posix()}")
-    sys.stdout.write("".join(f"{line}\n" for line in sorted(lines, key=lambda l: l[66:])))
+    sys.stdout.write("".join(f"{line}\n" for line in export_hashes(out=args.out)))
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
