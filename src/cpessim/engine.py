@@ -31,10 +31,9 @@ from .attacks import (BreakerAttack, ControlDia, DiaCombined, DoS, LoadChange,
 from .metrics import (MetricReport, TimeSeries, control_metrics, cyber_metrics,
                       frequency_stability, voltage_stability)
 from .network import NetworkSim
-from .physical import (GridModel, NodalBoundary, ProtectionAction,
-                       StateSpaceGroup, demand_total, disconnect_machine,
-                       group_step, lti_step, nodal_solve, protection_check,
-                       solve_load_angle, swing_step)
+from .physical import (GridModel, NodalBoundary, ProtectionAction, demand_total,
+                       disconnect_machine, group_step, lti_step, nodal_solve,
+                       protection_check, solve_load_angle, swing_step)
 from .scenario import (Scenario, ScenarioError, build_protection, scenario_hash,
                        td_operating_point)
 
@@ -414,12 +413,16 @@ class _MultiMachineTier:
 
 
 class _TdTier(_MultiMachineTier):
-    """Transmission and distribution state-space groups over a nodal boundary,
+    """Transmission sources and a distribution feeder over a nodal boundary,
     feeding the lagged boundary transfer to the multi-machine swing.
 
-    Everything that changes only with the topology (the groups' bilinear
-    factors, the boundary matrix and the per-source companion constants) is
-    built in ``_rebuild_td_groups``; a step only assembles the history currents.
+    The circuit's state is plain floats: the source currents ``i_src``, the
+    feeder current ``i_f`` and the bus voltages ``v1`` (boundary) and ``v2``
+    (distribution).  Each step forms every live RL branch's trapezoidal
+    history current once, solves the nodal boundary for both bus voltages and
+    gives the branches their new currents through ``group_step``.
+    Everything that changes only with the topology (the boundary matrix and
+    the per-branch companion constants) is built in ``_rebuild_companions``.
     """
 
     def __init__(self, grid: GridModel, dt: float):
@@ -427,102 +430,83 @@ class _TdTier(_MultiMachineTier):
         self.cfg = cfg = grid.td_system
         self.breaker = grid.breaker(cfg.feeder_breaker)
         self.source_machines = [grid.machine(src.machine) for src in cfg.sources]
-        self.v1, self.v2, i_src, i_f = td_operating_point(cfg, self.breaker.closed)
+        self.v1, self.v2, i_src, self.i_f = td_operating_point(cfg, self.breaker.closed)
         self.v1_nom = self.v1
         self.v2_nom = self.v2
-        self.p_pcc0 = self.v1 * i_f
+        self.p_pcc0 = self.v1 * self.i_f
         self._p_norm = 1.0  # filtered boundary power, per unit of nominal transfer
         self._decay = math.exp(-dt / cfg.power_filter) if cfg.power_filter > 0 else 0.0
         # boundary-bus capacitors: absorb the mismatch current at topology changes
         self._g_c1 = 2 * cfg.pcc_shunt_c / dt
         self._g_c2 = 2 * cfg.shunt_c / dt
-        self._trans_states = list(i_src)
-        self._dist_states = [i_f, self.v2]
-        self._rebuild_td_groups()
+        self._trans_states = i_src
+        self._rebuild_companions()
 
-    def _rebuild_td_groups(self) -> None:
+    def _rebuild_companions(self) -> None:
         cfg = self.cfg
         dt = self.dt
-        n = len(cfg.sources)
-        a_t = np.zeros((n, n))
-        d_t = np.zeros((n, 2))   # inputs: [v1, 1]
+        # init/contingency snapshot: stale after a breaker-only rebuild; references rely on it
+        self.i_src = list(self._trans_states)
         # trapezoidal companion of each live source branch:
-        # (state index, history gain, conductance, 2 emf)
+        # (index, history gain, conductance, 2 emf)
         self._live_sources = []
         y11 = 0.0
         for idx, (src, machine) in enumerate(zip(cfg.sources, self.source_machines)):
             if machine.connected:
-                a_t[idx, idx] = -src.r / src.l
-                d_t[idx, 0] = -1.0 / src.l
-                d_t[idx, 1] = src.emf / src.l
                 alpha = dt * src.r / (2 * src.l)
                 gamma = dt / (2 * src.l + dt * src.r)
                 self._live_sources.append((idx, (1 - alpha) / (1 + alpha), gamma,
                                            2 * src.emf))
                 y11 += gamma
-        # init/contingency snapshot: stale after a breaker-only rebuild; references rely on it
-        self.trans_group = StateSpaceGroup(name="transmission", A=a_t, D=d_t,
-                                           s=self._trans_states)
+        self._gammas = [gamma for _, _, gamma, _ in self._live_sources]
         y11 += self._g_c1
         y22 = self._g_c2 + cfg.load_conductance
         if self.breaker.closed:
-            a_d = np.array([[-cfg.feeder_r / cfg.feeder_l, -1.0 / cfg.feeder_l],
-                            [1.0 / cfg.shunt_c, -cfg.load_conductance / cfg.shunt_c]])
-            d_d = np.array([[1.0 / cfg.feeder_l], [0.0]])
             alpha_f = dt * cfg.feeder_r / (2 * cfg.feeder_l)
             gamma_f = dt / (2 * cfg.feeder_l + dt * cfg.feeder_r)
             self._feeder = ((1 - alpha_f) / (1 + alpha_f), gamma_f)
-            y = np.array([[y11 + gamma_f, -gamma_f], [-gamma_f, y22 + gamma_f]])
-        else:
-            a_d = np.array([[0.0, 0.0],
-                            [0.0, -cfg.load_conductance / cfg.shunt_c]])
-            d_d = np.zeros((2, 1))
-            self._feeder = None
-            y = np.array([[y11, 0.0], [0.0, y22]])
-        self.dist_group = StateSpaceGroup(name="distribution", A=a_d, D=d_d,
-                                          s=self._dist_states)
+        else:  # an open feeder conducts nothing, so its current stays exactly 0.0
+            self._feeder = (0.0, 0.0)
+        gamma_f = self._feeder[1]
+        self._gammas.append(gamma_f)
+        y = np.array([[y11 + gamma_f, -gamma_f], [-gamma_f, y22 + gamma_f]])
         self.boundary = NodalBoundary(Y=y, I=[0.0, 0.0])
 
     def on_disconnect(self, machine_id: str) -> None:
-        for idx, src in enumerate(self.cfg.sources):
-            if src.machine == machine_id:
-                self._trans_states = list(self.trans_group.s)
-                self._trans_states[idx] = 0.0
+        if any(src.machine == machine_id for src in self.cfg.sources):
+            self._trans_states = [i if machine.connected else 0.0
+                                  for i, machine in zip(self.i_src, self.source_machines)]
 
     def on_topology_change(self) -> None:
-        self._dist_states = list(self.dist_group.s)
         if not self.breaker.closed:
-            self._dist_states[0] = 0.0
-        self._rebuild_td_groups()
+            self.i_f = 0.0
+        self._rebuild_companions()
 
     def step(self, t: float, k: int, demand: float) -> None:
         cfg = self.cfg
-        dt = self.dt
-        v1 = self.v1
-        trans_s = self.trans_group.s
-        i1 = 0.0
-        i_src_total = 0.0
+        v1, v2, i_src, i_f = self.v1, self.v2, self.i_src, self.i_f
+        hist = []
+        i1 = i_src_total = 0.0
         for idx, hist_gain, gamma, two_emf in self._live_sources:
-            i_state = trans_s[idx]
+            i_state = i_src[idx]
             i_src_total += i_state
-            i1 += hist_gain * i_state + gamma * (two_emf - v1)
-        i_f, v_c = self.dist_group.s
-        i_f_closed = 0.0 if self._feeder is None else i_f
-        i1 += self._g_c1 * v1 + (i_src_total - i_f_closed)
-        i2 = self._g_c2 * v_c + (i_f_closed - cfg.load_conductance * v_c)
-        if self._feeder is not None:
-            hist_gain_f, gamma_f = self._feeder
-            i_hist_f = hist_gain_f * i_f + gamma_f * (v1 - v_c)
-            i1 -= i_hist_f
-            i2 += i_hist_f
+            h = hist_gain * i_state + gamma * (two_emf - v1)
+            hist.append(h)
+            i1 += h
+        i1 += self._g_c1 * v1 + (i_src_total - i_f)
+        i2 = self._g_c2 * v2 + (i_f - cfg.load_conductance * v2)
+        hist_gain_f, gamma_f = self._feeder
+        h = hist_gain_f * i_f + gamma_f * (v1 - v2)
+        hist.append(h)
+        i1 -= h
+        i2 += h
         self.boundary.I = [i1, i2]
-        v1_new = nodal_solve(self.boundary)[0]
-        v1_mid = 0.5 * (v1 + v1_new)
-        group_step(self.trans_group, [v1_mid, 1.0], dt)
-        group_step(self.dist_group, [0.0 if self._feeder is None else v1_mid], dt)
-        self.v1 = v1_new
-        i_f_new, self.v2 = self.dist_group.s
-        p_pcc = 0.0 if self._feeder is None else v1_new * i_f_new
+        self.v1, self.v2 = v1_new, v2_new = nodal_solve(self.boundary)
+        u = [v1_new] * len(self._live_sources) + [v2_new - v1_new]
+        *currents, self.i_f = group_step(hist, self._gammas, u)
+        for (idx, _, _, _), i_new in zip(self._live_sources, currents):
+            i_src[idx] = i_new
+        p_pcc = v1_new * self.i_f
 
         # machines see the (lagged, bounded) boundary transfer on top of local load
         p_target = min(max(p_pcc / self.p_pcc0, -1.0), 3.0)

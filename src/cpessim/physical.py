@@ -4,8 +4,9 @@ Two fidelity tiers are supported by the engine on top of these primitives:
 an aggregate microgrid (one equivalent machine plus fast sources and loads,
 balanced through the total-demand equation) and a multi-machine system where
 each machine swings against a common load bus through its transfer reactance.
-State-space groups coupled by a nodal boundary solve cover the integrated
-transmission/distribution scenarios.
+The integrated transmission/distribution scenarios add a circuit of RL
+branches and bus capacitors, each replaced by its trapezoidal companion and
+coupled by a nodal boundary solve.
 
 Every step kernel (``lti_step``, ``swing_step``, ``group_step``,
 ``nodal_solve``, ``solve_load_angle``, ``demand_total`` and
@@ -14,11 +15,12 @@ sums accumulate into one local in a fixed order (rows through ``_dot``,
 build-time totals through ``float_sum``), linear systems go through one LU
 factorisation (``_lu_factor``, made once per matrix) and substitution
 (``_lu_solve``).  ``swing_step`` is one RK4 body on locals for every kind of
-governor.  No BLAS, LAPACK, fused multiply-add or compensated summation
-touches a step, so the same seed gives the same bytes on every host and
-Python version.  NumPy only checks shapes and conditioning, forms
-I +- dt/2 A once per model or matrix, and sorts a finished frequency trace
-into ``protection_check``'s bands (``protection_bands``).
+governor; ``group_step`` gives RL branch currents from their companion
+history currents and the solved voltages.  No BLAS, LAPACK, fused
+multiply-add or compensated summation touches a step, so the same seed gives
+the same bytes on every host and Python version.  NumPy only checks shapes
+and conditioning and sorts a finished frequency trace into
+``protection_check``'s bands (``protection_bands``).
 
 Conventions: omega in rad/s, frequency in Hz, power in per-unit on the grid
 base, angles in radians.  The swing inertia constant (seconds) is named
@@ -479,35 +481,8 @@ class FastSource:
 
 
 # ---------------------------------------------------------------------------
-# State-space groups and nodal boundary
+# T&D circuit: trapezoidal RL branches and the nodal boundary
 # ---------------------------------------------------------------------------
-
-@dataclass
-class StateSpaceGroup:
-    """One solver group: s' = A s + D v, advanced by the trapezoidal rule.
-
-    ``A`` is fixed once the group is built: ``group_step`` keeps the bilinear
-    factors of the last ``dt`` it was given.  ``s`` is a list of floats.
-    """
-
-    name: str
-    A: np.ndarray
-    D: np.ndarray
-    s: list
-    _factors: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.D = np.atleast_2d(np.asarray(self.D, dtype=float))
-        s = np.atleast_1d(np.asarray(self.s, dtype=float))
-        q = s.shape[0]
-        p = self.D.shape[1]
-        checks = [("A", self.A.shape, (q, q)), ("D", self.D.shape, (q, p))]
-        for label, got, want in checks:
-            if got != want:
-                raise ValueError(f"group {self.name!r}: {label} has shape {got}, expected {want}")
-        self.s = s.tolist()
-
 
 @dataclass
 class TdSource:
@@ -519,7 +494,7 @@ class TdSource:
 
 @dataclass
 class TdSystemConfig:
-    """Two-group transmission/distribution circuit solved over a nodal boundary."""
+    """Transmission sources and a distribution feeder solved over a nodal boundary."""
 
     sources: list[TdSource]
     feeder_breaker: str
@@ -532,35 +507,23 @@ class TdSystemConfig:
     power_filter: float = 0.05  # s, lag on the boundary power seen by the machines
 
 
-def group_step(g: StateSpaceGroup, v_in: Sequence[float], dt: float) -> StateSpaceGroup:
-    """Trapezoidal (bilinear) step with the input held over the interval:
-    (I - dt/2 A) s' = (I + dt/2 A) s + dt D v.
+def group_step(hist: Sequence[float], gamma: Sequence[float],
+               u: Sequence[float]) -> list[float]:
+    """New currents of a group of RL branches, each L di/dt = e - r i - u
+    advanced by its trapezoidal companion: ``hist[k] - gamma[k] * u[k]``.
 
-    The LU factors of (I - dt/2 A) are kept until ``dt`` changes, so a step
-    is two float products per state and one substitution.  Replaces ``g.s``
-    with the new state and returns the same group.
+    ``gamma`` is dt / (2 L + dt r) and ``hist`` the history current
+    (1 - a)/(1 + a) i + gamma (2 e - u) at the step's start, with
+    a = dt r / (2 L); ``u`` is the voltage the branch works against at the
+    step's end, as the nodal solve gave it.  This is the bilinear step of
+    di/dt = -(r/L) i + (e - u)/L with u held at the mean of its two values.
     """
-    if len(v_in) != g.D.shape[1]:
-        raise ValueError(f"group {g.name!r}: input has length {len(v_in)}, "
-                         f"expected {g.D.shape[1]}")
-    if g._factors is None or g._factors[0] != dt:
-        eye = np.eye(len(g.s))
-        half = 0.5 * dt * g.A
-        try:
-            lu = _lu_factor((eye - half).tolist())
-        except SingularBoundaryError as exc:
-            raise SingularBoundaryError(
-                f"group {g.name!r}: (I - dt/2 A) is singular at dt={dt}") from exc
-        g._factors = (dt, lu, (eye + half).tolist(), g.D.tolist())
-    _, lu, rhs_rows, d_rows = g._factors
-    s = g.s
-    g.s = _lu_solve(lu, [_dot(r, s) + dt * _dot(d, v_in) for r, d in zip(rhs_rows, d_rows)])
-    return g
+    return [h - g * x for h, g, x in zip(hist, gamma, u, strict=True)]
 
 
 @dataclass
 class NodalBoundary:
-    """Shared-node admittance system Y V = I coupling the solver groups.
+    """Shared-node admittance system Y V = I coupling the circuit's branches.
 
     ``Y`` is fixed once the boundary is built, so ``nodal_solve`` checks its
     conditioning and factors it once; the engine builds a new boundary at

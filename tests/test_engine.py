@@ -252,6 +252,41 @@ def test_td_steady_state_is_exact(variant):
         assert trace.v[1501] != 1.0, name
 
 
+RESTARTS_FROM_SNAPSHOT = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 3(b): a breaker-only rebuild restarts the source "
+                        "currents from the start-up or contingency snapshot, and "
+                        "perfbench/reference.json pins the reports that follow to 1e-9")
+
+
+@pytest.mark.parametrize("variant", [
+    pytest.param(v, marks=RESTARTS_FROM_SNAPSHOT) if v in ("breaker_open_close", "breaker_triple")
+    else v for v in CASE4_VARIANTS])
+def test_td_topology_change_keeps_live_state(variant):
+    run = engine._Run(presets.preset_scenario("case4_td", variant), None)
+    tier = run.tier
+    step, rebuild = tier.step, tier.on_topology_change
+    live = []
+    changes = []
+
+    def stepped(*args):
+        step(*args)
+        live[:] = [list(tier.i_src), tier.v2]
+
+    def rebuilt():
+        i_src, v2 = live
+        rebuild()
+        changes.append(tier.breaker.closed)
+        for i, machine, before in zip(tier.i_src, tier.source_machines, i_src):
+            assert i == (before if machine.connected else 0.0), machine.id
+        assert tier.v2 == v2
+        if not tier.breaker.closed:
+            assert tier.i_f == 0.0
+
+    tier.step, tier.on_topology_change = stepped, rebuilt
+    run.execute()
+    assert changes
+
+
 def test_td_step_runs_without_lapack(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.solve called on the T&D path")

@@ -8,7 +8,7 @@ from cpessim import engine, presets
 from cpessim import physical as phys
 from cpessim.physical import (Breaker, FastSource, FrequencyProtection, Governor,
                               GridModel, Load, LtiPlant, Machine, NodalBoundary,
-                              ProtectionAction, StateSpaceGroup)
+                              ProtectionAction)
 
 WS = 2 * math.pi * 60.0
 
@@ -329,38 +329,39 @@ def test_demand_total_matches_brute_force():
     assert phys.demand_total(grid) == pytest.approx(total, rel=1e-12)
 
 
-# -- state-space groups ------------------------------------------------------------
+# -- RL branch companions -------------------------------------------------------------
+
+def rl_companion(i, r, l, emf, u, dt):
+    """(history current, conductance) of an RL branch's trapezoidal companion,
+    L di/dt = emf - r i - u, at current i and voltage u."""
+    alpha = dt * r / (2 * l)
+    gamma = dt / (2 * l + dt * r)
+    return (1 - alpha) / (1 + alpha) * i + gamma * (2 * emf - u), gamma
+
 
 def test_group_static():
-    g = StateSpaceGroup(name="g", A=np.zeros((2, 2)), D=np.zeros((2, 1)), s=[3.0, 4.0])
-    g2 = phys.group_step(g, [5.0], 0.01)
-    assert np.allclose(g2.s, [3.0, 4.0])
+    # a branch at its DC point stays there
+    r, l, emf, u = 0.05, 0.2, 1.1, 1.0
+    i = (emf - u) / r
+    for _ in range(1000):
+        h, gamma = rl_companion(i, r, l, emf, u, 0.01)
+        [i] = phys.group_step([h], [gamma], [u])
+    assert i == pytest.approx((emf - u) / r, rel=1e-12)
 
 
 def test_group_exponential_decay():
-    g = StateSpaceGroup(name="g", A=[[-1.0]], D=[[0.0]], s=[1.0])
+    i = 1.0
     for _ in range(100):
-        g = phys.group_step(g, [0.0], 0.01)
-    assert g.s[0] == pytest.approx(math.exp(-1.0), abs=1e-4)
-
-
-def test_group_skew_symmetric_preserves_norm():
-    g = StateSpaceGroup(name="g", A=[[0.0, 1.0], [-1.0, 0.0]], D=np.zeros((2, 1)),
-                        s=[1.0, 0.0])
-    norm0 = np.linalg.norm(g.s)
-    for _ in range(1000):
-        prev = np.linalg.norm(g.s)
-        g = phys.group_step(g, [0.0], 0.01)
-        assert abs(np.linalg.norm(g.s) - prev) < 1e-9
-    assert np.linalg.norm(g.s) == pytest.approx(norm0, abs=1e-8)
+        h, gamma = rl_companion(i, 1.0, 1.0, 0.0, 0.0, 0.01)
+        [i] = phys.group_step([h], [gamma], [0.0])
+    assert i == pytest.approx(math.exp(-1.0), abs=1e-4)
 
 
 def test_group_dimension_checks():
     with pytest.raises(ValueError):
-        StateSpaceGroup(name="g", A=np.zeros((2, 2)), D=np.zeros((1, 1)), s=[0.0, 0.0])
-    g = StateSpaceGroup(name="g", A=np.zeros((2, 2)), D=np.zeros((2, 1)), s=[0.0, 0.0])
+        phys.group_step([1.0, 2.0], [0.1], [0.5, 0.5])
     with pytest.raises(ValueError):
-        phys.group_step(g, [1.0, 2.0], 0.01)
+        phys.group_step([1.0], [0.1], [0.5, 0.5])
 
 
 # -- nodal boundary -----------------------------------------------------------------
@@ -516,23 +517,28 @@ def test_swing_divergence_leaves_machine_unchanged():
     assert (m.delta, m.omega, m.gov_power) == before
 
 
-def test_group_step_equals_uncached_bilinear_formula():
+def test_group_step_equals_companion_and_bilinear_formula():
     rng = np.random.default_rng(3)
-    a = rng.normal(size=(3, 3)) - 4.0 * np.eye(3)
-    d = rng.normal(size=(3, 2))
-    g = StateSpaceGroup(name="g", A=a, D=d, s=rng.normal(size=3))
-    eye = np.eye(3)
-    for k, dt in enumerate([0.01, 0.01, 0.002, 0.002, 0.01]):
-        v = [math.sin(k), 1.0]
-        s = g.s
-        rhs = [phys._dot(r, s) + dt * phys._dot(d_row, v)
-               for r, d_row in zip((eye + dt / 2 * a).tolist(), d.tolist())]
-        expected = phys._lu_solve(phys._lu_factor((eye - dt / 2 * a).tolist()), rhs)
-        assert phys.group_step(g, v, dt) is g
-        assert g.s == expected
-        assert g.s is not s
-        lapack = np.linalg.solve(eye - dt / 2 * a, (eye + dt / 2 * a) @ s + dt * (d @ v))
-        assert np.allclose(g.s, lapack, rtol=1e-12, atol=0.0)
+    n = 4
+    r = rng.uniform(0.01, 0.5, n)
+    l = rng.uniform(0.05, 1.0, n)
+    emf = rng.uniform(1.5, 2.5, n)
+    # the branches as one group s' = A s + D [u, 1]
+    a = np.diag(-r / l)
+    d = np.column_stack([-1.0 / l, emf / l])
+    eye = np.eye(n)
+    s = rng.uniform(0.5, 2.0, n).tolist()
+    u = 1.0
+    for k, dt in enumerate([0.01, 0.01, 0.002, 0.002, 0.01, 0.001]):
+        u_new = 1.0 + 0.1 * math.sin(k)
+        hist, gamma = zip(*(rl_companion(i, rk, lk, ek, u, dt) for i, rk, lk, ek
+                            in zip(s, r.tolist(), l.tolist(), emf.tolist())))
+        new = phys.group_step(hist, gamma, [u_new] * n)
+        assert new == [h - g * u_new for h, g in zip(hist, gamma)]
+        bilinear = np.linalg.solve(eye - dt / 2 * a,
+                                   (eye + dt / 2 * a) @ s + dt * (d @ [0.5 * (u + u_new), 1.0]))
+        assert np.allclose(new, bilinear, rtol=1e-12, atol=0.0)
+        s, u = new, u_new
 
 
 def test_lu_solve_matches_numpy():

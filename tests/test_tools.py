@@ -13,8 +13,8 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 PINNED = Path(__file__).with_name("export_hashes.txt")
 
 
-def load_tool(name: str):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+def load_tool(name: str, folder: Path = TOOLS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -126,3 +126,18 @@ def test_ab_time_fails_when_a_trace_moves(tmp_path, capsys):
     code, _, last = ab_time_row(TOOLS.parent / "src", tmp_path, capsys)
     assert code == 1
     assert last == "1 variants differ"
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the traced benchmark run wraps these names before the CLI starts, so a
+    # kernel renamed or deleted here would end every traced run with KeyError
+    tracer = load_tool("tracer", TOOLS.parent / "perfbench")
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _ in tracer.targets() if attr not in vars(owner)]
+    assert missing == []
+    timers = tracer.Tracer()
+    try:
+        timers.install()
+    finally:
+        timers.uninstall()
+    assert tracer.leftover_wrappers() == []
