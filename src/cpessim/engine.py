@@ -12,6 +12,7 @@ network to a scenario never perturbs the physical noise draws.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -31,8 +32,8 @@ from .attacks import (BreakerAttack, ControlDia, DiaCombined, DoS, LoadChange,
 from .metrics import (MetricReport, TimeSeries, control_metrics, cyber_metrics,
                       frequency_stability, voltage_stability)
 from .network import NetworkSim
-from .physical import (GridModel, NodalBoundary, ProtectionAction, demand_total,
-                       disconnect_machine, group_step, lti_step, nodal_solve,
+from .physical import (GridModel, NodalBoundary, demand_total, disconnect_machine,
+                       group_step, lti_step, nodal_solve, protection_changes,
                        protection_check, solve_load_angle, swing_step)
 from .scenario import (Scenario, ScenarioError, build_protection, scenario_hash,
                        td_operating_point)
@@ -80,7 +81,6 @@ class _Run:
         self.attack_samples: list[dict] = []
         self.staged_commands: list[tuple[str, str]] = []  # (asset, action)
         self.n_steps = int(round(sc.horizon / self.dt))
-        self._prev_action = ProtectionAction.NONE
         self._topology_dirty = False
 
         # attack specs by tap
@@ -166,19 +166,18 @@ class _Run:
         step, record, apply_boundary = self.tier.step, self._record, self._apply_boundary
         load_windows = self._apply_load_windows if self.load_attacks else None
         self._apply_load_windows(0.0)
-        record(0.0, demand_total(grid))
+        record(demand_total(grid))
 
         for k in range(n_steps):
             t = k * dt
-            t_next = (k + 1) * dt
             apply_boundary(t)
             if net is not None:
-                net.run_until(t_next)
+                net.run_until((k + 1) * dt)
             if load_windows is not None:
                 load_windows(t)
             demand = demand_total(grid)
             step(t, k, demand)
-            record(t_next, demand)
+            record(demand)
 
         # every trace shares one read-only time axis; columns become contiguous rows
         t_axis = np.arange(n_steps + 1) * dt
@@ -187,6 +186,7 @@ class _Run:
         self._rows = None
         traces = {name: TimeSeries(t=t_axis, v=column, unit=unit, name=name)
                   for name, unit, column in zip(self.trace_names, self.trace_units, columns)}
+        self._log_protection(traces["freq"])
         reports = compute_metrics(sc, traces, self.log)
         risk_report = None
         if sc.risk_inputs is not None:
@@ -219,7 +219,6 @@ class _Run:
             if machine.connected:
                 disconnect_machine(machine)
                 self._topology_dirty = True
-                self.tier.on_disconnect(machine_id)
                 self._log(t, "contingency", machine_id, {"action": "disconnect"})
         if self._topology_dirty:
             self.tier.on_topology_change()
@@ -231,21 +230,24 @@ class _Run:
 
     # -- recording ---------------------------------------------------------------
 
-    def _record(self, t: float, demand: float) -> None:
-        freq = self.tier.frequency()
+    def _record(self, demand: float) -> None:
         rows = self._rows
-        rows.append(freq)
+        rows.append(self.tier.frequency())
         rows.append(demand)
         rows.extend(self.tier.values())
         for b in self.grid.breakers:
             rows.append(1.0 if b.closed else 0.0)
         for load in self._shed_loads:
             rows.append(1.0 if load.shed else 0.0)
-        action = protection_check(freq, self.grid.protection)
-        if action is not self._prev_action:
-            self._log(t, "protection", "grid", {"action": action.value,
-                                                "frequency": freq})
-            self._prev_action = action
+
+    def _log_protection(self, freq: TimeSeries) -> None:
+        """Log each protection band change of the finished trace, in time order."""
+        p = self.grid.protection
+        for k in protection_changes(freq.v, p).tolist():
+            t, f = float(freq.t[k]), float(freq.v[k])
+            entry = {"t": t, "event": "protection", "node": "grid", "packet_id": None,
+                     "detail": {"action": protection_check(f, p).value, "frequency": f}}
+            self.log.insert(bisect.bisect_left(self.log, t, key=lambda e: e["t"]), entry)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +366,6 @@ class _AggregateTier:
             vals.append(self._power(plant))
         return vals
 
-    def on_disconnect(self, machine_id: str) -> None:
-        pass
-
     def on_topology_change(self) -> None:
         pass
 
@@ -405,9 +404,6 @@ class _MultiMachineTier:
     def values(self) -> list[float]:
         return [m.frequency for m in self.grid.machines]
 
-    def on_disconnect(self, machine_id: str) -> None:
-        pass
-
     def on_topology_change(self) -> None:
         pass
 
@@ -421,8 +417,10 @@ class _TdTier(_MultiMachineTier):
     (distribution).  Each step forms every live RL branch's trapezoidal
     history current once, solves the nodal boundary for both bus voltages and
     gives the branches their new currents through ``group_step``.
-    Everything that changes only with the topology (the boundary matrix and
-    the per-branch companion constants) is built in ``_rebuild_companions``.
+    Everything that changes only with the topology (the 2x2 boundary,
+    factored when it is built, and the per-branch companion constants) is
+    built in ``_rebuild_companions``, which restarts the source currents from
+    the snapshot ``on_topology_change`` takes when a source loses its machine.
     """
 
     def __init__(self, grid: GridModel, dt: float):
@@ -469,15 +467,13 @@ class _TdTier(_MultiMachineTier):
             self._feeder = (0.0, 0.0)
         gamma_f = self._feeder[1]
         self._gammas.append(gamma_f)
-        y = np.array([[y11 + gamma_f, -gamma_f], [-gamma_f, y22 + gamma_f]])
-        self.boundary = NodalBoundary(Y=y, I=[0.0, 0.0])
-
-    def on_disconnect(self, machine_id: str) -> None:
-        if any(src.machine == machine_id for src in self.cfg.sources):
-            self._trans_states = [i if machine.connected else 0.0
-                                  for i, machine in zip(self.i_src, self.source_machines)]
+        self.boundary = NodalBoundary(y11 + gamma_f, -gamma_f, -gamma_f, y22 + gamma_f)
 
     def on_topology_change(self) -> None:
+        machines = self.source_machines
+        if any(not machines[idx].connected for idx, _, _, _ in self._live_sources):
+            self._trans_states = [i if machine.connected else 0.0
+                                  for i, machine in zip(self.i_src, machines)]
         if not self.breaker.closed:
             self.i_f = 0.0
         self._rebuild_companions()
@@ -500,8 +496,7 @@ class _TdTier(_MultiMachineTier):
         hist.append(h)
         i1 -= h
         i2 += h
-        self.boundary.I = [i1, i2]
-        self.v1, self.v2 = v1_new, v2_new = nodal_solve(self.boundary)
+        self.v1, self.v2 = v1_new, v2_new = nodal_solve(self.boundary, i1, i2)
         u = [v1_new] * len(self._live_sources) + [v2_new - v1_new]
         *currents, self.i_f = group_step(hist, self._gammas, u)
         for (idx, _, _, _), i_new in zip(self._live_sources, currents):

@@ -12,15 +12,16 @@ Every step kernel (``lti_step``, ``swing_step``, ``group_step``,
 ``nodal_solve``, ``solve_load_angle``, ``demand_total`` and
 ``FastSource.step``) is plain left-to-right arithmetic on Python floats:
 sums accumulate into one local in a fixed order (rows through ``_dot``,
-build-time totals through ``float_sum``), linear systems go through one LU
-factorisation (``_lu_factor``, made once per matrix) and substitution
-(``_lu_solve``).  ``swing_step`` is one RK4 body on locals for every kind of
-governor; ``group_step`` gives RL branch currents from their companion
-history currents and the solved voltages.  No BLAS, LAPACK, fused
-multiply-add or compensated summation touches a step, so the same seed gives
-the same bytes on every host and Python version.  NumPy only checks shapes
-and conditioning and sorts a finished frequency trace into
-``protection_check``'s bands (``protection_bands``).
+build-time totals through ``float_sum``), and the one linear system, the
+2x2 nodal boundary, is factored with partial pivoting when its
+``NodalBoundary`` is built and solved by substitution.  ``swing_step`` is one
+RK4 body on locals for every kind of governor; ``group_step`` gives RL
+branch currents from their companion history currents and the solved
+voltages.  No BLAS, LAPACK, fused multiply-add or compensated summation
+touches a step, so the same seed gives the same bytes on every host and
+Python version.  NumPy only checks shapes and conditioning and sorts a
+finished frequency trace into ``protection_check``'s bands
+(``protection_bands``, ``protection_changes``).
 
 Conventions: omega in rad/s, frequency in Hz, power in per-unit on the grid
 base, angles in radians.  The swing inertia constant (seconds) is named
@@ -155,58 +156,6 @@ def float_sum(values: Iterable[float]) -> float:
     for v in values:
         acc += v
     return acc
-
-
-def _lu_factor(rows: Sequence[Sequence[float]]) -> tuple[list[int], list[list[float]]]:
-    """Doolittle LU of a square matrix with partial pivoting, on floats.
-
-    Returns ``(perm, lu)``: row ``i`` of the factored matrix is row
-    ``perm[i]`` of ``rows``; ``lu`` holds U on and above the diagonal and the
-    multipliers of the unit-diagonal L below it.  The pivot is the first
-    largest |a| in its column; an exactly zero pivot raises
-    ``SingularBoundaryError``.
-    """
-    a = [[float(x) for x in row] for row in rows]
-    n = len(a)
-    perm = list(range(n))
-    for j in range(n):
-        p = max(range(j, n), key=lambda i: abs(a[i][j]))
-        pivot = a[p][j]
-        if pivot == 0.0:
-            raise SingularBoundaryError(f"zero pivot in column {j}")
-        if p != j:
-            a[j], a[p] = a[p], a[j]
-            perm[j], perm[p] = perm[p], perm[j]
-        row_j = a[j]
-        for i in range(j + 1, n):
-            row_i = a[i]
-            f = row_i[j] / pivot
-            row_i[j] = f
-            for c in range(j + 1, n):
-                row_i[c] -= f * row_j[c]
-    return perm, a
-
-
-def _lu_solve(factors: tuple[list[int], list[list[float]]], b: Sequence[float]) -> list[float]:
-    """Solve A x = b from ``_lu_factor(A)``: permute b, then forward
-    substitution through L and back substitution through U, each running
-    left to right in plain float arithmetic."""
-    perm, lu = factors
-    n = len(lu)
-    x = [float(b[p]) for p in perm]
-    for i in range(1, n):
-        row = lu[i]
-        acc = x[i]
-        for j in range(i):
-            acc -= row[j] * x[j]
-        x[i] = acc
-    for i in range(n - 1, -1, -1):
-        row = lu[i]
-        acc = x[i]
-        for j in range(i + 1, n):
-            acc -= row[j] * x[j]
-        x[i] = acc / row[i]
-    return x
 
 
 def lti_step(plant: LtiPlant, noise: float = 0.0) -> tuple[list[float], float]:
@@ -451,6 +400,13 @@ def protection_bands(v: np.ndarray,
             ProtectionAction.UNDERFREQ_TRIP: under, ProtectionAction.OVERFREQ_TRIP: over}
 
 
+def protection_changes(v: np.ndarray, p: FrequencyProtection) -> np.ndarray:
+    """Indices of the samples whose ``protection_check`` band differs from the
+    previous sample's; sample 0 counts when its band is not ``NONE``."""
+    masks = np.array(list(protection_bands(v, p).values()))
+    return np.flatnonzero(np.diff(masks, axis=1, prepend=False).any(axis=0))
+
+
 # ---------------------------------------------------------------------------
 # Fast power sources (battery-style frequency support)
 # ---------------------------------------------------------------------------
@@ -521,52 +477,50 @@ def group_step(hist: Sequence[float], gamma: Sequence[float],
     return [h - g * x for h, g, x in zip(hist, gamma, u, strict=True)]
 
 
-@dataclass
 class NodalBoundary:
-    """Shared-node admittance system Y V = I coupling the circuit's branches.
+    """Nodal equations [[y11, y12], [y21, y22]] [v1, v2] = [i1, i2] of the
+    two boundary buses, which the engine builds anew at every topology change.
 
-    ``Y`` is fixed once the boundary is built, so ``nodal_solve`` checks its
-    conditioning and factors it once; the engine builds a new boundary at
-    every topology change and sets ``I`` (a list or an array) each step.
+    The matrix's conditioning is checked and it is factored once, here: rows
+    swap only when |y21| > |y11| (the first row wins a tie), and the rows in
+    that order, a, give the multiplier ``f = a10 / a00`` and the pivot
+    ``u11 = a11 - f * a01``.  A condition number above ``NODAL_COND_LIMIT``
+    or an exactly zero pivot raises ``SingularBoundaryError``.
     """
 
-    Y: np.ndarray
-    I: np.ndarray
-    _solver: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.Y = np.atleast_2d(np.asarray(self.Y))
-        self.I = np.atleast_1d(np.asarray(self.I))
-        if self.Y.shape[0] != self.Y.shape[1]:
-            raise ValueError(f"Y must be square, got {self.Y.shape}")
-        if self.I.shape[0] != self.Y.shape[0]:
-            raise ValueError(f"I has length {self.I.shape[0]}, expected {self.Y.shape[0]}")
-
-
-def nodal_solve(b: NodalBoundary) -> list[float]:
-    """Solve Y V = I by LU substitution; refuses ill-conditioned systems.
-
-    The first solve with a given ``Y`` object checks its condition number
-    and factors it; the residual check runs on every solve.  The printed
-    form of the coupling equation is ambiguous about orientation; the
-    standard nodal reading Y V = I is used throughout.
-    """
-    if b._solver is None or b._solver[0] is not b.Y:
-        cond = np.linalg.cond(b.Y)
+    def __init__(self, y11: float, y12: float, y21: float, y22: float):
+        self.rows = ((y11, y12), (y21, y22))
+        cond = np.linalg.cond(self.rows)
         if not np.isfinite(cond) or cond > NODAL_COND_LIMIT:
             raise SingularBoundaryError(f"boundary matrix condition estimate {cond:.3e} "
                                         f"exceeds {NODAL_COND_LIMIT:.0e}")
-        rows = b.Y.tolist()
-        b._solver = (b.Y, _lu_factor(rows), rows)
-    _, lu, rows = b._solver
-    I = b.I
-    V = _lu_solve(lu, I)
-    for row, i in zip(rows, I):
-        residual = abs(_dot(row, V) - i)
+        swap = abs(y21) > abs(y11)
+        (a00, a01), (a10, a11) = self.rows[::-1] if swap else self.rows
+        if a00 == 0.0:
+            raise SingularBoundaryError("zero pivot in column 0")
+        f = a10 / a00
+        u11 = a11 - f * a01
+        if u11 == 0.0:
+            raise SingularBoundaryError("zero pivot in column 1")
+        self.factors = (swap, a00, a01, f, u11)
+
+
+def nodal_solve(b: NodalBoundary, i1: float, i2: float) -> tuple[float, float]:
+    """Solve the boundary's Y V = I for (v1, v2) by substitution through its
+    factors; the residual of each row is checked on every solve.  The printed
+    form of the coupling equation is ambiguous about orientation; the
+    standard nodal reading Y V = I is used throughout.
+    """
+    swap, a00, a01, f, u11 = b.factors
+    b0, b1 = (i2, i1) if swap else (i1, i2)
+    v2 = (b1 - f * b0) / u11
+    v1 = (b0 - a01 * v2) / a00
+    for row, i in zip(b.rows, (i1, i2)):
+        residual = abs(_dot(row, (v1, v2)) - i)
         if not residual < NODAL_RESIDUAL_TOL:
             raise SingularBoundaryError(f"nodal residual {residual:.3e} exceeds "
                                         f"{NODAL_RESIDUAL_TOL:.0e}")
-    return V
+    return v1, v2
 
 
 # ---------------------------------------------------------------------------

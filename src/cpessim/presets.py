@@ -21,8 +21,8 @@ PRESET_INFO = {
     "case3_tda": "Islanding microgrid with a polled control network; time-delay "
                  "attack on the load-shed command (variants: delay_0, delay_0_5, "
                  "delay_5, delay_15)",
-    "case4_td": "Two coupled solver groups over a nodal boundary; breaker and "
-                "contingency attacks (variants: breaker_open, breaker_open_close, "
+    "case4_td": "Transmission/distribution RL circuit over a nodal boundary; breaker "
+                "and contingency attacks (variants: breaker_open, breaker_open_close, "
                 "breaker_triple, n1, n11, n2)",
 }
 
@@ -284,8 +284,8 @@ def _case4(variant: str) -> dict:
         "schema_version": 1,
         "meta": {
             "name": f"case4_td_{variant}",
-            "description": f"Integrated transmission/distribution groups; "
-                           f"{variant} disturbance propagating over the boundary",
+            "description": f"T&D RL circuit over a nodal boundary; "
+                           f"{variant} disturbance propagating across it",
             "horizon": 3.5,
             "dt_phys": 0.001,
         },

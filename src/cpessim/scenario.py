@@ -31,9 +31,9 @@ from .attacks import (AttackSpec, AttackWindow, BreakerAttack, ControlDia, DiaCo
 from .network import (DEFAULT_MESSAGE_BYTES, AppConfig, NetLink, NetNode, NodeRole,
                       min_hop_path)
 from .physical import (MAX_SWING_DT, Breaker, FastSource, FrequencyProtection,
-                       Governor, GridModel, Load, LtiPlant, Machine, PlantFieldError,
-                       TdSource, TdSystemConfig, _lu_factor, _lu_solve, apply_contingency,
-                       demand_total, float_sum)
+                       Governor, GridModel, Load, LtiPlant, Machine, NodalBoundary,
+                       PlantFieldError, SingularBoundaryError, TdSource, TdSystemConfig,
+                       apply_contingency, demand_total, float_sum, nodal_solve)
 
 SCHEMA_VERSION = 1
 
@@ -254,10 +254,12 @@ def td_operating_point(cfg: TdSystemConfig, feeder_closed: bool
                                               "the feeder breaker starts open")
     g_f = 1.0 / cfg.feeder_r
     g_src = [1.0 / s.r for s in cfg.sources]
-    y = [[float_sum(g_src) + g_f, -g_f],
-         [-g_f, g_f + cfg.load_conductance]]
-    i = [float_sum(g * s.emf for g, s in zip(g_src, cfg.sources)), 0.0]
-    v1, v2 = _lu_solve(_lu_factor(y), i)
+    i1 = float_sum(g * s.emf for g, s in zip(g_src, cfg.sources))
+    try:
+        v1, v2 = nodal_solve(NodalBoundary(float_sum(g_src) + g_f, -g_f,
+                                           -g_f, g_f + cfg.load_conductance), i1, 0.0)
+    except SingularBoundaryError as exc:
+        raise ScenarioError("grid.td_system", f"no DC operating point: {exc}") from None
     i_src = [g * (s.emf - v1) for g, s in zip(g_src, cfg.sources)]
     i_f = (v1 - v2) / cfg.feeder_r
     if v1 * i_f <= 0:

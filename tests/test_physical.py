@@ -367,41 +367,25 @@ def test_group_dimension_checks():
 # -- nodal boundary -----------------------------------------------------------------
 
 def test_nodal_identity():
-    b = NodalBoundary(Y=np.eye(2), I=[1.0, 2.0])
-    v = phys.nodal_solve(b)
-    assert np.allclose(v, [1.0, 2.0])
+    assert phys.nodal_solve(NodalBoundary(1.0, 0.0, 0.0, 1.0), 1.0, 2.0) == (1.0, 2.0)
 
 
 def test_nodal_two_by_two_hand_case():
-    b = NodalBoundary(Y=[[2.0, -1.0], [-1.0, 2.0]], I=[1.0, 0.0])
-    v = phys.nodal_solve(b)
-    assert abs(v[0] - 2.0 / 3.0) < 1e-12
-    assert abs(v[1] - 1.0 / 3.0) < 1e-12
-
-
-def test_nodal_residual_on_random_diagonally_dominant():
-    rng = np.random.default_rng(5)
-    for n in (10, 50, 200):
-        y = rng.normal(size=(n, n))
-        y = y + y.T
-        y += np.diag(np.sum(np.abs(y), axis=1) + 1.0)
-        i = rng.normal(size=n)
-        b = NodalBoundary(Y=y, I=i)
-        v = phys.nodal_solve(b)
-        assert np.max(np.abs(y @ v - i)) < 1e-9
+    v1, v2 = phys.nodal_solve(NodalBoundary(2.0, -1.0, -1.0, 2.0), 1.0, 0.0)
+    assert abs(v1 - 2.0 / 3.0) < 1e-12
+    assert abs(v2 - 1.0 / 3.0) < 1e-12
 
 
 def test_nodal_rejects_singular():
-    with pytest.raises(phys.SingularBoundaryError):
-        phys.nodal_solve(NodalBoundary(Y=[[1.0, 1.0], [1.0, 1.0]], I=[1.0, 1.0]))
+    with pytest.raises(phys.SingularBoundaryError, match="condition estimate"):
+        NodalBoundary(1.0, 1.0, 1.0, 1.0)
 
 
 def test_nodal_rejects_non_finite_residual():
-    b = NodalBoundary(Y=[[2.0, -1.0], [-1.0, 2.0]], I=[1.0, 0.0])
-    phys.nodal_solve(b)
-    b.I = [math.nan, 0.0]
+    b = NodalBoundary(2.0, -1.0, -1.0, 2.0)
+    phys.nodal_solve(b, 1.0, 0.0)
     with pytest.raises(phys.SingularBoundaryError, match="nodal residual nan"):
-        phys.nodal_solve(b)
+        phys.nodal_solve(b, math.nan, 0.0)
 
 
 # -- protection ---------------------------------------------------------------------
@@ -435,6 +419,27 @@ def test_protection_bands_match_protection_check_per_sample():
         assert named == ([] if phys.protection_check(f, p) is ProtectionAction.NONE
                          else [phys.protection_check(f, p)]), f
     assert all(bands[action].any() for action in bands)
+
+
+def test_protection_changes_are_the_per_sample_transitions():
+    p = FrequencyProtection()
+    edges = [p.underfreq_trip, p.shed_low, p.shed_high, p.overfreq_trip,
+             p.f_nom - p.governor_deadband, p.f_nom + p.governor_deadband, p.f_nom]
+    near = [np.nextafter(f, direction) for f in edges for direction in (-np.inf, np.inf)]
+    special = np.array(edges + near + [math.nan, math.inf, -math.inf])
+    rng = np.random.default_rng(23)
+    traces = [np.full(40, p.f_nom), np.full(40, p.shed_low)]  # constant; off-nominal from 0
+    for _ in range(300):
+        n = int(rng.integers(1, 80))
+        pick = rng.random(n) < 0.5
+        traces.append(np.where(pick, rng.choice(special, n), rng.uniform(57.0, 63.0, n)))
+    for v in traces:
+        actions = [phys.protection_check(f, p) for f in v.tolist()]
+        before = [ProtectionAction.NONE] + actions[:-1]
+        expected = [k for k, (a, b) in enumerate(zip(actions, before)) if a is not b]
+        assert phys.protection_changes(v, p).tolist() == expected
+    assert phys.protection_changes(traces[0], p).tolist() == []
+    assert phys.protection_changes(traces[1], p).tolist() == [0]
 
 
 def test_protection_threshold_ordering_enforced():
@@ -541,38 +546,42 @@ def test_group_step_equals_companion_and_bilinear_formula():
         s, u = new, u_new
 
 
-def test_lu_solve_matches_numpy():
+def test_nodal_solve_matches_numpy():
+    swapped = NodalBoundary(0.0, 1.0, 1.0, 0.0)
+    assert swapped.factors[0] is True
+    assert phys.nodal_solve(swapped, 2.0, 3.0) == (3.0, 2.0)
+    assert NodalBoundary(1.0, 2.0, -1.0, 3.0).factors[0] is False  # a tie keeps row 0
     rng = np.random.default_rng(17)
-    swapped = phys._lu_factor([[0.0, 1.0], [1.0, 0.0]])
-    assert swapped[0] == [1, 0]
-    assert phys._lu_solve(swapped, [2.0, 3.0]) == [3.0, 2.0]
     pivoted = 0
     for _ in range(1000):
-        n = int(rng.integers(2, 7))
-        a = rng.normal(size=(n, n))
-        b = rng.normal(size=n)
-        factors = phys._lu_factor(a.tolist())
-        pivoted += factors[0] != list(range(n))
-        x = phys._lu_solve(factors, b.tolist())
-        assert all(type(xi) is float for xi in x)
-        assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-12, atol=0.0)
-    assert pivoted > 500
-    with pytest.raises(phys.SingularBoundaryError):
-        phys._lu_factor([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(phys.SingularBoundaryError):
-        phys._lu_factor([[0.0, 1.0], [0.0, 2.0]])
+        a = rng.normal(size=(2, 2))
+        i = rng.normal(size=2)
+        b = NodalBoundary(*a.ravel().tolist())
+        pivoted += b.factors[0]
+        v = phys.nodal_solve(b, *i.tolist())
+        assert all(type(x) is float for x in v)
+        assert np.allclose(v, np.linalg.solve(a, i), rtol=1e-12, atol=0.0)
+    assert pivoted > 400
 
 
-def test_nodal_checks_condition_once_per_matrix(monkeypatch):
+@pytest.mark.parametrize("rows, column", [((1.0, 2.0, 2.0, 4.0), 1), ((0.0, 1.0, 0.0, 2.0), 0)])
+def test_nodal_rejects_zero_pivot(rows, column, monkeypatch):
+    with pytest.raises(phys.SingularBoundaryError, match="condition estimate"):
+        NodalBoundary(*rows)
+    monkeypatch.setattr(np.linalg, "cond", lambda y: 1.0)  # the pivot check stands alone
+    with pytest.raises(phys.SingularBoundaryError, match=f"zero pivot in column {column}"):
+        NodalBoundary(*rows)
+
+
+def test_nodal_checks_condition_once_per_boundary(monkeypatch):
     calls = []
     real_cond = np.linalg.cond
     monkeypatch.setattr(np.linalg, "cond", lambda y: calls.append(1) or real_cond(y))
-    b = NodalBoundary(Y=[[2.0, -1.0], [-1.0, 2.0]], I=[1.0, 0.0])
-    for i in range(3):
-        b.I = np.array([1.0, float(i)])
-        assert np.allclose(b.Y @ phys.nodal_solve(b), b.I)
+    y = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    b = NodalBoundary(*y.ravel().tolist())
+    for k in range(3):
+        assert np.allclose(y @ phys.nodal_solve(b, 1.0, float(k)), [1.0, float(k)])
     assert len(calls) == 1
-    b.Y = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(phys.SingularBoundaryError):
-        phys.nodal_solve(b)
+        NodalBoundary(1.0, 1.0, 1.0, 1.0)
     assert len(calls) == 2

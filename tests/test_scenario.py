@@ -271,6 +271,17 @@ def test_td_without_nominal_boundary_transfer_names_field(spoil):
     assert err.value.location == "grid.td_system"
 
 
+@pytest.mark.parametrize("feeder_r, reason", [(1e-14, "condition estimate"),
+                                               (1e-10, "nodal residual")])
+def test_td_dc_point_beyond_the_boundary_checks_names_field(feeder_r, reason):
+    # the DC point goes through the same checked 2x2 solve as every T&D step
+    doc = presets.preset_doc("case4_td", "n1")
+    doc["grid"]["td_system"]["feeder_r"] = feeder_r
+    with pytest.raises(ScenarioError, match=reason) as err:
+        scenario_from_dict(doc)
+    assert err.value.location == "grid.td_system"
+
+
 def test_td_feeder_resistance_must_be_positive():
     doc = presets.preset_doc("case4_td", "n1")
     doc["grid"]["td_system"]["feeder_r"] = 0.0
