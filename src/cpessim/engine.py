@@ -247,6 +247,8 @@ class _Run:
             t, f = float(freq.t[k]), float(freq.v[k])
             entry = {"t": t, "event": "protection", "node": "grid", "packet_id": None,
                      "detail": {"action": protection_check(f, p).value, "frequency": f}}
+            # first among equal t: network events at t are dispatched (run_until is
+            # strict) and boundary events at t logged only after the row at t
             self.log.insert(bisect.bisect_left(self.log, t, key=lambda e: e["t"]), entry)
 
 

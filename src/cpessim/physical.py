@@ -39,7 +39,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 MAX_SWING_DT = 0.010  # s; keep the fixed-step integrator well inside its stability margin
-NODAL_RESIDUAL_TOL = 1e-9
+NODAL_RESIDUAL_TOL = 1e-9  # of |Y||V| + |I|, row by row
 NODAL_COND_LIMIT = 1e12
 _TWO_PI = 2 * math.pi
 
@@ -507,19 +507,19 @@ class NodalBoundary:
 
 def nodal_solve(b: NodalBoundary, i1: float, i2: float) -> tuple[float, float]:
     """Solve the boundary's Y V = I for (v1, v2) by substitution through its
-    factors; the residual of each row is checked on every solve.  The printed
-    form of the coupling equation is ambiguous about orientation; the
-    standard nodal reading Y V = I is used throughout.
-    """
+    factors; each solve checks every row's residual against NODAL_RESIDUAL_TOL
+    of the row's |y1 v1| + |y2 v2| + |i| (a NaN or inf fails).  Y V = I is the
+    standard nodal reading of the paper's ambiguously printed coupling."""
     swap, a00, a01, f, u11 = b.factors
     b0, b1 = (i2, i1) if swap else (i1, i2)
     v2 = (b1 - f * b0) / u11
     v1 = (b0 - a01 * v2) / a00
-    for row, i in zip(b.rows, (i1, i2)):
-        residual = abs(_dot(row, (v1, v2)) - i)
-        if not residual < NODAL_RESIDUAL_TOL:
+    for (y1, y2), i in zip(b.rows, (i1, i2)):
+        yv1, yv2 = y1 * v1, y2 * v2
+        residual, scale = abs(yv1 + yv2 - i), abs(yv1) + abs(yv2) + abs(i)
+        if not residual <= NODAL_RESIDUAL_TOL * scale < math.inf:
             raise SingularBoundaryError(f"nodal residual {residual:.3e} exceeds "
-                                        f"{NODAL_RESIDUAL_TOL:.0e}")
+                                        f"{NODAL_RESIDUAL_TOL:.0e} of {scale:.3e}")
     return v1, v2
 
 

@@ -297,20 +297,6 @@ def test_td_step_runs_without_lapack(monkeypatch):
     assert result.traces["v_pcc"].t[-1] == pytest.approx(sc.horizon)
 
 
-# -- event log ---------------------------------------------------------------------------
-
-VARIANTS = [("case1_dia", "default"), *(("case2_load", v) for v in "abcd"),
-            *(("case3_tda", v) for v in ("delay_0", "delay_0_5", "delay_5", "delay_15")),
-            *(("case4_td", v) for v in CASE4_VARIANTS)]
-
-
-@pytest.mark.parametrize("preset, variant", VARIANTS)
-def test_event_log_is_in_time_order(preset, variant):
-    # protection events are inserted by time after the run, which needs this order
-    times = [e["t"] for e in engine.run(presets.preset_scenario(preset, variant)).event_log]
-    assert times == sorted(times)
-
-
 # -- export ------------------------------------------------------------------------------
 
 @pytest.mark.parametrize("preset, variant", [("case1_dia", None), ("case3_tda", "delay_0")])

@@ -388,6 +388,25 @@ def test_nodal_rejects_non_finite_residual():
         phys.nodal_solve(b, math.nan, 0.0)
 
 
+def test_nodal_residual_is_relative_to_the_row_scale():
+    # a well-conditioned boundary in large units leaves an absolute residual
+    # far above NODAL_RESIDUAL_TOL from rounding alone; the check scales with it
+    y = 1e10 * np.array([[2.0, -1.0], [-1.0, 2.0]]) + np.array([[1.0, 0.0], [0.0, 3.0]])
+    b = NodalBoundary(*y.ravel().tolist())
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for _ in range(200):
+        i = (1e10 * rng.normal(size=2)).tolist()
+        v = phys.nodal_solve(b, *i)
+        assert np.allclose(v, np.linalg.solve(y, i), rtol=1e-9, atol=0.0)
+        worst = max(worst, float(np.max(np.abs(y @ v - i))))
+    assert worst > phys.NODAL_RESIDUAL_TOL
+    swap, a00, a01, f, u11 = b.factors
+    b.factors = (swap, a00, a01, f, u11 * (1.0 + 1e-6))  # a solve off by 1e-6
+    with pytest.raises(phys.SingularBoundaryError, match="nodal residual"):
+        phys.nodal_solve(b, *i)
+
+
 # -- protection ---------------------------------------------------------------------
 
 def test_protection_regions():

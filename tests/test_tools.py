@@ -73,13 +73,26 @@ def digests(lines) -> dict[str, str]:
     return {line[66:]: line[:64] for line in lines}
 
 
-def test_exports_match_pinned_hashes():
+def test_exports_match_pinned_hashes(monkeypatch):
+    run = export_hashes.engine.run
+    unordered = []
+
+    def order_checked_run(sc, seed=None):
+        # protection events are inserted by time after the run, which needs this order
+        result = run(sc, seed=seed)
+        times = [e["t"] for e in result.event_log]
+        if times != sorted(times):
+            unordered.append((sc.name, seed))
+        return result
+
+    monkeypatch.setattr(export_hashes.engine, "run", order_checked_run)
     pinned = digests(PINNED.read_text().splitlines())
     got = digests(export_hashes.export_hashes())
     differing = sorted(path for path in pinned.keys() | got.keys()
                        if pinned.get(path) != got.get(path))
     assert not differing, (f"{len(differing)} exported files differ from {PINNED.name}:\n"
                            + "\n".join(differing))
+    assert unordered == []
 
 
 def test_pinned_hashes_see_one_ulp(monkeypatch):
