@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .physical import GridModel
+from .physical import GridModel, event_schedule
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,8 @@ class ControlDia:
     window: AttackWindow = EMPTY_WINDOW
 
     def __post_init__(self):
-        sched = tuple((float(t), float(v)) for t, v in self.schedule)
+        sched = tuple((t, float(v)) for t, v in event_schedule(self.schedule))
         object.__setattr__(self, "schedule", sched)
-        times = [t for t, _ in sched]
-        if times != sorted(times):
-            raise ValueError("control schedule must be time-sorted")
 
     def delta_u(self, t: float) -> float:
         if not self.window.contains(t):
@@ -150,14 +147,8 @@ class BreakerAttack:
     schedule: tuple[tuple[float, str], ...] = ()
 
     def __post_init__(self):
-        sched = tuple((float(t), a) for t, a in self.schedule)
+        sched = tuple(event_schedule(self.schedule, ("open", "close")))
         object.__setattr__(self, "schedule", sched)
-        times = [t for t, _ in sched]
-        if times != sorted(times):
-            raise ValueError("breaker schedule must be time-sorted")
-        for _, action in sched:
-            if action not in ("open", "close"):
-                raise ValueError(f"unknown breaker action {action!r}")
 
 
 AttackSpec = Union[DiaCombined, ControlDia, LoadChange, TimeDelay, DoS, BreakerAttack]
@@ -202,10 +193,3 @@ def dos_active(spec: DoS, send_time: float) -> bool:
 def link_delay(spec: TimeDelay, send_time: float) -> float:
     """Extra seconds added to an arrival whose send time falls in the window."""
     return spec.delay if spec.window.contains(send_time) else 0.0
-
-
-def apply_breaker_attack(grid: GridModel, spec: BreakerAttack) -> None:
-    """Merge the attack actuations into the breaker's schedule (engine executes them)."""
-    breaker = grid.breaker(spec.breaker)
-    breaker.schedule = sorted(list(breaker.schedule) + list(spec.schedule),
-                              key=lambda e: e[0])

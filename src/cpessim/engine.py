@@ -1,13 +1,13 @@
 """Co-simulation engine: one virtual clock over the physical solver and the
 event-driven network.
 
-Each macro-step of ``dt_phys`` first applies staged boundary mutations
-(commands that arrived during the previous step, scheduled breaker actions,
-contingencies), then dispatches every network event with a timestamp inside
-the step, then advances the physical models.  Commands arriving mid-step
-therefore take effect at the next step boundary.  One RNG stream per
-subsystem is derived from the master seed by fixed labels, so attaching a
-network to a scenario never perturbs the physical noise draws.
+Each macro-step of ``dt_phys`` applies its boundary (commands that arrived
+during the previous step, then the breaker actions, contingencies and
+load-attack window edges resolved to this step when the run was built),
+dispatches every network event with a timestamp inside the step, and advances
+the physical models.  Loads change only at a boundary, where the total demand
+is summed.  One RNG stream per subsystem is derived from the master seed by
+fixed labels, so attaching a network never perturbs the physical noise draws.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import os
 import tempfile
 from array import array
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -27,8 +28,7 @@ import numpy as np
 from . import __version__
 from . import risk as risk_mod
 from .attacks import (BreakerAttack, ControlDia, DiaCombined, DoS, LoadChange,
-                      TimeDelay, apply_breaker_attack, apply_control_dia,
-                      apply_dia, apply_load_change)
+                      TimeDelay, apply_control_dia, apply_dia, apply_load_change)
 from .metrics import (MetricReport, TimeSeries, control_metrics, cyber_metrics,
                       frequency_stability, voltage_stability)
 from .network import NetworkSim
@@ -37,8 +37,6 @@ from .physical import (GridModel, NodalBoundary, demand_total, disconnect_machin
                        protection_check, solve_load_angle, swing_step)
 from .scenario import (Scenario, ScenarioError, build_protection, scenario_hash,
                        td_operating_point)
-
-_TIME_EPS = 1e-12
 
 
 def rng_for(seed: int, label: str) -> np.random.Generator:
@@ -83,19 +81,8 @@ class _Run:
         self.n_steps = int(round(sc.horizon / self.dt))
         self._topology_dirty = False
 
-        # attack specs by tap
         self.load_attacks = [a for a in sc.attacks if isinstance(a, LoadChange)]
-        link_specs = [replace(spec, tap=spec.tap.partition(":")[2])
-                      for spec in sc.attacks if isinstance(spec, (DoS, TimeDelay))]
-        for spec in sc.attacks:
-            if isinstance(spec, BreakerAttack):
-                apply_breaker_attack(self.grid, spec)
-
-        # pending boundary events
-        self.pending_breaker = sorted(
-            [(t, b.id, action) for b in self.grid.breakers for t, action in b.schedule],
-            key=lambda e: e[0])
-        self.pending_contingency = list(self.grid.contingencies)
+        self.schedule = self._boundary_schedule()
 
         # network wiring
         self.net: Optional[NetworkSim] = None
@@ -103,13 +90,15 @@ class _Run:
             cfg = sc.network
             self.net = NetworkSim(cfg.nodes, cfg.links, rng=rng_for(self.seed, "net"),
                                   message_bytes=cfg.message_bytes)
-            self.net.attach_attacks(link_specs)
+            self.net.attach_attacks([replace(spec, tap=spec.tap.partition(":")[2]) for spec
+                                     in sc.attacks if isinstance(spec, (DoS, TimeDelay))])
             self.net.command_sink = lambda asset, action, _t: self.staged_commands.append(
                 (asset, action))
             self.log = self.net.log  # one shared chronological log
             self.net.start_polling(cfg.poll_period, cfg.poll_start)
             for cmd in cfg.commands:  # scenario load ensures a master sends them
-                self._schedule_command(cmd["t"], cmd["asset"], cmd["action"])
+                self.net.events.push(cmd["t"], partial(self.net.send_command, cmd["asset"],
+                                                       cmd["action"], now=cmd["t"]))
 
         # physical tier
         if self.grid.td_system is not None:
@@ -136,16 +125,12 @@ class _Run:
 
     # -- grid/network glue ----------------------------------------------------
 
-    def _schedule_command(self, t: float, asset: str, action: str) -> None:
-        self.net.events.push(t, lambda: self.net.send_command(asset, action, now=t))
-
     def _apply_command(self, asset: str, action: str, t: float) -> None:
-        if action in ("shed", "unshed"):  # scenario load ensures a shed load is sheddable
-            self.grid.load(asset).shed = action == "shed"
-        elif action in ("open_breaker", "close_breaker"):
+        if action in ("open_breaker", "close_breaker"):
             self._set_breaker(self.grid.breaker(asset), action == "close_breaker", t)
-            return
-        self._log(t, "command_applied", asset, {"action": action})
+        else:  # shed or unshed; scenario load ensures a shed load is sheddable
+            self.grid.load(asset).shed = action == "shed"
+            self._log(t, "command_applied", asset, {"action": action})
 
     def _set_breaker(self, breaker, closed: bool, t: float) -> None:
         if breaker.closed == closed:
@@ -154,9 +139,42 @@ class _Run:
         self._topology_dirty = True
         self._log(t, "breaker", breaker.id, {"action": "close" if closed else "open"})
 
+    def _disconnect(self, machine, t: float) -> None:
+        if machine.connected:
+            disconnect_machine(machine)
+            self._topology_dirty = True
+            self._log(t, "contingency", machine.id, {"action": "disconnect"})
+
     def _log(self, t: float, event: str, node: str, detail: dict) -> None:
         self.log.append({"t": t, "event": event, "node": node,
                          "packet_id": None, "detail": detail})
+
+    def _boundary_schedule(self) -> dict[int, list]:
+        """Step index -> the scheduled actions due at it, called with its time:
+        breaker actions in time order (at equal t, breakers in grid order, each
+        one's own schedule before the ``breaker`` attacks on it, in list order),
+        contingencies in time order, then all load attacks again if a window
+        edge falls in the step.  An action or contingency at t fires at the
+        first k with t <= k*dt + 1e-12, a window edge at the first k with edge <= k*dt."""
+        grid, dt, steps = self.grid, self.dt, range(self.n_steps)
+        timed = sorted([(t, partial(self._set_breaker, b, action == "close"))
+                        for b in grid.breakers
+                        for sched in [b.schedule, *(a.schedule for a in self.sc.attacks if
+                                                    isinstance(a, BreakerAttack) and
+                                                    a.breaker == b.id)]
+                        for t, action in sched], key=lambda e: e[0])
+        timed += sorted([(t, partial(self._disconnect, grid.machine(machine_id)))
+                         for t, machine_id in grid.contingencies], key=lambda e: e[0])
+        schedule: dict[int, list] = {}
+        for t, action in timed:
+            k = bisect.bisect_left(steps, t, key=lambda k: k * dt + 1e-12)
+            schedule.setdefault(k, []).append(action)
+        edges = {bisect.bisect_left(steps, edge, key=lambda k: k * dt)
+                 for spec in self.load_attacks for iv in spec.window.intervals for edge in iv}
+        for k in edges - {0}:  # the load attacks hold at t = 0 from the start
+            schedule.setdefault(k, []).append(self._apply_load_attacks)
+        schedule.pop(self.n_steps, None)  # due at no step of the run
+        return schedule
 
     # -- main loop ------------------------------------------------------------
 
@@ -164,18 +182,18 @@ class _Run:
         sc = self.sc
         n_steps, dt, grid, net = self.n_steps, self.dt, self.grid, self.net
         step, record, apply_boundary = self.tier.step, self._record, self._apply_boundary
-        load_windows = self._apply_load_windows if self.load_attacks else None
-        self._apply_load_windows(0.0)
-        record(demand_total(grid))
+        schedule, staged = self.schedule, self.staged_commands
+        self._apply_load_attacks(0.0)
+        demand = demand_total(grid)
+        record(demand)
 
         for k in range(n_steps):
             t = k * dt
-            apply_boundary(t)
+            if k in schedule or staged:
+                apply_boundary(t, schedule.get(k, ()))
+                demand = demand_total(grid)
             if net is not None:
                 net.run_until((k + 1) * dt)
-            if load_windows is not None:
-                load_windows(t)
-            demand = demand_total(grid)
             step(t, k, demand)
             record(demand)
 
@@ -206,25 +224,17 @@ class _Run:
                          metric_reports=reports, risk_report=risk_report,
                          manifest=manifest)
 
-    def _apply_boundary(self, t: float) -> None:
+    def _apply_boundary(self, t: float, actions) -> None:
         for asset, action in self.staged_commands:
             self._apply_command(asset, action, t)
         self.staged_commands.clear()
-        while self.pending_breaker and self.pending_breaker[0][0] <= t + _TIME_EPS:
-            _, breaker_id, action = self.pending_breaker.pop(0)
-            self._set_breaker(self.grid.breaker(breaker_id), action == "close", t)
-        while self.pending_contingency and self.pending_contingency[0][0] <= t + _TIME_EPS:
-            _, machine_id = self.pending_contingency.pop(0)
-            machine = self.grid.machine(machine_id)
-            if machine.connected:
-                disconnect_machine(machine)
-                self._topology_dirty = True
-                self._log(t, "contingency", machine_id, {"action": "disconnect"})
+        for action in actions:
+            action(t)
         if self._topology_dirty:
             self.tier.on_topology_change()
             self._topology_dirty = False
 
-    def _apply_load_windows(self, t: float) -> None:
+    def _apply_load_attacks(self, t: float) -> None:
         for spec in self.load_attacks:
             apply_load_change(self.grid, t, spec)
 
@@ -270,20 +280,19 @@ class _AggregateTier:
         self.rng_phys = rng_for(seed, "phys.noise")
         self.rng_attack = rng_for(seed, "attack")
         self.attack_samples = attack_samples
-        meas_attacks = {spec.tap.partition(":")[2]: spec
-                        for spec in sc.attacks if isinstance(spec, DiaCombined)}
-        ctrl_attacks = {spec.tap.partition(":")[2]: spec
-                        for spec in sc.attacks if isinstance(spec, ControlDia)}
+        # scenario load gives each tap at most one attack, of its layer's type
+        attacks = {spec.tap: spec for spec in sc.attacks
+                   if isinstance(spec, (DiaCombined, ControlDia))}
         # (plant, measurement-tap attack, control-tap attack, and the taps their
         # samples are logged under) per control loop
-        self.loops = [(plant, meas_attacks.get(plant.name), ctrl_attacks.get(plant.name),
-                       f"meas:{plant.name}", f"ctrl:{plant.name}") for plant in grid.plants]
+        self.loops = [(plant, attacks.get(f"meas:{plant.name}"),
+                       attacks.get(f"ctrl:{plant.name}"), f"meas:{plant.name}",
+                       f"ctrl:{plant.name}") for plant in grid.plants]
         # last sensed value per plant; before the first sample, the true output
         self._meas = [self._signal(plant) for plant in grid.plants]
-        self.pcc = grid.pcc
-
-    def _pinned(self) -> bool:
-        return self.pcc is not None and self.pcc.closed
+        self.fast_sources = [(fs, math.exp(-dt / fs.time_constant) if fs.time_constant > 0
+                              else 0.0) for fs in grid.fast_sources]
+        self.on_topology_change()
 
     @staticmethod
     def _signal(plant) -> float:
@@ -325,11 +334,11 @@ class _AggregateTier:
         p_inject = 0.0
         for plant in grid.plants:
             p_inject += self._power(plant)
-        pinned = self._pinned()
+        pinned = self.pinned
         f_now = grid.f_nom if pinned else machine.frequency
         p_fast = 0.0
-        for fs in grid.fast_sources:
-            p_fast += fs.step(f_now, grid.f_nom, self.dt)
+        for fs, decay in self.fast_sources:
+            p_fast += fs.step(f_now, grid.f_nom, decay)
         if pinned:
             machine.omega = machine.omega_sync
             machine.gov_power = 0.0
@@ -339,7 +348,7 @@ class _AggregateTier:
         self._advance_plants(t)
 
     def frequency(self) -> float:
-        return self.grid.f_nom if self._pinned() else self.grid.machines[0].frequency
+        return self.grid.f_nom if self.pinned else self.grid.machines[0].frequency
 
     def columns(self) -> list[tuple[str, str]]:
         cols = [("p_gen", "pu")]
@@ -369,7 +378,8 @@ class _AggregateTier:
         return vals
 
     def on_topology_change(self) -> None:
-        pass
+        pcc = self.grid.pcc  # a closed PCC pins the frequency to f_nom
+        self.pinned = pcc is not None and pcc.closed
 
 
 class _MultiMachineTier:

@@ -211,6 +211,7 @@ class Machine:
     gov_power: float = 0.0          # governor actuator output, pu
     damping: float = 0.0            # optional damping torque coefficient, pu
     connected: bool = True
+    coupling: float = field(init=False)  # peak transfer Vs*Vr/X to the bus; 0 if disconnected
 
     def __post_init__(self):
         if self.inertia_const <= 0:
@@ -219,6 +220,7 @@ class Machine:
             raise ValueError(f"machine {self.id!r}: reactance must be > 0")
         if self.omega_sync <= 0:
             raise ValueError(f"machine {self.id!r}: omega_sync must be > 0")
+        self.coupling = self.v_internal * self.v_recv / self.reactance if self.connected else 0.0
 
     @property
     def f_nom(self) -> float:
@@ -227,13 +229,6 @@ class Machine:
     @property
     def frequency(self) -> float:
         return self.omega / (2 * math.pi)
-
-    @property
-    def coupling(self) -> float:
-        """Peak transfer power Vs*Vr/X toward the common bus; 0 when disconnected."""
-        if not self.connected:
-            return 0.0
-        return self.v_internal * self.v_recv / self.reactance
 
 
 def swing_step(machine: Machine, p_elec: float, dt: float, step_index=None) -> Machine:
@@ -338,13 +333,20 @@ class Breaker:
     schedule: list = field(default_factory=list)  # [(time_s, "open"|"close"), ...]
 
     def __post_init__(self):
-        self.schedule = [(float(t), action) for t, action in self.schedule]
-        times = [t for t, _ in self.schedule]
-        if times != sorted(times):
-            raise ValueError(f"breaker {self.id!r}: schedule must be time-sorted")
-        for _, action in self.schedule:
-            if action not in ("open", "close"):
-                raise ValueError(f"breaker {self.id!r}: unknown action {action!r}")
+        self.schedule = event_schedule(self.schedule, ("open", "close"))
+
+
+def event_schedule(schedule, actions=None) -> list[tuple[float, object]]:
+    """``(t, value)`` pairs at finite float times, in time order (an event at
+    NaN or infinity would never fire); each value one of ``actions`` if given."""
+    sched = [(float(t), value) for t, value in schedule]
+    times = [t for t, _ in sched]
+    if not all(map(math.isfinite, times)) or times != sorted(times):
+        raise ValueError(f"event times must be finite and sorted, got {times}")
+    for _, value in sched:
+        if actions is not None and value not in actions:
+            raise ValueError(f"unknown action {value!r}; expected one of {actions}")
+    return sched
 
 
 class ProtectionAction(Enum):
@@ -421,7 +423,8 @@ class FastSource:
     time_constant: float = 0.02  # s
     power: float = 0.0          # current output, pu
 
-    def step(self, f: float, f_nom: float, dt: float) -> float:
+    def step(self, f: float, f_nom: float, decay: float) -> float:
+        """One step toward the capped droop target; ``decay`` is exp(-dt/time_constant)."""
         cap = self.max_power
         target = self.gain * (f_nom - f)  # min(max(target, -cap), cap), sans calls
         if target < -cap:
@@ -431,8 +434,7 @@ class FastSource:
         if self.time_constant <= 0:
             self.power = target
         else:
-            a = math.exp(-dt / self.time_constant)
-            self.power = target + (self.power - target) * a
+            self.power = target + (self.power - target) * decay
         return self.power
 
 
@@ -572,20 +574,10 @@ def demand_total(grid: GridModel) -> float:
     return acc + grid.p_loss
 
 
-def apply_contingency(grid: GridModel, events: Sequence[tuple[float, str]]) -> None:
-    """Register machine-disconnect events; executed by the engine at step boundaries.
-
-    Disconnects are permanent within a run: the machine's mechanical power and
-    electrical coupling are zeroed at the event time and never restored.
-    """
-    for t, machine_id in events:
-        grid.machine(machine_id)  # raises KeyError for unknown ids at scenario load
-        grid.contingencies.append((float(t), machine_id))
-    grid.contingencies.sort(key=lambda e: e[0])
-
-
 def disconnect_machine(machine: Machine) -> None:
+    """A contingency: the machine's power and coupling are 0 for the rest of the run."""
     machine.connected = False
+    machine.coupling = 0.0
     machine.p_mech = 0.0
     machine.gov_power = 0.0
     machine.governor = None

@@ -33,7 +33,7 @@ from .network import (DEFAULT_MESSAGE_BYTES, AppConfig, NetLink, NetNode, NodeRo
 from .physical import (MAX_SWING_DT, Breaker, FastSource, FrequencyProtection,
                        Governor, GridModel, Load, LtiPlant, Machine, NodalBoundary,
                        PlantFieldError, SingularBoundaryError, TdSource, TdSystemConfig,
-                       apply_contingency, demand_total, float_sum, nodal_solve)
+                       demand_total, event_schedule, float_sum, nodal_solve)
 
 SCHEMA_VERSION = 1
 
@@ -185,7 +185,8 @@ def build_grid(grid_doc: dict) -> GridModel:
     loads = section("loads", lambda loc, raw: _read(
         Load, raw, loc, "id demand:base_demand sheddable", base_demand=to_pu))
     fast_sources = section("fast_sources", fast_source)
-    breakers = section("breakers", lambda loc, raw: _read(Breaker, raw, loc, "id closed schedule"))
+    breakers = section("breakers", lambda loc, raw: _read(Breaker, raw, loc, "id closed schedule",
+                                                          schedule=event_schedule))
     plants = [_read(LtiPlant, raw, f"grid.plants[{i}]", "name G B C control_matrix noise_std "
                     "x0:x u0:u operating_point power_base power_gain", name=f"plant{i}")
               for i, raw in enumerate(_value(grid_doc, "grid", "plants", "list", []))]
@@ -206,10 +207,10 @@ def build_grid(grid_doc: dict) -> GridModel:
 
     def contingency(loc, raw):
         _check_keys(raw, loc, "t machine")
-        return (_value(raw, loc, "t", "float"),
+        return (_value(raw, loc, "t", "float", convert=_finite),
                 _value(raw, loc, "machine", "str", convert=lambda m: grid.machine(m).id))
 
-    apply_contingency(grid, section("contingencies", contingency))
+    grid.contingencies = section("contingencies", contingency)
     grid.pcc = _value(grid_doc, "grid", "pcc_breaker", "str", None, grid.breaker)
     if td_cfg is not None:
         balance_slack(grid, demand_total(grid) + td_cfg.dist_demand)
@@ -345,7 +346,7 @@ def _parse_attack(loc: str, raw: dict, grid: GridModel) -> AttackSpec:
     return _tagged(_ATTACKS, "type", loc, raw, window=AttackWindow,
                    noise=lambda noise: _tagged(_NOISES, "kind", f"{loc}.noise", noise),
                    targets=lambda ids: [grid.load(i).id for i in ids],
-                   breaker=lambda b: grid.breaker(b).id)
+                   breaker=lambda b: grid.breaker(b).id, schedule=event_schedule)
 
 
 def _tagged(table: dict, tag: str, loc: str, raw: dict, **parsed):
@@ -425,20 +426,21 @@ def _check_network(net: NetworkConfig, grid: GridModel) -> None:
 
 def _check_taps(attacks, grid: GridModel, network: Optional[NetworkConfig]) -> None:
     link_ids = {l.id for l in network.links} if network else set()
-    plant_names = {p.name for p in grid.plants}
+    plant_taps = set()
     for i, spec in enumerate(attacks):
-        loc = f"attacks[{i}]"
+        loc = f"attacks[{i}].tap"
         if isinstance(spec, (DiaCombined, ControlDia)):
-            layer, _, channel = spec.tap.partition(":")
-            if layer not in ("meas", "ctrl") or channel not in plant_names:
-                raise ScenarioError(f"{loc}.tap",
-                                    f"tap {spec.tap!r} does not resolve to a plant channel "
-                                    f"(expected meas:<plant> or ctrl:<plant>)")
+            layer = "meas" if isinstance(spec, DiaCombined) else "ctrl"
+            if spec.tap not in {f"{layer}:{p.name}" for p in grid.plants}:
+                raise ScenarioError(loc, f"tap {spec.tap!r} does not resolve to a plant "
+                                         f"channel (expected {layer}:<plant>)")
+            if spec.tap in plant_taps:
+                raise ScenarioError(loc, f"second attack on tap {spec.tap!r}")
+            plant_taps.add(spec.tap)
         elif isinstance(spec, (TimeDelay, DoS)):
             layer, _, link_id = spec.tap.partition(":")
             if layer != "link" or link_id not in link_ids:
-                raise ScenarioError(f"{loc}.tap",
-                                    f"tap {spec.tap!r} does not resolve to a network link")
+                raise ScenarioError(loc, f"tap {spec.tap!r} does not resolve to a network link")
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +621,12 @@ def _positive(value):
 def _non_negative(value):
     if not value >= 0:
         raise ValueError(f"must be >= 0, got {value}")
+    return value
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):  # an event at NaN or infinity would never fire
+        raise ValueError(f"must be finite, got {value}")
     return value
 
 

@@ -201,28 +201,16 @@ def test_dos_window():
     assert not atk.dos_active(empty, 1.5)
 
 
-def test_breaker_attack_merges_schedule():
-    grid = grid_with_loads(10.0)
-    grid.breakers[0].schedule = [(0.5, "close")]
-    spec = BreakerAttack(breaker="pcc",
-                         schedule=((1.5, "open"), (1.75, "close"), (2.0, "open")))
-    atk.apply_breaker_attack(grid, spec)
-    assert grid.breakers[0].schedule == [(0.5, "close"), (1.5, "open"),
-                                         (1.75, "close"), (2.0, "open")]
-
-
-def test_breaker_attack_unknown_breaker():
-    grid = grid_with_loads(10.0)
-    spec = BreakerAttack(breaker="nope", schedule=((1.0, "open"),))
-    with pytest.raises(KeyError):
-        atk.apply_breaker_attack(grid, spec)
-
-
 def test_breaker_attack_schedule_validation():
     with pytest.raises(ValueError):
         BreakerAttack(breaker="b", schedule=((2.0, "open"), (1.0, "close")))
     with pytest.raises(ValueError):
         BreakerAttack(breaker="b", schedule=((1.0, "toggle"),))
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            BreakerAttack(breaker="b", schedule=((t, "open"),))
+        with pytest.raises(ValueError):
+            ControlDia(tap="ctrl:p", schedule=((t, 0.1),))
 
 
 # -- identity-outside-window properties ----------------------------------------------

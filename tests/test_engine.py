@@ -1,9 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from cpessim import cli, engine, presets
+from cpessim.attacks import apply_load_change
+from cpessim.physical import demand_total
 from cpessim.scenario import ScenarioError, scenario_from_dict
 
 
@@ -61,8 +64,9 @@ def test_trace_columns_are_fixed_when_the_run_is_built(preset, variant):
 
 
 @pytest.mark.parametrize("preset, variant", [("case2_load", "a"), ("case4_td", "n11")])
-def test_demand_total_runs_once_per_recorded_row(preset, variant, monkeypatch):
-    sc = short(preset, variant)
+def test_demand_total_runs_once_per_boundary(preset, variant, monkeypatch):
+    # case2 a: the window edges at 4.0 s and 4.5 s; case4 n11: contingencies at 1.5 s and 1.6 s
+    sc = presets.preset_scenario(preset, variant)
     calls = []
     real_demand_total = engine.demand_total
 
@@ -72,8 +76,10 @@ def test_demand_total_runs_once_per_recorded_row(preset, variant, monkeypatch):
 
     monkeypatch.setattr(engine, "demand_total", counted)
     run = engine._Run(sc, None)
-    run.execute()
-    assert len(calls) == run.n_steps + 1
+    assert len(run.schedule) == 2
+    result = run.execute()
+    assert len(calls) == 1 + len(run.schedule)  # the first row, then each boundary
+    assert result.traces["demand_total"].v.size == run.n_steps + 1
 
 
 def test_unnamed_plants_each_inject_their_own_base_power():
@@ -91,6 +97,18 @@ def test_unnamed_plants_each_inject_their_own_base_power():
     assert traces["plant1_power"].v[0] == 0.07
     # the machine carries the demand the two plants leave
     assert traces["p_gen"].v[0] == 0.5 - (0.05 + 0.07)
+
+
+def test_dia_and_control_dia_attack_their_own_taps():
+    doc = presets.preset_doc("case1_dia")
+    doc["meta"]["horizon"] = 0.01
+    doc["attacks"][0]["window"] = [[0.0, 1.0]]
+    doc["attacks"].append({"type": "control_dia", "tap": "ctrl:pv_loop",
+                           "schedule": [[0.0, 0.3]], "window": [[0.005, 1.0]]})
+    samples = engine.run(scenario_from_dict(doc)).attack_samples
+    assert {s["tap"] for s in samples if s["t"] < 0.005} == {"meas:pv_loop"}
+    assert {s["tap"] for s in samples if s["t"] >= 0.005} == {"meas:pv_loop", "ctrl:pv_loop"}
+    assert {s["delta"][0] for s in samples if s["tap"] == "ctrl:pv_loop"} == {0.3}
 
 
 def test_metric_requests_pass_only_their_own_options(monkeypatch):
@@ -120,6 +138,129 @@ def test_metric_on_unknown_trace_fails_before_the_run():
     with pytest.raises(ScenarioError) as err:
         engine._Run(sc, None)
     assert err.value.location == f"metrics[{len(doc['metrics']) - 1}].trace"
+
+
+# -- boundary schedule -------------------------------------------------------------
+
+def boundary_doc():
+    """Three machines, a sheddable load ``l1`` the network's master can shed,
+    a load ``l2``, and breakers ``b1`` (closed) and ``b2`` (open), on 1 ms steps."""
+    return {
+        "schema_version": 1,
+        "meta": {"name": "boundary", "horizon": 0.004, "dt_phys": 0.001},
+        "grid": {
+            "machines": [{"id": g, "inertia_const": 4.0, "p_mech": 0.1}
+                         for g in ("g1", "g2", "g3")],
+            "loads": [{"id": "l1", "demand": 0.1, "sheddable": True},
+                      {"id": "l2", "demand": 0.1}],
+            "breakers": [{"id": "b1"}, {"id": "b2", "closed": False}],
+        },
+        "network": {
+            "nodes": [{"id": "master", "app": {"kind": "master"}},
+                      {"id": "out_l1", "app": {"kind": "outstation", "asset": "l1"}}],
+            "links": [{"id": "link", "a": "master", "b": "out_l1", "bandwidth_mbps": 100.0,
+                       "prop_delay_ms": 0.1}],
+            "poll_period": 0.0,
+        },
+        "attacks": [], "metrics": [], "seed": 1,
+    }
+
+
+def boundary_events(result):
+    return [(e["t"], e["event"], e["node"], e["detail"]["action"]) for e in result.event_log
+            if e["event"] in ("command_applied", "breaker", "contingency")]
+
+
+def test_one_boundary_applies_every_kind_of_event_in_order(monkeypatch):
+    doc = boundary_doc()
+    grid = doc["grid"]
+    # the shed command arrives at 1.32 ms, so it is staged for the 2 ms boundary
+    doc["network"]["commands"] = [{"t": 0.0012, "asset": "l1", "action": "shed"}]
+    grid["breakers"][0]["schedule"] = [[0.002, "open"]]
+    grid["breakers"][1]["schedule"] = [[0.0015, "close"]]
+    grid["contingencies"] = [{"t": 0.002, "machine": "g3"}, {"t": 0.0012, "machine": "g2"}]
+    doc["attacks"] = [{"type": "breaker", "breaker": "b1", "schedule": [[0.002, "close"]]},
+                      {"type": "load_change", "targets": ["l2"], "delta": 0.5,
+                       "window": [[0.0015, 0.003]]}]
+    run = engine._Run(scenario_from_dict(doc), None)
+    assert sorted(run.schedule) == [2, 3]  # the window's end is the only event at 3 ms
+    rebuilds = []
+    rebuild = run.tier.on_topology_change
+    monkeypatch.setattr(run.tier, "on_topology_change",
+                        lambda: rebuilds.append(run.grid.breaker("b1").closed) or rebuild())
+    result = run.execute()
+    assert boundary_events(result) == [
+        (0.002, "command_applied", "l1", "shed"),
+        (0.002, "breaker", "b2", "close"),  # 1.5 ms: before b1's actions at 2 ms
+        (0.002, "breaker", "b1", "open"),  # a breaker's own schedule before its attacks
+        (0.002, "breaker", "b1", "close"),
+        (0.002, "contingency", "g2", "disconnect"),  # time order, not list order
+        (0.002, "contingency", "g3", "disconnect"),
+    ]
+    assert rebuilds == [True]  # one rebuild, after every event of the boundary
+    # l1 shed and l2 at +50% from the 2 ms boundary, l2 back at 3 ms
+    assert result.traces["demand_total"].v.tolist() == [0.2, 0.2, 0.2, 0.1 + 0.05, 0.1]
+
+
+@pytest.mark.parametrize("t, fired_at", [
+    (-1.0, 0.0), (0.002, 0.002), (0.002 + 5e-13, 0.002), (0.002 + 2e-12, 0.003),
+    (0.0039999, None), (0.004, None), (5.0, None)])
+def test_boundary_event_fires_at_the_first_step_it_is_due(t, fired_at):
+    # the run has steps 0-3 (0 to 3 ms); an event due at no step never fires
+    for kind in ("breaker", "contingency"):
+        doc = boundary_doc()
+        if kind == "breaker":
+            doc["grid"]["breakers"][0]["schedule"] = [[t, "open"]]
+        else:
+            doc["grid"]["contingencies"] = [{"t": t, "machine": "g3"}]
+        result = engine.run(scenario_from_dict(doc))
+        fired = [time for time, event, _, _ in boundary_events(result) if event == kind]
+        assert fired == ([] if fired_at is None else [fired_at]), kind
+
+
+def test_breaker_attack_merges_with_the_breaker_schedule():
+    doc = boundary_doc()
+    doc["grid"]["breakers"][1]["schedule"] = [[0.0005, "close"], [0.002, "close"]]
+    doc["attacks"] = [{"type": "breaker", "breaker": "b2",
+                       "schedule": [[0.001, "open"], [0.002, "open"], [0.003, "close"]]}]
+    result = engine.run(scenario_from_dict(doc))
+    assert [(t, action) for t, _, _, action in boundary_events(result)] == [
+        (0.001, "close"), (0.001, "open"), (0.002, "close"), (0.002, "open"),
+        (0.003, "close")]
+    # at 2 ms the attack's open comes after the breaker's own close
+    assert result.traces["breaker_b2"].v.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+
+
+def test_contingencies_fire_in_time_order_whatever_their_list_order():
+    doc = presets.preset_doc("case4_td", "n11")
+    doc["grid"]["contingencies"].reverse()
+    reversed_run = engine.run(scenario_from_dict(doc))
+    n11 = engine.run(presets.preset_scenario("case4_td", "n11"))
+    assert [(t, node) for t, event, node, _ in boundary_events(reversed_run)] \
+        == [(1.5, "g2"), (1.6, "g3")]
+    assert fingerprint(reversed_run)[:4] == fingerprint(n11)[:4]
+
+
+def test_overlapping_load_changes_follow_a_per_step_reference():
+    doc = boundary_doc()
+    doc["meta"]["horizon"] = 0.008
+    specs = [{"type": "load_change", "targets": ["l2"], "delta": 0.5,
+              "window": [[0.0015, 0.004]]},
+             {"type": "load_change", "targets": ["l2", "l1"], "delta": -0.05,
+              "fraction": False, "window": [[0.001, 0.002], [0.003, math.inf]]}]
+    traces = []
+    for order in (specs, specs[::-1]):
+        sc = scenario_from_dict(dict(doc, attacks=order))
+        # the reference: every load attack, in list order, before every recorded row
+        grid = sc.build_grid()
+        expected = []
+        for t in [0.0] + [k * sc.dt_phys for k in range(8)]:
+            for spec in sc.attacks:
+                apply_load_change(grid, t, spec)
+            expected.append(demand_total(grid))
+        traces.append(engine.run(sc).traces["demand_total"].v.tolist())
+        assert traces[-1] == expected
+    assert traces[0] != traces[1]  # the last spec on a load sets it
 
 
 # -- case-study outcomes ------------------------------------------------------------

@@ -468,19 +468,6 @@ def test_protection_threshold_ordering_enforced():
 
 # -- contingencies and breakers -------------------------------------------------------
 
-def test_apply_contingency_unknown_machine():
-    grid = GridModel(machines=[machine()])
-    with pytest.raises(KeyError):
-        phys.apply_contingency(grid, [(1.5, "nope")])
-
-
-def test_apply_contingency_registers_sorted():
-    grid = GridModel(machines=[Machine(id="a", inertia_const=5, p_mech=0.1),
-                               Machine(id="b", inertia_const=5, p_mech=0.1)])
-    phys.apply_contingency(grid, [(1.6, "b"), (1.5, "a")])
-    assert grid.contingencies == [(1.5, "a"), (1.6, "b")]
-
-
 def test_disconnect_zeroes_machine():
     m = machine(pm=0.7)
     m.governor = Governor(gain=1.0)
@@ -495,6 +482,13 @@ def test_breaker_schedule_must_be_sorted():
         Breaker(id="b", schedule=[(2.0, "open"), (1.0, "close")])
     with pytest.raises(ValueError):
         Breaker(id="b", schedule=[(1.0, "flip")])
+    with pytest.raises(ValueError):
+        Breaker(id="b", schedule=[(math.nan, "open")])
+
+
+def test_machine_coupling_is_set_when_built():
+    assert machine(reactance=0.25, v_internal=1.1).coupling == 1.1 * 1.0 / 0.25
+    assert Machine(id="off", inertia_const=5, connected=False).coupling == 0.0
 
 
 # -- load-bus balance ------------------------------------------------------------------
@@ -516,11 +510,13 @@ def test_solve_load_angle_rejects_excess_demand():
 
 def test_fast_source_caps_and_lags():
     fs = FastSource(id="b", gain=1.0, max_power=0.1, time_constant=0.0)
-    assert fs.step(59.0, 60.0, 1e-3) == pytest.approx(0.1)
-    assert fs.step(61.0, 60.0, 1e-3) == pytest.approx(-0.1)
+    assert fs.step(59.0, 60.0, 0.0) == pytest.approx(0.1)
+    assert fs.step(61.0, 60.0, 0.0) == pytest.approx(-0.1)
     lagged = FastSource(id="b2", gain=1.0, max_power=1.0, time_constant=0.05)
-    first = lagged.step(59.0, 60.0, 1e-3)
+    decay = math.exp(-1e-3 / 0.05)  # the lag's factor over one 1 ms step
+    first = lagged.step(59.0, 60.0, decay)
     assert 0 < first < 1.0
+    assert first == 1.0 + (0.0 - 1.0) * decay
 
 
 # -- in-place kernels ----------------------------------------------------------------

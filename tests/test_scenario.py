@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -464,6 +465,26 @@ PRIORITIES = {"people_health_safety": 4, "uninterrupted_operation": 3,
      "network.commands[0].value"),
     ("case3_tda", "delay_0", _set(["network", "commands", 1, "asset"], "critical"),
      "network.commands[1].asset"),
+    # an event time must be finite: at NaN or infinity the event would never fire
+    ("case4_td", "n1", _set(["grid", "contingencies", 0, "t"], math.nan),
+     "grid.contingencies[0].t"),
+    ("case4_td", "n1", _set(["grid", "breakers", 0, "schedule"], [[math.inf, "open"]]),
+     "grid.breakers[0].schedule"),
+    ("case4_td", "breaker_open", _set(["attacks", 0, "schedule"], [[math.nan, "open"]]),
+     "attacks[0].schedule"),
+    ("case1_dia", None, _append(["attacks"], {"type": "control_dia", "tap": "ctrl:pv_loop",
+                                              "schedule": [[-math.inf, 0.1]]}),
+     "attacks[1].schedule"),
+    # a plant tap's layer fits its attack, and each tap takes one attack
+    ("case1_dia", None, _set(["attacks", 0, "tap"], "ctrl:pv_loop"), "attacks[0].tap"),
+    ("case1_dia", None, _append(["attacks"], {"type": "control_dia", "tap": "meas:pv_loop"}),
+     "attacks[1].tap"),
+    ("case1_dia", None, _append(["attacks"], {"type": "dia", "tap": "meas:pv_loop"}),
+     "attacks[1].tap"),
+    # unknown ids of boundary events
+    ("case4_td", "n1", _set(["grid", "contingencies", 0, "machine"], "nope"),
+     "grid.contingencies[0].machine"),
+    ("case4_td", "breaker_open", _set(["attacks", 0, "breaker"], "nope"), "attacks[0].breaker"),
 ], ids=lambda case: None if callable(case) or case is None else str(case))
 def test_malformed_field_names_its_path(preset, variant, mutate, location):
     doc = presets.preset_doc(preset, variant)

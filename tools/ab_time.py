@@ -31,7 +31,8 @@ from pathlib import Path
 CHANGE_SRC = Path(__file__).resolve().parents[1] / "src"
 DEFAULT_VARIANTS = ("case1_dia/default", "case2_load/a", "case2_load/d",
                     "case3_tda/delay_0", "case3_tda/delay_15",
-                    "case4_td/breaker_open_close", "case4_td/n11")
+                    "case4_td/breaker_open_close", "case4_td/breaker_triple",
+                    "case4_td/n11", "case4_td/n2")
 
 
 def load_package(src: Path, alias: str):
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
                         help="the changed checkout's src directory (default: this checkout's)")
     parser.add_argument("--repeats", type=int, default=9, help="runs per variant and side")
     parser.add_argument("--variant", action="append", metavar="PRESET/VARIANT",
-                        help="variant to time, repeatable (default: seven across the four cases)")
+                        help="variant to time, repeatable (default: nine across the four cases)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
