@@ -69,7 +69,7 @@ Noise = Union[None, GaussianNoise, SinusoidNoise]
 class DiaCombined:
     """Measurement-tap attack: y_a = beta * y + W inside the window."""
 
-    tap: str                    # measurement channel, e.g. "plant:pv_loop"
+    tap: str                    # measurement channel, e.g. "meas:pv_loop"
     beta: float = 1.0
     noise: Noise = None
     window: AttackWindow = EMPTY_WINDOW
@@ -127,7 +127,7 @@ class TimeDelay:
     window: AttackWindow = EMPTY_WINDOW
 
     def __post_init__(self):
-        if self.delay < 0:
+        if not self.delay >= 0:
             raise ValueError("delay must be >= 0")
 
 
@@ -174,22 +174,12 @@ def apply_control_dia(u: float, t: float, spec: ControlDia) -> tuple[float, floa
 
 
 def apply_load_change(grid: GridModel, t: float, spec: LoadChange) -> None:
-    """Set or clear the demand offset on every target load for time t."""
-    active = spec.window.contains(t)
+    """Add the spec's demand offset to every target load if its window holds t.
+
+    Offsets of overlapping specs add up; the caller zeroes every attacked
+    load's offset before it applies the specs for a new time."""
+    if not spec.window.contains(t):
+        return
     for target in spec.targets:
         load = grid.load(target)  # KeyError at scenario load for unknown ids
-        if not active:
-            load.delta_demand = 0.0
-        elif spec.fraction:
-            load.delta_demand = load.base_demand * spec.delta
-        else:
-            load.delta_demand = spec.delta
-
-
-def dos_active(spec: DoS, send_time: float) -> bool:
-    return spec.window.contains(send_time)
-
-
-def link_delay(spec: TimeDelay, send_time: float) -> float:
-    """Extra seconds added to an arrival whose send time falls in the window."""
-    return spec.delay if spec.window.contains(send_time) else 0.0
+        load.delta_demand += load.base_demand * spec.delta if spec.fraction else spec.delta

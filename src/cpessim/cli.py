@@ -161,10 +161,10 @@ def _cmd_threat(args) -> int:
 def _cmd_metrics(args) -> int:
     run_dir = Path(args.run_dir)
     sc = scenario_from_dict(read_json(run_dir / "scenario.json"))
-    traces = {}
-    for path in sorted((run_dir / "traces").glob("*.csv")):
-        series = TimeSeries.from_csv(path.read_text())
-        traces[series.name] = series
+    # only the traces the requests name; a missing one fails as an input error
+    traces = {name: TimeSeries.from_csv((run_dir / "traces" / f"{name}.csv").read_text())
+              for name in sorted({req["trace"] for req in sc.metrics_requested
+                                  if req["kind"] != "cyber"})}
     events = json.loads((run_dir / "events.json").read_text())["events"]
     reports = engine.compute_metrics(sc, traces, events)
     doc = {"scenario": sc.name, "metrics": [r.to_dict() for r in reports]}

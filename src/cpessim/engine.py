@@ -82,6 +82,8 @@ class _Run:
         self._topology_dirty = False
 
         self.load_attacks = [a for a in sc.attacks if isinstance(a, LoadChange)]
+        self._attacked_loads = list({target: self.grid.load(target) for spec in
+                                     self.load_attacks for target in spec.targets}.values())
         self.schedule = self._boundary_schedule()
 
         # network wiring
@@ -235,6 +237,10 @@ class _Run:
             self._topology_dirty = False
 
     def _apply_load_attacks(self, t: float) -> None:
+        """Every attacked load's offset at t: the sum of its active specs' offsets,
+        added in list order."""
+        for load in self._attacked_loads:
+            load.delta_demand = 0.0
         for spec in self.load_attacks:
             apply_load_change(self.grid, t, spec)
 
@@ -541,11 +547,7 @@ def compute_metrics(sc: Scenario, traces: dict[str, TimeSeries],
         if kind == "cyber":
             reports.append(_cyber_report(sc, event_log))
             continue
-        trace_name = req["trace"]
-        if trace_name not in traces:
-            raise ScenarioError("metrics", f"trace {trace_name!r} not produced by this "
-                                           f"scenario (have {sorted(traces)})")
-        series = traces[trace_name]
+        series = traces[req["trace"]]  # a run checks its requests when it is built
         # the request's own options only: metrics.py holds every default
         options = {k: v for k, v in req.items() if k not in ("kind", "trace")}
         if kind == "frequency_stability":

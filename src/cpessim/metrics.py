@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .physical import FrequencyProtection, protection_bands
 
-DEFAULT_SS_FRACTION = 0.1       # steady state estimated over the trace tail
+SS_FRACTION = 0.1               # steady state estimated over this share of the tail
+RISE_LO, RISE_HI = 0.1, 0.9     # the rise runs between these shares of the final value
 DEFAULT_VOLT_LIMITS = (0.95, 1.05)
 
 
@@ -81,9 +82,9 @@ class MetricReport:
                 "intervals": {k: [list(iv) for iv in v] for k, v in self.intervals.items()}}
 
 
-def steady_state(s: TimeSeries, fraction: float = DEFAULT_SS_FRACTION) -> float:
-    """Mean of the final fraction of samples."""
-    n = max(1, int(round(len(s.v) * fraction)))
+def steady_state(s: TimeSeries) -> float:
+    """Mean of the final ``SS_FRACTION`` of the samples."""
+    n = max(1, int(round(len(s.v) * SS_FRACTION)))
     return float(np.mean(s.v[-n:]))
 
 
@@ -101,10 +102,10 @@ def _first_crossing(t: np.ndarray, v: np.ndarray, level: float) -> Optional[floa
     return float(t0 + (level - v0) * (t1 - t0) / (v1 - v0))
 
 
-def final_value(s: TimeSeries, fraction: float = DEFAULT_SS_FRACTION) -> float:
+def final_value(s: TimeSeries) -> float:
     """Estimate of the value the trace converges to.
 
-    The tail is cut into three windows of `fraction` of the samples each,
+    The tail is cut into three windows of `SS_FRACTION` of the samples each,
     with means m0, m1, m2.  If they still converge geometrically, the
     asymptote m2 + d2*r/(1-r) (Aitken's delta-squared, d1 = m1-m0,
     d2 = m2-m1, r = d2/d1) is returned; it is exact for a first-order tail.
@@ -114,8 +115,8 @@ def final_value(s: TimeSeries, fraction: float = DEFAULT_SS_FRACTION) -> float:
     of a window mean, with the sample noise estimated from the first
     differences of the three windows.
     """
-    tail_mean = steady_state(s, fraction)
-    n = max(1, int(round(len(s.v) * fraction)))
+    tail_mean = steady_state(s)
+    n = max(1, int(round(len(s.v) * SS_FRACTION)))
     if len(s.v) < 3 * n:
         return tail_mean
     tail = s.v[-3 * n:]
@@ -130,9 +131,8 @@ def final_value(s: TimeSeries, fraction: float = DEFAULT_SS_FRACTION) -> float:
     return m2 + d2 * r / (1.0 - r)
 
 
-def rise_time(s: TimeSeries, lo_pct: float = 0.1, hi_pct: float = 0.9,
-              ss_fraction: float = DEFAULT_SS_FRACTION) -> Optional[float]:
-    """Duration of the rise from lo_pct to hi_pct of the final value.
+def rise_time(s: TimeSeries) -> Optional[float]:
+    """Duration of the rise from ``RISE_LO`` to ``RISE_HI`` of the final value.
 
     The final value is `final_value`: the extrapolated asymptote when the
     tail still converges geometrically, else the mean of the tail.  The 90%
@@ -145,16 +145,14 @@ def rise_time(s: TimeSeries, lo_pct: float = 0.1, hi_pct: float = 0.9,
     Returns 0.0 when the trace already sits at its final value, and None
     (not reached) when the signal never rises through the thresholds.
     """
-    if not 0 < lo_pct < hi_pct < 1:
-        raise ValueError("need 0 < lo_pct < hi_pct < 1")
-    ss = final_value(s, ss_fraction)
+    ss = final_value(s)
     band = 0.02 * abs(ss) if ss != 0 else 1e-12
     if np.all(np.abs(s.v - ss) <= band):
         return 0.0
-    hi_level = hi_pct * ss
+    hi_level = RISE_HI * ss
     if s.v[0] >= hi_level:
         return None  # starts above the target band: there is no rise to measure
-    t_lo = _first_crossing(s.t, s.v, lo_pct * ss)
+    t_lo = _first_crossing(s.t, s.v, RISE_LO * ss)
     t_hi = _first_crossing(s.t, s.v, hi_level)
     if t_lo is None or t_hi is None:
         return None
@@ -167,10 +165,9 @@ def percent_overshoot(s: TimeSeries, step_value: float) -> float:
     return max(0.0, 100.0 * (float(np.max(s.v)) - step_value) / step_value)
 
 
-def settling_time(s: TimeSeries, band_pct: float = 0.02,
-                  ss_fraction: float = DEFAULT_SS_FRACTION) -> float:
+def settling_time(s: TimeSeries, band_pct: float = 0.02) -> float:
     """Time of the last sample outside the +-band around the steady state."""
-    ss = steady_state(s, ss_fraction)
+    ss = steady_state(s)
     band = band_pct * abs(ss) if ss != 0 else band_pct
     outside = np.nonzero(np.abs(s.v - ss) > band)[0]
     if len(outside) == 0:
@@ -178,9 +175,8 @@ def settling_time(s: TimeSeries, band_pct: float = 0.02,
     return float(s.t[outside[-1]])
 
 
-def steady_state_error(s: TimeSeries, command: float,
-                       ss_fraction: float = DEFAULT_SS_FRACTION) -> float:
-    return command - steady_state(s, ss_fraction)
+def steady_state_error(s: TimeSeries, command: float) -> float:
+    return command - steady_state(s)
 
 
 def iae(s: TimeSeries, reference) -> float:
@@ -249,16 +245,14 @@ def control_metrics(s: TimeSeries, command: float,
                 "iae": iae(s, command)})
 
 
-def cyber_metrics(event_log: Sequence[dict],
-                  horizon: Optional[float] = None,
-                  baselines: Optional[dict] = None,
-                  flow_links: Optional[dict] = None,
-                  bandwidths: Optional[dict] = None) -> MetricReport:
-    """Aggregate the network event log.
+def cyber_metrics(event_log: Sequence[dict], horizon: float, baselines: dict,
+                  flow_links: dict, bandwidths: dict) -> MetricReport:
+    """Aggregate the network event log over ``horizon`` seconds.
 
     ``baselines`` maps "src->dst" to the deterministic path delay used for the
     delayed-packet count; ``flow_links`` maps the same keys to link-id lists
-    and ``bandwidths`` maps link ids to bit rates for channel utilization.
+    and ``bandwidths`` maps link ids to bit rates for channel utilization.  A
+    run without a network passes the three maps empty.
     """
     deliveries = [e for e in event_log if e["event"] == "deliver"]
     sends = [e for e in event_log if e["event"] == "send"]
@@ -280,23 +274,17 @@ def cyber_metrics(event_log: Sequence[dict],
 
     packets_delayed = 0
     eps = 1e-12
-    if baselines:
-        for e in deliveries:
-            key = f"{e['detail']['src']}->{e['detail']['dst']}"
-            base = baselines.get(key)
-            if base is not None and e["detail"]["delay"] > base + eps:
-                packets_delayed += 1
-
-    utilization = {}
-    if flow_links and bandwidths and horizon:
-        bits_per_link: dict[str, float] = {}
-        for e in deliveries:
-            key = f"{e['detail']['src']}->{e['detail']['dst']}"
-            bits = size_bits.get(e["packet_id"], 0.0)
-            for link_id in flow_links.get(key, ()):
-                bits_per_link[link_id] = bits_per_link.get(link_id, 0.0) + bits
-        utilization = {link_id: bits / (bandwidths[link_id] * horizon)
-                       for link_id, bits in sorted(bits_per_link.items())}
+    bits_per_link: dict[str, float] = {}
+    for e in deliveries:
+        key = f"{e['detail']['src']}->{e['detail']['dst']}"
+        base = baselines.get(key)
+        if base is not None and e["detail"]["delay"] > base + eps:
+            packets_delayed += 1
+        bits = size_bits.get(e["packet_id"], 0.0)
+        for link_id in flow_links.get(key, ()):
+            bits_per_link[link_id] = bits_per_link.get(link_id, 0.0) + bits
+    utilization = {link_id: bits / (bandwidths[link_id] * horizon)
+                   for link_id, bits in sorted(bits_per_link.items())}
 
     sent_n, delivered_n, dropped_n = len(sends), len(deliveries), len(drops)
     values = {
@@ -309,9 +297,9 @@ def cyber_metrics(event_log: Sequence[dict],
         "per_flow_jitter": per_flow_jitter,
         "packet_error_rate": dropped_n / sent_n if sent_n else 0.0,
         "packets_delayed": packets_delayed,
-        "throughput_bps": (sum(size_bits.get(e["packet_id"], 0.0) for e in deliveries)
-                           / horizon if horizon else 0.0),
+        "throughput_bps": sum(size_bits.get(e["packet_id"], 0.0) for e in deliveries)
+                          / horizon,
         "channel_utilization": utilization,
-        "hop_counts": {key: len(links) for key, links in sorted((flow_links or {}).items())},
+        "hop_counts": {key: len(links) for key, links in sorted(flow_links.items())},
     }
     return MetricReport(kind="cyber", trace="event_log", values=values)

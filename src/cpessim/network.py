@@ -21,10 +21,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .attacks import DoS, TimeDelay, dos_active, link_delay
+from .attacks import DoS, TimeDelay
 
 DEFAULT_MESSAGE_BYTES = 292
-DEFAULT_QUEUE_CAPACITY = 64
+QUEUE_CAPACITY = 64  # packets waiting per link direction; one more drops
 
 
 class NodeRole(Enum):
@@ -67,7 +67,6 @@ class NetLink:
     prop_delay: float = 0.0     # s
     jitter: float = 0.0         # uniform +/- jitter, s (0 disables)
     loss_rate: float = 0.0
-    queue_capacity: int = DEFAULT_QUEUE_CAPACITY
 
     def __post_init__(self):
         if self.bandwidth <= 0:
@@ -96,13 +95,6 @@ class Packet:
             raise ValueError("packet size must be > 0")
 
 
-@dataclass
-class FifoQueue:
-    capacity: int
-    occupancy: int = 0
-    drops: int = 0
-
-
 class EventQueue:
     """Time-ordered pending events; ties break by insertion sequence."""
 
@@ -112,7 +104,7 @@ class EventQueue:
         self.now = 0.0
 
     def push(self, t: float, fn: Callable[[], None]) -> None:
-        if t < self.now - 1e-9:
+        if not t >= self.now - 1e-9:  # NaN too: it would never dispatch
             raise ValueError(f"cannot schedule event at {t} before now={self.now}")
         heapq.heappush(self._heap, (max(t, self.now), next(self._seq), fn))
 
@@ -174,7 +166,7 @@ class NetworkSim:
         self._packet_ids = itertools.count(1)
         self._link_by_pair: dict[tuple[str, str], NetLink] = {}
         self._adjacency: dict[str, list[str]] = {n: [] for n in self.nodes}
-        self._queues: dict[tuple[str, str], FifoQueue] = {}
+        self._queued: dict[tuple[str, str], int] = {}  # packets waiting, per direction
         self._busy_until: dict[tuple[str, str], float] = {}
         self._dos: dict[str, list[DoS]] = {}
         self._delays: dict[str, list[TimeDelay]] = {}
@@ -191,7 +183,7 @@ class NetworkSim:
             self._adjacency[link.a].append(link.b)
             self._adjacency[link.b].append(link.a)
             for direction in (pair, pair[::-1]):
-                self._queues[direction] = FifoQueue(capacity=link.queue_capacity)
+                self._queued[direction] = 0
                 self._busy_until[direction] = 0.0
         for nb_list in self._adjacency.values():
             nb_list.sort()
@@ -232,11 +224,10 @@ class NetworkSim:
     # -- packet pipeline ----------------------------------------------------
 
     def send_packet(self, src: str, dst: str, kind: PacketKind, payload=None,
-                    now: Optional[float] = None, size: Optional[int] = None) -> Packet:
+                    now: Optional[float] = None) -> Packet:
         t = self.events.now if now is None else now
-        pkt = Packet(id=next(self._packet_ids), src=src, dst=dst,
-                     size=size or self.message_bytes, created_at=t, kind=kind,
-                     payload=payload)
+        pkt = Packet(id=next(self._packet_ids), src=src, dst=dst, size=self.message_bytes,
+                     created_at=t, kind=kind, payload=payload)
         path = self.route(src, dst)
         self._log(t, "send", src, pkt.id,
                   {"kind": kind.value, "dst": dst, "size": pkt.size})
@@ -252,23 +243,21 @@ class NetworkSim:
         direction = (a, b)
 
         for spec in self._dos.get(link.id, ()):
-            if dos_active(spec, now):
+            if spec.window.contains(now):
                 self._drop(pkt, link.id, now, "dos")
                 return
         if link.loss_rate > 0 and self.rng.random() < link.loss_rate:
             self._drop(pkt, link.id, now, "loss")
             return
 
-        queue = self._queues[direction]
         busy = self._busy_until[direction]
         if now < busy:
-            if queue.occupancy >= queue.capacity:
-                queue.drops += 1
+            if self._queued[direction] >= QUEUE_CAPACITY:
                 self._drop(pkt, link.id, now, "queue_full")
                 return
-            queue.occupancy += 1
+            self._queued[direction] += 1
             start_tx = busy
-            self.events.push(start_tx, lambda: self._start_tx(queue))
+            self.events.push(start_tx, lambda: self._start_tx(direction))
         else:
             start_tx = now
         tx_end = start_tx + link.tx_time(pkt.size)
@@ -279,7 +268,8 @@ class NetworkSim:
             arrival += self.rng.uniform(-link.jitter, link.jitter)
             arrival = max(arrival, tx_end)
         for spec in self._delays.get(link.id, ()):
-            arrival += link_delay(spec, now)
+            if spec.window.contains(now):  # sent inside the window: arrives late
+                arrival += spec.delay
 
         if hop + 1 == len(path) - 1:
             self.events.push(arrival, lambda: self._deliver(pkt, path[-1], arrival))
@@ -287,9 +277,8 @@ class NetworkSim:
             forward_at = arrival + self.nodes[b].processing_delay
             self.events.push(forward_at, lambda: self._hop(pkt, path, hop + 1, forward_at))
 
-    @staticmethod
-    def _start_tx(queue: FifoQueue) -> None:
-        queue.occupancy -= 1
+    def _start_tx(self, direction: tuple[str, str]) -> None:
+        self._queued[direction] -= 1
 
     def _drop(self, pkt: Packet, link_id: str, now: float, reason: str) -> None:
         self._log(now, "drop", link_id, pkt.id,

@@ -20,8 +20,9 @@ branch currents from their companion history currents and the solved
 voltages.  No BLAS, LAPACK, fused multiply-add or compensated summation
 touches a step, so the same seed gives the same bytes on every host and
 Python version.  NumPy only checks shapes and conditioning and sorts a
-finished frequency trace into ``protection_check``'s bands
-(``protection_bands``, ``protection_changes``).
+finished frequency trace into the protection bands.  Their precedence is
+written once, in ``protection_bands``; ``protection_check`` and
+``protection_changes`` read it from there.
 
 Conventions: omega in rad/s, frequency in Hz, power in per-unit on the grid
 base, angles in radians.  The swing inertia constant (seconds) is named
@@ -376,23 +377,19 @@ class FrequencyProtection:
 
 
 def protection_check(f: float, p: FrequencyProtection) -> ProtectionAction:
-    """Classify a frequency sample; precedence trips > shed band > governor band."""
-    if f >= p.overfreq_trip:
-        return ProtectionAction.OVERFREQ_TRIP
-    if f <= p.underfreq_trip:
-        return ProtectionAction.UNDERFREQ_TRIP
-    if p.shed_low <= f <= p.shed_high:
-        return ProtectionAction.LOAD_SHED
-    if abs(f - p.f_nom) > p.governor_deadband:
-        return ProtectionAction.GOVERNOR
+    """The band ``protection_bands`` puts one frequency sample in, or ``NONE``."""
+    for action, mask in protection_bands(np.array([f]), p).items():
+        if mask[0]:
+            return action
     return ProtectionAction.NONE
 
 
 def protection_bands(v: np.ndarray,
                      p: FrequencyProtection) -> dict[ProtectionAction, np.ndarray]:
-    """Per-sample masks of the bands ``protection_check`` names, taken in its
-    precedence: trips, then the shed band, then the governor band.  A sample
-    in none of them (NaN included) is ``NONE``."""
+    """Per-sample masks of the protection bands.  This is the one place their
+    precedence is written: trips, then the shed band, then the governor band,
+    so each sample is in at most one band.  A sample in none of them (NaN
+    included) is ``NONE``."""
     over = v >= p.overfreq_trip
     under = (v <= p.underfreq_trip) & ~over
     taken = over | under
@@ -403,8 +400,8 @@ def protection_bands(v: np.ndarray,
 
 
 def protection_changes(v: np.ndarray, p: FrequencyProtection) -> np.ndarray:
-    """Indices of the samples whose ``protection_check`` band differs from the
-    previous sample's; sample 0 counts when its band is not ``NONE``."""
+    """Indices of the samples whose band differs from the previous sample's;
+    sample 0 counts when its band is not ``NONE``."""
     masks = np.array(list(protection_bands(v, p).values()))
     return np.flatnonzero(np.diff(masks, axis=1, prepend=False).any(axis=0))
 

@@ -208,7 +208,12 @@ def build_grid(grid_doc: dict) -> GridModel:
     def contingency(loc, raw):
         _check_keys(raw, loc, "t machine")
         return (_value(raw, loc, "t", "float", convert=_finite),
-                _value(raw, loc, "machine", "str", convert=lambda m: grid.machine(m).id))
+                _value(raw, loc, "machine", "str", convert=contingency_machine))
+
+    def contingency_machine(machine_id):
+        if len(machines) == 1:  # the aggregate tier would swing on without generation
+            raise ValueError(f"the grid's only machine {machine_id!r} cannot be disconnected")
+        return grid.machine(machine_id).id
 
     grid.contingencies = section("contingencies", contingency)
     grid.pcc = _value(grid_doc, "grid", "pcc_breaker", "str", None, grid.breaker)
@@ -576,6 +581,8 @@ def _value(doc: dict, loc: str, key: str, typ: Optional[str], default=_REQUIRED,
             raise ScenarioError(where, f"must be {what}, got {value!r}")
         if typ == "float":
             value = float(value)
+            if math.isnan(value):  # JSON's NaN; infinity stays, e.g. an unbounded cap
+                raise ScenarioError(where, "must be a number, got NaN")
     if convert is None:
         return value
     try:

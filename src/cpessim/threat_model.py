@@ -141,30 +141,15 @@ ATTACK_FIELDS = {
 def validate(tm: ThreatModel) -> list[str]:
     """Check a threat model; returns a list of violations (empty when ok).
 
-    Rules: every attribute set is non-empty, all members belong to the right
-    enum, and an invasive or semi-invasive physical premise requires the
-    adversary to hold possession-level access.
+    The one rule: an invasive or semi-invasive physical premise requires the
+    adversary to hold possession-level access.  ``scenario.parse_threat``
+    already rejects an empty attribute set or a foreign member at load.
     """
-    violations = []
-    for fname, enum_cls in ADVERSARY_FIELDS.items():
-        violations += _check_set(f"adversary.{fname}", getattr(tm.adversary, fname), enum_cls)
-    for fname, enum_cls in ATTACK_FIELDS.items():
-        violations += _check_set(f"attack.{fname}", getattr(tm.attack, fname), enum_cls)
-
     intrusive = {Premise.PHYSICAL_INVASIVE, Premise.PHYSICAL_SEMI_INVASIVE}
     if intrusive & set(tm.attack.premise) and Access.POSSESSION not in tm.adversary.access:
-        violations.append("invasive requires possession: attack.premise includes an "
-                          "invasive/semi-invasive physical premise but adversary.access "
-                          "does not include possession")
-    return violations
-
-
-def _check_set(label: str, values, enum_cls) -> list[str]:
-    if not values:
-        return [f"empty attribute set: {label}"]
-    bad = [v for v in values if not isinstance(v, enum_cls)]
-    if bad:
-        return [f"invalid member in {label}: {bad!r}"]
+        return ["invasive requires possession: attack.premise includes an "
+                "invasive/semi-invasive physical premise but adversary.access "
+                "does not include possession"]
     return []
 
 

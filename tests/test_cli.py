@@ -79,6 +79,20 @@ def test_metrics_on_exported_run_equals_run_report(tmp_path, capsys):
         json.dumps(run_report["metrics"], sort_keys=True)
 
 
+def test_metrics_reads_only_the_requested_traces(tmp_path, capsys):
+    path = write_doc(tmp_path / "sc.json", short_doc("case1_dia", horizon=0.5))
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out), "--json"]) == cli.EXIT_OK
+    run_report = json.loads(capsys.readouterr().out)
+    (out / "traces" / "p_gen.csv").write_text("not a trace")  # no metric reads p_gen
+    assert cli.main(["metrics", str(out), "--json"]) == cli.EXIT_OK
+    read_back = json.loads(capsys.readouterr().out)
+    assert json.dumps(read_back["metrics"]) == json.dumps(run_report["metrics"])
+    (out / "traces" / "freq.csv").unlink()  # a requested trace is missing
+    assert cli.main(["metrics", str(out), "--json"]) == cli.EXIT_INPUT
+    assert "freq.csv" in capsys.readouterr().err
+
+
 def risk_doc(**overrides):
     doc = {"name": "breach", "probability": 2,
            "impacts": {"people_health_safety": "low", "uninterrupted_operation": "high",

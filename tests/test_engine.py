@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cpessim import cli, engine, presets
-from cpessim.attacks import apply_load_change
 from cpessim.physical import demand_total
 from cpessim.scenario import ScenarioError, scenario_from_dict
 
@@ -251,16 +250,25 @@ def test_overlapping_load_changes_follow_a_per_step_reference():
     traces = []
     for order in (specs, specs[::-1]):
         sc = scenario_from_dict(dict(doc, attacks=order))
-        # the reference: every load attack, in list order, before every recorded row
+        # the reference: before every recorded row, each load's offset is the sum
+        # of the offsets of the specs active at t, in list order
         grid = sc.build_grid()
         expected = []
         for t in [0.0] + [k * sc.dt_phys for k in range(8)]:
+            for load in grid.loads:
+                load.delta_demand = 0.0
             for spec in sc.attacks:
-                apply_load_change(grid, t, spec)
+                if spec.window.contains(t):
+                    for load in map(grid.load, spec.targets):
+                        load.delta_demand += (load.base_demand * spec.delta if spec.fraction
+                                              else spec.delta)
             expected.append(demand_total(grid))
         traces.append(engine.run(sc).traces["demand_total"].v.tolist())
         assert traces[-1] == expected
-    assert traces[0] != traces[1]  # the last spec on a load sets it
+    assert traces[0] == traces[1]  # offsets add, so the order of the specs does not matter
+    # rows at 0, 0, 1, ..., 7 ms: the +50% on l2 alone at 2 ms, both specs at 3 ms
+    assert traces[0] == pytest.approx([0.2, 0.2, 0.1, 0.25, 0.15, 0.1, 0.1, 0.1, 0.1],
+                                      abs=1e-15)
 
 
 # -- case-study outcomes ------------------------------------------------------------

@@ -64,11 +64,20 @@ def test_event_queue_rejects_past():
         q.push(1.0, lambda: None)
 
 
+def test_event_queue_rejects_nan():
+    # a NaN time compares false with everything: the heap would never dispatch it
+    # or anything behind it
+    q = EventQueue()
+    with pytest.raises(ValueError):
+        q.push(math.nan, lambda: None)
+
+
 # -- single-link transmit contract ---------------------------------------------
 
 def test_transmit_deterministic_delay():
-    sim = single_link(bandwidth=100e6, prop=1e-3)
-    sim.send_packet("a", "b", PacketKind.MEASUREMENT_REPORT, now=0.0, size=1000)
+    link = NetLink(id="l", a="a", b="b", bandwidth=100e6, prop_delay=1e-3)
+    sim = NetworkSim([NetNode(id="a"), NetNode(id="b")], [link], message_bytes=1000)
+    sim.send_packet("a", "b", PacketKind.MEASUREMENT_REPORT, now=0.0)
     sim.run_until(1.0)
     [deliver] = events(sim, "deliver")
     assert deliver["t"] == pytest.approx(1.08e-3, abs=1e-12)
@@ -202,14 +211,17 @@ def test_command_lost_under_drop_all_dos():
 
 
 def test_dos_drops_counted_per_window():
-    sim = star(("o1",))
-    sim.attach_attacks([DoS(tap="l_o1", window=AttackWindow(((0.0, 0.5),)))])
-    sim.start_polling(period=0.1, start=0.0)
-    sim.run_until(1.0)
-    dos_drops = [e for e in sim.log if e["event"] == "drop"
-                 and e["detail"]["reason"] == "dos"]
+    dos_drops = []
+    for spec in (DoS(tap="l_o1", window=AttackWindow(((0.0, 0.5),))), DoS(tap="l_o1")):
+        sim = star(("o1",))
+        sim.attach_attacks([spec])
+        sim.start_polling(period=0.1, start=0.0)
+        sim.run_until(1.0)
+        dos_drops.append([e for e in sim.log if e["event"] == "drop"
+                          and e["detail"]["reason"] == "dos"])
     # polls entering the tapped link in [0, 0.5): emitted at 0.0 .. 0.4
-    assert len(dos_drops) == 5
+    assert len(dos_drops[0]) == 5
+    assert dos_drops[1] == []  # no window: no drops
 
 
 def test_time_delay_shifts_arrivals_by_constant():
@@ -227,6 +239,22 @@ def test_time_delay_shifts_arrivals_by_constant():
                  and e["node"] == "o1"]
     for b, d in zip(base_deliv, del_deliv):
         assert d["t"] - b["t"] == pytest.approx(0.25, abs=1e-12)
+
+
+def test_link_delay_window_gating():
+    # only packets that enter the tapped link inside the window arrive late
+    arrivals = []
+    for specs in ([], [TimeDelay(tap="l_o1", delay=0.25, window=AttackWindow(((0.3, 0.6),)))]):
+        sim = star(("o1",))
+        sim.attach_attacks(specs)
+        sim.start_polling(period=0.1, start=0.0)
+        sim.run_until(2.0)
+        arrivals.append({e["detail"]["created_at"]: e["t"] for e in events(sim, "deliver")
+                         if e["node"] == "o1"})
+    base, delayed = arrivals
+    shifts = [delayed[t] - base[t] for t in sorted(base) if t < 1.0]
+    # polls sent at 0.3, 0.4 and 0.5 s enter l_o1 about 1 ms later, inside [0.3, 0.6)
+    assert shifts == pytest.approx([0, 0, 0, 0.25, 0.25, 0.25, 0, 0, 0, 0], abs=1e-12)
 
 
 def case3_doc():
@@ -261,15 +289,15 @@ def test_fifo_same_flow_never_reorders():
 def test_queue_overflow_drops_when_full():
     nodes = [NetNode(id="a", app=AppConfig(kind="master")),
              NetNode(id="b", app=AppConfig(kind="outstation", asset="x"))]
-    links = [NetLink(id="l", a="a", b="b", bandwidth=8e3, prop_delay=0.0,
-                     queue_capacity=4)]
+    links = [NetLink(id="l", a="a", b="b", bandwidth=8e3, prop_delay=0.0)]
     sim = NetworkSim(nodes, links, rng=np.random.default_rng(0))
-    for _ in range(20):
-        sim.send_packet("a", "b", PacketKind.MEASUREMENT_REPORT, now=0.0, size=100)
+    for _ in range(80):
+        sim.send_packet("a", "b", PacketKind.MEASUREMENT_REPORT, now=0.0)
     sim.run_until(60.0)
     drops = [e for e in sim.log if e["event"] == "drop"
              and e["detail"]["reason"] == "queue_full"]
-    assert len(drops) == 15  # 1 transmitting + 4 queued survive out of 20
+    assert len(drops) == 15  # 1 transmitting + 64 queued survive out of 80
+    assert len(events(sim, "deliver")) == 65
 
 
 def test_conservation_per_flow():

@@ -485,6 +485,13 @@ PRIORITIES = {"people_health_safety": 4, "uninterrupted_operation": 3,
     ("case4_td", "n1", _set(["grid", "contingencies", 0, "machine"], "nope"),
      "grid.contingencies[0].machine"),
     ("case4_td", "breaker_open", _set(["attacks", 0, "breaker"], "nope"), "attacks[0].breaker"),
+    # a grid's only machine: disconnecting it leaves no generation to swing
+    ("case1_dia", None, _set(["grid", "contingencies"], [{"t": 0.5, "machine": "genset"}]),
+     "grid.contingencies[0].machine"),
+    # NaN (which JSON reads) in a float field; in a delay it stalls the network's queue
+    ("case3_tda", "delay_5", _set(["attacks", 0, "delay"], math.nan), "attacks[0].delay"),
+    ("case1_dia", None, _set(["grid", "machines", 0, "reactance"], math.nan),
+     "grid.machines[0].reactance"),
 ], ids=lambda case: None if callable(case) or case is None else str(case))
 def test_malformed_field_names_its_path(preset, variant, mutate, location):
     doc = presets.preset_doc(preset, variant)

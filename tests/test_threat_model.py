@@ -69,21 +69,6 @@ def test_invasive_requires_possession():
     assert any("invasive requires possession" in v for v in violations)
 
 
-def test_empty_attribute_set_is_violation():
-    model = tm.preset("time_delay")
-    broken = tm.ThreatModel(
-        name=model.name,
-        adversary=model.adversary,
-        attack=tm.AttackModel(frequency=model.attack.frequency,
-                              reproducibility=model.attack.reproducibility,
-                              functional_level=model.attack.functional_level,
-                              asset=model.attack.asset,
-                              technique=frozenset(),
-                              premise=model.attack.premise))
-    violations = tm.validate(broken)
-    assert any("empty attribute set" in v and "technique" in v for v in violations)
-
-
 def test_validate_is_pure():
     model = tm.preset("load_changing")
     assert tm.validate(model) == tm.validate(model) == []
@@ -115,6 +100,14 @@ def test_missing_asset_field_is_parse_error():
     with pytest.raises(ScenarioError) as err:
         parse_threat(doc, "")
     assert err.value.location == "attack.asset"
+
+
+def test_empty_attribute_set_is_parse_error():
+    doc = tm.to_dict(tm.preset("time_delay"))
+    doc["attack"]["technique"] = []
+    with pytest.raises(ScenarioError) as err:
+        parse_threat(doc, "")
+    assert err.value.location == "attack.technique"
 
 
 def test_unknown_enum_literal_names_field():
