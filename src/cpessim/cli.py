@@ -96,6 +96,11 @@ def _cmd_run(args) -> int:
             print(f"input error: no scenario files in {args.scenario}", file=sys.stderr)
             return EXIT_INPUT
         scenarios = [load_scenario(p) for p in paths]
+        first = {}  # meta.name -> the first file with it; each name is one export directory
+        for path, sc in zip(paths, scenarios):
+            if first.setdefault(sc.name, path) != path:
+                raise ValueError(f"{first[sc.name]} and {path} both have meta.name {sc.name!r}, "
+                                 f"so both would export to {out_base / sc.name}")
         results = engine.run_many(scenarios)
         for sc, result in zip(scenarios, results):
             _export_run(result, sc, out_base / sc.name, args)

@@ -29,8 +29,8 @@ from . import __version__
 from . import risk as risk_mod
 from .attacks import (BreakerAttack, ControlDia, DiaCombined, DoS, LoadChange,
                       TimeDelay, apply_control_dia, apply_dia, apply_load_change)
-from .metrics import (MetricReport, TimeSeries, control_metrics, cyber_metrics,
-                      frequency_stability, voltage_stability)
+from .metrics import (MetricReport, TimeSeries, control_metrics, csv_time_cells,
+                      cyber_metrics, frequency_stability, voltage_stability)
 from .network import NetworkSim
 from .physical import (GridModel, NodalBoundary, demand_total, disconnect_machine,
                        group_step, lti_step, nodal_solve, protection_changes,
@@ -599,8 +599,12 @@ def export(result: RunResult, out_dir, scenario_doc: Optional[dict] = None) -> P
     """Write traces, event log, reports, and manifest under out_dir."""
     out = Path(out_dir)
     (out / "traces").mkdir(parents=True, exist_ok=True)
+    t_cells = {}  # id of a time axis -> its CSV column; a run's traces share one axis
     for name, series in sorted(result.traces.items()):
-        _write_atomic(out / "traces" / f"{name}.csv", series.to_csv())
+        if id(series.t) not in t_cells:
+            t_cells[id(series.t)] = csv_time_cells(series.t)
+        _write_atomic(out / "traces" / f"{name}.csv", series.to_csv(t_cells[id(series.t)]))
+    del t_cells  # 2 MB on a 30,000-step run, not to be held while the event log is encoded
     _write_atomic(out / "events.json",
                   json.dumps({"events": result.event_log,
                               "attack_samples": result.attack_samples}, separators=(",", ":")))

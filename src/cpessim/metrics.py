@@ -23,6 +23,11 @@ RISE_LO, RISE_HI = 0.1, 0.9     # the rise runs between these shares of the fina
 DEFAULT_VOLT_LIMITS = (0.95, 1.05)
 
 
+def csv_time_cells(t: np.ndarray) -> list[str]:
+    """The time column of ``TimeSeries.to_csv``: ``repr(t) + ","`` per sample."""
+    return [repr(ti) + "," for ti in t.tolist()]
+
+
 @dataclass
 class TimeSeries:
     t: np.ndarray
@@ -39,17 +44,29 @@ class TimeSeries:
         if len(self.t) > 1 and not np.all(np.diff(self.t) > 0):
             raise ValueError(f"series {self.name!r}: t must be strictly increasing")
 
-    def to_csv(self) -> str:
+    def to_csv(self, t_cells: Optional[list[str]] = None) -> str:
         """Header ``t,<name>,unit``, then one ``repr(t),repr(v),<unit>`` row per
-        sample; text fields are quoted by the ``csv`` module's rules."""
+        sample; text fields are quoted by the ``csv`` module's rules.
+
+        ``t_cells`` is ``csv_time_cells(self.t)`` when the caller already
+        holds it, as ``engine.export`` does for the axis a run's traces
+        share.  Each distinct bit pattern of ``v`` is formatted once: keying
+        on bits, not values, keeps ``0.0`` and ``-0.0`` apart."""
+        if t_cells is None:
+            t_cells = csv_time_cells(self.t)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["t", self.name, "unit"])
         header = buf.getvalue()
         writer.writerow(["", "", self.unit])
-        unit_field = buf.getvalue()[len(header) + 2:]  # the encoded unit and its line end
-        return header + "".join([f"{ti!r},{vi!r},{unit_field}"
-                                 for ti, vi in zip(self.t.tolist(), self.v.tolist())])
+        unit_field = buf.getvalue()[len(header) + 1:]  # ",<encoded unit>" and its line end
+        bits, inverse = np.unique(self.v.view(np.int64), return_inverse=True)
+        cells = np.array([repr(v) + unit_field for v in bits.view(np.float64).tolist()],
+                         dtype=object)
+        rows = [header] * (2 * len(t_cells) + 1)
+        rows[1::2] = t_cells
+        rows[2::2] = cells[inverse]  # a ValueError unless t_cells holds one cell per sample
+        return "".join(rows)
 
     @classmethod
     def from_csv(cls, text: str) -> "TimeSeries":

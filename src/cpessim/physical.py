@@ -125,6 +125,10 @@ class LtiPlant:
             if got != want:
                 raise PlantFieldError(label, f"plant {self.name!r}: {label} has shape {got}, "
                                              f"expected {want}")
+        for label, values in (("G", g), ("B", b), ("C", c), ("control_matrix", cm),
+                              ("noise_std", std), ("x", x), ("u", u)):
+            if not np.isfinite(values).all():  # would only show as a diverged run
+                raise PlantFieldError(label, f"plant {self.name!r}: {label} must be finite")
         if std[0] < 0:
             raise PlantFieldError("noise_std", f"plant {self.name!r}: noise_std must be >= 0")
         self.GB = tuple(tuple(gr + br) for gr, br in zip(g.tolist(), b.tolist()))
@@ -339,7 +343,8 @@ class Breaker:
 
 def event_schedule(schedule, actions=None) -> list[tuple[float, object]]:
     """``(t, value)`` pairs at finite float times, in time order (an event at
-    NaN or infinity would never fire); each value one of ``actions`` if given."""
+    NaN or infinity would never fire); each value one of ``actions`` if given,
+    and a float value finite."""
     sched = [(float(t), value) for t, value in schedule]
     times = [t for t, _ in sched]
     if not all(map(math.isfinite, times)) or times != sorted(times):
@@ -347,6 +352,8 @@ def event_schedule(schedule, actions=None) -> list[tuple[float, object]]:
     for _, value in sched:
         if actions is not None and value not in actions:
             raise ValueError(f"unknown action {value!r}; expected one of {actions}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"event values must be finite, got {value}")
     return sched
 
 

@@ -101,7 +101,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     meta = _value(doc, "", "meta", "dict")
     _check_keys(meta, "meta", "name description horizon dt_phys")
-    name = _value(meta, "meta", "name", "str")
+    name = _value(meta, "meta", "name", "str", convert=_file_name)  # `run --batch` dir
     horizon = _value(meta, "meta", "horizon", "float", convert=_positive)
     dt_phys = _value(meta, "meta", "dt_phys", "float", convert=_positive)
     if dt_phys > MAX_SWING_DT:
@@ -164,7 +164,8 @@ def build_grid(grid_doc: dict) -> GridModel:
     def machine(loc, raw):
         return _read(Machine, raw, loc, "id inertia_const p_mech v_internal v_recv reactance "
                                         "damping governor",
-                     inertia_const=_positive, p_mech=to_pu, omega=omega, omega_sync=omega,
+                     id=_file_name, inertia_const=_positive, p_mech=to_pu, omega=omega,
+                     omega_sync=omega,
                      governor=lambda g: _read(Governor, g, f"{loc}.governor",
                                               "gain deadband time_constant min_boost max_boost",
                                               time_constant=_non_negative))
@@ -183,12 +184,13 @@ def build_grid(grid_doc: dict) -> GridModel:
     if not machines:
         raise ScenarioError("grid.machines", "scenario needs at least one machine")
     loads = section("loads", lambda loc, raw: _read(
-        Load, raw, loc, "id demand:base_demand sheddable", base_demand=to_pu))
+        Load, raw, loc, "id demand:base_demand sheddable", id=_file_name, base_demand=to_pu))
     fast_sources = section("fast_sources", fast_source)
     breakers = section("breakers", lambda loc, raw: _read(Breaker, raw, loc, "id closed schedule",
-                                                          schedule=event_schedule))
+                                                          id=_file_name, schedule=event_schedule))
     plants = [_read(LtiPlant, raw, f"grid.plants[{i}]", "name G B C control_matrix noise_std "
-                    "x0:x u0:u operating_point power_base power_gain", name=f"plant{i}")
+                    "x0:x u0:u operating_point power_base power_gain",
+                    name=_file_name if isinstance(raw, dict) and "name" in raw else f"plant{i}")
               for i, raw in enumerate(_value(grid_doc, "grid", "plants", "list", []))]
     for kind, items, key in (("machines", machines, "id"), ("loads", loads, "id"),
                              ("breakers", breakers, "id"), ("fast_sources", fast_sources, "id"),
@@ -504,8 +506,8 @@ def _parse_metric(loc: str, raw: dict) -> dict:
         raise ScenarioError(f"{loc}.kind", f"unknown metric kind {kind!r}; expected one "
                                            f"of {tuple(_METRIC_KEYS)}")
     _check_keys(raw, loc, "kind " + _METRIC_KEYS[kind])
-    if kind != "cyber" and not _value(raw, loc, "trace", "str", ""):
-        raise ScenarioError(f"{loc}.trace", "physical metrics must name a trace")
+    if kind != "cyber":  # `cpessim metrics` reads traces/<trace>.csv
+        _value(raw, loc, "trace", "str", convert=_file_name)
     if kind == "control":
         _value(raw, loc, "command", "float")
         _value(raw, loc, "band_pct", "float", None, _positive)
@@ -556,8 +558,9 @@ def _read(cls, doc: dict, loc: str, keys: str, **parsed):
             raise ScenarioError(_at(loc, key), "missing field")
     try:
         return cls(**kwargs)
-    except PlantFieldError as exc:
-        raise ScenarioError(f"{loc}.{exc.field}", str(exc)) from exc
+    except PlantFieldError as exc:  # located at the key that fills the field
+        key = next((k for k, name in keys.items() if name == exc.field), exc.field)
+        raise ScenarioError(f"{loc}.{key}", str(exc)) from exc
     except (TypeError, ValueError) as exc:
         raise ScenarioError(loc, str(exc)) from exc
 
@@ -634,6 +637,16 @@ def _non_negative(value):
 def _finite(value: float) -> float:
     if not math.isfinite(value):  # an event at NaN or infinity would never fire
         raise ValueError(f"must be finite, got {value}")
+    return value
+
+
+def _file_name(value: str) -> str:
+    """A name that becomes part of an exported path (a trace file, a batch
+    run's directory), or names a trace file to read back, must stay one
+    plain path component."""
+    if value in ("", ".", "..") or any(c in value for c in "/\\\0"):
+        raise ValueError(f"must be one plain path component: no '/', '\\' or NUL, "
+                         f"and not '', '.' or '..', got {value!r}")
     return value
 
 

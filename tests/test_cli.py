@@ -22,6 +22,18 @@ def test_run_exits_ok(tmp_path, capsys):
     assert (tmp_path / "out" / "traces" / "freq.csv").exists()
 
 
+def test_batch_rejects_two_files_with_one_name_before_any_run(tmp_path, capsys):
+    for variant in ("a", "b"):
+        doc = short_doc("case2_load", variant)
+        doc["meta"]["name"] = "same"
+        write_doc(tmp_path / f"{variant}.json", doc)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(tmp_path), "--batch", "--out", str(out)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(tmp_path / "a.json") in err and str(tmp_path / "b.json") in err
+    assert not out.exists()
+
+
 def test_threat_with_violations_exits_negative(tmp_path, capsys):
     model = tm.preset("cross_layer_firmware")
     broken = tm.ThreatModel(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cpessim import cli, engine, presets
+from cpessim.metrics import TimeSeries
 from cpessim.physical import demand_total
 from cpessim.scenario import ScenarioError, scenario_from_dict
 
@@ -457,6 +458,15 @@ def test_export_writes_each_artifact_once(preset, variant, tmp_path):
         "events.json", "manifest.json", "report.json", "report.txt", "scenario.json", "traces"]
     assert json.loads((out / "events.json").read_text()) == {
         "events": result.event_log, "attack_samples": result.attack_samples}
+
+
+def test_export_writes_a_trace_off_the_run_axis_from_its_own_axis(tmp_path):
+    result = engine.run(short("case2_load", "a", horizon=0.05))
+    axis = result.traces["freq"].t
+    result.traces["late"] = TimeSeries(t=axis + 0.5, v=np.ones(len(axis)), name="late")
+    out = engine.export(result, tmp_path / "run")
+    for name in ("late", "freq"):
+        assert (out / "traces" / f"{name}.csv").read_text() == result.traces[name].to_csv()
 
 
 # -- determinism and batches ------------------------------------------------------------

@@ -39,9 +39,16 @@ def test_csv_round_trip_is_bit_exact():
     assert np.array_equal(back.v, s.v)
 
 
+# repeated values, both zeros, two NaN payloads, both infinities, a repeated subnormal:
+# a writer that formats each distinct value once must key on bits, not on ==
+NAN_A, NAN_B = np.array([0x7FF8000000000000, 0xFFF8000000000123], np.uint64).view(float)
+ODD_VALUES = [-0.0, 1e-300, -2.5, 0.0, -2.5, NAN_A, 5e-324, float("-inf"), NAN_B,
+              float("inf"), 5e-324, -0.0, 0.0, 1e-300]
+
+
 @pytest.mark.parametrize("name, unit", [("volt", ""), ('volt, "bus a"', 'k"W, net')])
 def test_csv_equals_csv_module_rows_and_reads_back_bit_exact(name, unit):
-    s = series([0.0, 0.5, 1.0, 2.0], [-0.0, 1e-300, -2.5, float("inf")], name=name, unit=unit)
+    s = series(np.arange(len(ODD_VALUES)) * 0.5, ODD_VALUES, name=name, unit=unit)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t", name, "unit"])
@@ -51,7 +58,17 @@ def test_csv_equals_csv_module_rows_and_reads_back_bit_exact(name, unit):
     back = TimeSeries.from_csv(s.to_csv())
     assert (back.name, back.unit) == (name, unit)
     assert back.t.tobytes() == s.t.tobytes()
-    assert back.v.tobytes() == s.v.tobytes()  # keeps the sign of -0.0
+    nan = np.isnan(s.v)
+    assert back.v[~nan].tobytes() == s.v[~nan].tobytes()  # keeps the sign of -0.0
+    assert np.isnan(back.v[nan]).all()  # "nan" carries no payload
+
+
+def test_csv_takes_the_time_cells_of_its_own_axis():
+    s = series([0.0, 0.5, 1.0], [1.0, -0.0, 1.0])
+    assert s.to_csv(mx.csv_time_cells(s.t)) == s.to_csv()
+    for other_axis in ([0.0, 0.5], [0.0, 0.5, 1.0, 1.5]):
+        with pytest.raises(ValueError):
+            s.to_csv(mx.csv_time_cells(np.array(other_axis)))
 
 
 def test_csv_header_shape():

@@ -492,6 +492,36 @@ PRIORITIES = {"people_health_safety": 4, "uninterrupted_operation": 3,
     ("case3_tda", "delay_5", _set(["attacks", 0, "delay"], math.nan), "attacks[0].delay"),
     ("case1_dia", None, _set(["grid", "machines", 0, "reactance"], math.nan),
      "grid.machines[0].reactance"),
+    # a name that becomes part of an exported path is one plain path component
+    ("case1_dia", None, _set(["grid", "plants", 0, "name"], "../../escape"),
+     "grid.plants[0].name"),
+    ("case1_dia", None, _set(["meta", "name"], "../escaped"), "meta.name"),
+    ("case1_dia", None, _set(["meta", "name"], ".."), "meta.name"),
+    ("case1_dia", None, _set(["meta", "name"], "."), "meta.name"),
+    ("case1_dia", None, _set(["meta", "name"], ""), "meta.name"),
+    ("case2_load", "a", _set(["grid", "machines", 1, "id"], "g\\2"), "grid.machines[1].id"),
+    ("case3_tda", "delay_0", _set(["grid", "breakers", 0, "id"], "pcc/0"),
+     "grid.breakers[0].id"),
+    ("case3_tda", "delay_0", _set(["grid", "loads", 0, "id"], "load\0"), "grid.loads[0].id"),
+    ("case1_dia", None, _set(["metrics", 0, "trace"], "../../../outside"), "metrics[0].trace"),
+    ("case1_dia", None, _set(["metrics", 0, "trace"], ""), "metrics[0].trace"),
+    # NaN or infinity inside a list of floats, at the key that holds it
+    ("case1_dia", None, _set(["grid", "plants", 0, "G", 0, 0], math.nan), "grid.plants[0].G"),
+    ("case1_dia", None, _set(["grid", "plants", 0, "B", 1, 0], math.nan), "grid.plants[0].B"),
+    ("case1_dia", None, _set(["grid", "plants", 0, "C", 0, 1], math.nan), "grid.plants[0].C"),
+    ("case1_dia", None, _set(["grid", "plants", 0, "control_matrix", 0, 0], math.nan),
+     "grid.plants[0].control_matrix"),
+    ("case1_dia", None, _set(["grid", "plants", 0, "noise_std", 0], math.nan),
+     "grid.plants[0].noise_std"),
+    ("case1_dia", None, _set(["grid", "plants", 0, "x0", 0], math.nan), "grid.plants[0].x0"),
+    ("case1_dia", None, _set(["grid", "plants", 0, "u0", 0], math.nan), "grid.plants[0].u0"),
+    ("case1_dia", None, _set(["grid", "plants", 0, "G", 1, 1], -math.inf), "grid.plants[0].G"),
+    ("case1_dia", None, _set(["attacks", 0], {"type": "control_dia", "tap": "ctrl:pv_loop",
+                                              "schedule": [[1.0, math.nan]]}),
+     "attacks[0].schedule"),
+    ("case1_dia", None, _set(["attacks", 0], {"type": "control_dia", "tap": "ctrl:pv_loop",
+                                              "schedule": [[1.0, math.inf]]}),
+     "attacks[0].schedule"),
 ], ids=lambda case: None if callable(case) or case is None else str(case))
 def test_malformed_field_names_its_path(preset, variant, mutate, location):
     doc = presets.preset_doc(preset, variant)

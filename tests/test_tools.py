@@ -126,7 +126,9 @@ def test_ab_time_reports_one_checkout_against_itself(capsys):
     src = TOOLS.parent / "src"
     code, row, last = ab_time_row(src, src, capsys)
     assert code == 0
-    assert row.split()[-1] in ("0/1", "1/1")
+    run_wins, export_wins = row.split()[4], row.split()[-1]  # engine.run, engine.export
+    assert run_wins in ("0/1", "1/1") and export_wins in ("0/1", "1/1")
+    assert len(row.split()) == 9
     assert last == "outputs identical"
 
 
@@ -136,6 +138,17 @@ def test_ab_time_fails_when_a_trace_moves(tmp_path, capsys):
     text = physical.read_text()
     assert "sixth = dt / 6.0" in text
     physical.write_text(text.replace("sixth = dt / 6.0", "sixth = dt / 6.0 * (1 + 1e-12)"))
+    code, _, last = ab_time_row(TOOLS.parent / "src", tmp_path, capsys)
+    assert code == 1
+    assert last == "1 variants differ"
+
+
+def test_ab_time_fails_when_only_an_export_moves(tmp_path, capsys):
+    shutil.copytree(TOOLS.parent / "src" / "cpessim", tmp_path / "cpessim")
+    engine = tmp_path / "cpessim" / "engine.py"
+    text = engine.read_text()
+    assert 'json.dumps(report, indent=2)' in text
+    engine.write_text(text.replace('json.dumps(report, indent=2)', 'json.dumps(report, indent=3)'))
     code, _, last = ab_time_row(TOOLS.parent / "src", tmp_path, capsys)
     assert code == 1
     assert last == "1 variants differ"

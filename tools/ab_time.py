@@ -1,19 +1,22 @@
-"""Time ``engine.run`` of two checkouts against each other in one process.
+"""Time ``engine.run`` and ``engine.export`` of two checkouts against each other
+in one process.
 
 Both ``cpessim`` packages are loaded side by side, under the names
 ``cpessim_parent`` and ``cpessim_change``.  Each repeat runs every variant
 once on each side, in alternating order (parent first on even repeats,
-change first on odd ones), and measures the process CPU time of the
-``engine.run`` call alone; passes of one process share the host's speed
-drift, so the pairs compare what two separate benchmark runs cannot.  Run it
-from the repository root:
+change first on odd ones), then exports the run into a temporary directory,
+and measures the process CPU time of the ``engine.run`` call and of the
+``engine.export`` call, each alone; passes of one process share the host's
+speed drift, so the pairs compare what two separate benchmark runs cannot.
+Run it from the repository root:
 
     git archive <parent> | (mkdir -p /tmp/parent && tar -x -C /tmp/parent)
     python tools/ab_time.py /tmp/parent/src --repeats 9
 
-One line per variant gives each side's median, the speed-up (parent median
-over change median) and the repeats the change won.  The exit code is 1 if
-any run's traces, event log, attack samples or reports differ between the
+One line per variant gives, for the run and then for the export, each
+side's median, the speed-up (parent median over change median) and the
+repeats the change won.  The exit code is 1 if any run's traces, event log,
+attack samples or reports, or any exported file's bytes, differ between the
 two sides, else 0.
 """
 
@@ -25,6 +28,7 @@ import importlib.util
 import json
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -59,13 +63,33 @@ def fingerprint(package, result) -> tuple:
             json.dumps(package.engine.report_dict(result)))
 
 
-def timed_run(package, preset: str, variant: str) -> tuple[float, tuple]:
+def exported_files(out_dir: Path) -> dict[str, bytes]:
+    return {path.relative_to(out_dir).as_posix(): path.read_bytes()
+            for path in sorted(out_dir.rglob("*")) if path.is_file()}
+
+
+def timed_run(package, preset: str, variant: str) -> tuple[float, float, tuple]:
+    """CPU seconds of ``engine.run`` and of ``engine.export``, and what the
+    run produced with every byte it exported."""
     sc = package.presets.preset_scenario(preset, variant)
     gc.collect()
     t0 = time.process_time()
     result = package.engine.run(sc)
-    elapsed = time.process_time() - t0
-    return elapsed, fingerprint(package, result)
+    run_s = time.process_time() - t0
+    with tempfile.TemporaryDirectory() as tmp:
+        gc.collect()
+        t0 = time.process_time()
+        package.engine.export(result, tmp, scenario_doc=sc.doc)
+        export_s = time.process_time() - t0
+        files = exported_files(Path(tmp))
+    return run_s, export_s, (fingerprint(package, result), files)
+
+
+def summary(parent: list[float], change: list[float]) -> str:
+    """Both medians, the speed-up and the change's wins, as columns."""
+    wins = sum(c < p for p, c in zip(parent, change))
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    return f"{p_med:>9.4f} {c_med:>9.4f} {p_med / c_med:>7.2f}x {wins:>3}/{len(change)}"
 
 
 def main(argv=None) -> int:
@@ -83,27 +107,28 @@ def main(argv=None) -> int:
              "change": load_package(args.change_src, "cpessim_change")}
     variants = [v.split("/", 1) for v in args.variant or DEFAULT_VARIANTS]
 
-    times = {(p, v): {side: [] for side in sides} for p, v in variants}
+    times = {(p, v): {(side, call): [] for side in sides for call in ("run", "export")}
+             for p, v in variants}
     differing = []
     for rep in range(args.repeats):
         order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
         for preset, variant in variants:
             prints = {}
             for side in order:
-                elapsed, prints[side] = timed_run(sides[side], preset, variant)
-                times[(preset, variant)][side].append(elapsed)
+                run_s, export_s, prints[side] = timed_run(sides[side], preset, variant)
+                times[(preset, variant)][(side, "run")].append(run_s)
+                times[(preset, variant)][(side, "export")].append(export_s)
             if prints["parent"] != prints["change"] and (preset, variant) not in differing:
                 differing.append((preset, variant))
 
-    print(f"{'variant':<30} {'parent_s':>9} {'change_s':>9} {'speedup':>8} {'wins':>6}")
-    for (preset, variant), by_side in times.items():
-        parent, change = by_side["parent"], by_side["change"]
-        wins = sum(c < p for p, c in zip(parent, change))
-        p_med, c_med = statistics.median(parent), statistics.median(change)
-        print(f"{preset + '/' + variant:<30} {p_med:>9.4f} {c_med:>9.4f} "
-              f"{p_med / c_med:>7.2f}x {wins:>3}/{len(change)}")
+    print(f"{'variant':<30} {'parent_s':>9} {'change_s':>9} {'speedup':>8} {'wins':>6}"
+          f" {'exp_par_s':>9} {'exp_chg_s':>9} {'exp_x':>8} {'exp_wins':>6}")
+    for (preset, variant), t in times.items():
+        print(f"{preset + '/' + variant:<30} {summary(t['parent', 'run'], t['change', 'run'])} "
+              f"{summary(t['parent', 'export'], t['change', 'export'])}")
     for preset, variant in differing:
-        print(f"{preset}/{variant}: traces, event log, attack samples or reports differ")
+        print(f"{preset}/{variant}: traces, event log, attack samples, reports "
+              f"or exported bytes differ")
     print("outputs identical" if not differing else f"{len(differing)} variants differ")
     return 1 if differing else 0
 
