@@ -5,9 +5,17 @@ Each macro-step of ``dt_phys`` applies its boundary (commands that arrived
 during the previous step, then the breaker actions, contingencies and
 load-attack window edges resolved to this step when the run was built),
 dispatches every network event with a timestamp inside the step, and advances
-the physical models.  Loads change only at a boundary, where the total demand
-is summed.  One RNG stream per subsystem is derived from the master seed by
-fixed labels, so attaching a network never perturbs the physical noise draws.
+the physical models.  The network is called only in a step that holds its next
+pending event: every event is pushed at start-up or inside a dispatch, so the
+time the last call returned stays the next event's time.
+
+Each step's row is written by the tier's ``record(rows)``: the system
+frequency, then the tier's own columns.  Loads, breakers and sheds change only
+at a boundary, where the total demand is summed; these held columns are kept
+as one ``(first row, values)`` stretch from the start and one from each
+boundary, and written into the trace matrix once the run ends.  One RNG stream
+per subsystem is derived from the master seed by fixed labels, so attaching a
+network never perturbs the physical noise draws.
 """
 
 from __future__ import annotations
@@ -108,17 +116,21 @@ class _Run:
         elif len(self.grid.machines) > 1:
             self.tier = _MultiMachineTier(self.grid, self.dt)
         else:  # build_grid rejects a grid without machines
-            self.tier = _AggregateTier(sc, self.grid, self.dt, self.seed,
+            self.tier = _AggregateTier(sc, self.grid, self.dt, self.n_steps, self.seed,
                                        self.attack_samples)
 
-        # trace columns, fixed for the run: one row per recorded instant
+        # trace columns, fixed for the run: the frequency and the tier's columns
+        # are recorded every step, the others held from one boundary to the next
         self._shed_loads = [load for load in self.grid.loads if load.sheddable]
-        columns = [("freq", "Hz"), ("demand_total", "pu"), *self.tier.columns(),
+        tier_columns = self.tier.columns()
+        columns = [("freq", "Hz"), ("demand_total", "pu"), *tier_columns,
                    *[(f"breaker_{b.id}", "state") for b in self.grid.breakers],
                    *[(f"shed_{load.id}", "state") for load in self._shed_loads]]
         self.trace_names = [name for name, _ in columns]
         self.trace_units = [unit for _, unit in columns]
-        self._rows = array("d")  # row after row, reshaped once the run ends
+        self._step_traces = [0, *range(2, 2 + len(tier_columns))]
+        self._held_traces = [1, *range(2 + len(tier_columns), len(columns))]
+        self._rows = array("d")  # the step columns row after row
         for i, req in enumerate(sc.metrics_requested):
             if req["kind"] != "cyber" and req["trace"] not in self.trace_names:
                 raise ScenarioError(f"metrics[{i}].trace",
@@ -183,29 +195,36 @@ class _Run:
     def execute(self) -> RunResult:
         sc = self.sc
         n_steps, dt, grid, net = self.n_steps, self.dt, self.grid, self.net
-        step, record, apply_boundary = self.tier.step, self._record, self._apply_boundary
-        schedule, staged = self.schedule, self.staged_commands
+        step, record, rows = self.tier.step, self.tier.record, self._rows
+        apply_boundary, schedule, staged = self._apply_boundary, self.schedule, self.staged_commands
+        due = 0.0 if net is not None else math.inf  # the network's next event time
         self._apply_load_attacks(0.0)
         demand = demand_total(grid)
-        record(demand)
+        held = [(0, self._held_values(demand))]
+        record(rows)
 
         for k in range(n_steps):
             t = k * dt
             if k in schedule or staged:
                 apply_boundary(t, schedule.get(k, ()))
                 demand = demand_total(grid)
-            if net is not None:
-                net.run_until((k + 1) * dt)
+                held.append((k + 1, self._held_values(demand)))
+            if due < (k + 1) * dt:
+                due = net.run_until((k + 1) * dt)
             step(t, k, demand)
-            record(demand)
+            record(rows)
 
-        # every trace shares one read-only time axis; columns become contiguous rows
-        t_axis = np.arange(n_steps + 1) * dt
+        # one trace matrix; every trace is a row of it, on one read-only time axis
+        n_rows = n_steps + 1
+        matrix = np.empty((len(self.trace_names), n_rows))
+        matrix[self._step_traces] = np.frombuffer(rows).reshape(n_rows, -1).T
+        rows = self._rows = None
+        for (first, values), (end, _) in zip(held, held[1:] + [(n_rows, None)]):
+            matrix[self._held_traces, first:end] = np.array(values)[:, None]
+        t_axis = np.arange(n_rows) * dt
         t_axis.flags.writeable = False
-        columns = np.frombuffer(self._rows).reshape(n_steps + 1, -1).T.copy()
-        self._rows = None
         traces = {name: TimeSeries(t=t_axis, v=column, unit=unit, name=name)
-                  for name, unit, column in zip(self.trace_names, self.trace_units, columns)}
+                  for name, unit, column in zip(self.trace_names, self.trace_units, matrix)}
         self._log_protection(traces["freq"])
         reports = compute_metrics(sc, traces, self.log)
         risk_report = None
@@ -246,15 +265,11 @@ class _Run:
 
     # -- recording ---------------------------------------------------------------
 
-    def _record(self, demand: float) -> None:
-        rows = self._rows
-        rows.append(self.tier.frequency())
-        rows.append(demand)
-        rows.extend(self.tier.values())
-        for b in self.grid.breakers:
-            rows.append(1.0 if b.closed else 0.0)
-        for load in self._shed_loads:
-            rows.append(1.0 if load.shed else 0.0)
+    def _held_values(self, demand: float) -> list[float]:
+        """The held columns' values: the demand, then each breaker's and each
+        sheddable load's state."""
+        return [demand, *[1.0 if b.closed else 0.0 for b in self.grid.breakers],
+                *[1.0 if load.shed else 0.0 for load in self._shed_loads]]
 
     def _log_protection(self, freq: TimeSeries) -> None:
         """Log each protection band change of the finished trace, in time order."""
@@ -270,16 +285,26 @@ class _Run:
 
 # ---------------------------------------------------------------------------
 # Physical tiers.  Each advances the grid by one macro-step from the grid's
-# start-up operating point, reports the system frequency, declares its trace
-# columns once and gives their values per row, and reacts to topology events.
-# A tier holds no reference back to its run, so a finished run's trace array
-# is freed as soon as it returns.
+# start-up operating point, declares its trace columns once, and reacts to
+# topology events.  Its ``record(rows)`` appends one row per step to the run's
+# buffer: the system frequency, then its own columns.  A tier holds no
+# reference back to its run, so a finished run's trace matrix is freed as soon
+# as it returns.
 # ---------------------------------------------------------------------------
+
+NOISE_BLOCK = 4096  # noise draws turned into Python floats at a time
+
+
+def _noise_draws(draws: np.ndarray):
+    """The run's plant noise as Python floats, one after another."""
+    for start in range(0, len(draws), NOISE_BLOCK):
+        yield from draws[start:start + NOISE_BLOCK].tolist()
+
 
 class _AggregateTier:
     """One equivalent machine, fast sources and sampled LTI control loops."""
 
-    def __init__(self, sc: Scenario, grid: GridModel, dt: float, seed: int,
+    def __init__(self, sc: Scenario, grid: GridModel, dt: float, n_steps: int, seed: int,
                  attack_samples: list[dict]):
         self.grid = grid
         self.dt = dt
@@ -289,11 +314,18 @@ class _AggregateTier:
         # scenario load gives each tap at most one attack, of its layer's type
         attacks = {spec.tap: spec for spec in sc.attacks
                    if isinstance(spec, (DiaCombined, ControlDia))}
-        # (plant, measurement-tap attack, control-tap attack, and the taps their
-        # samples are logged under) per control loop
-        self.loops = [(plant, attacks.get(f"meas:{plant.name}"),
+        # (plant, whether it is noisy, measurement-tap attack, control-tap attack,
+        # and the taps their samples are logged under) per control loop
+        self.loops = [(plant, plant.noise_std > 0, attacks.get(f"meas:{plant.name}"),
                        attacks.get(f"ctrl:{plant.name}"), f"meas:{plant.name}",
                        f"ctrl:{plant.name}") for plant in grid.plants]
+        # the whole run's plant noise, drawn before the first step: step after
+        # step, one draw per noisy plant in plant order, the values one scalar
+        # draw each would give.  Drawing it block by block inside the loop left
+        # megabytes of the heap resident after the run.
+        stds = [plant.noise_std for plant in grid.plants if plant.noise_std > 0]
+        self._noise = _noise_draws(
+            self.rng_phys.normal(0.0, stds, size=(n_steps, len(stds))).ravel())
         # last sensed value per plant; before the first sample, the true output
         self._meas = [self._signal(plant) for plant in grid.plants]
         self.fast_sources = [(fs, math.exp(-dt / fs.time_constant) if fs.time_constant > 0
@@ -310,9 +342,10 @@ class _AggregateTier:
         return plant.power_base + plant.power_gain * plant.x[0]
 
     def _advance_plants(self, t: float) -> None:
-        for i, (plant, spec, cspec, meas_tap, ctrl_tap) in enumerate(self.loops):
+        noise_draws = self._noise
+        for i, (plant, noisy, spec, cspec, meas_tap, ctrl_tap) in enumerate(self.loops):
             op = plant.operating_point
-            noise = self.rng_phys.normal(0.0, plant.noise_std) if plant.noise_std > 0 else 0.0
+            noise = next(noise_draws) if noisy else 0.0
             x_next, y_dev = lti_step(plant, noise)
             y_abs = op + y_dev
             if spec is not None:
@@ -351,10 +384,8 @@ class _AggregateTier:
         else:
             p_elec = demand - p_inject - p_fast
             swing_step(machine, p_elec, self.dt, step_index=k)
-        self._advance_plants(t)
-
-    def frequency(self) -> float:
-        return self.grid.f_nom if self.pinned else self.grid.machines[0].frequency
+        if self.loops:
+            self._advance_plants(t)
 
     def columns(self) -> list[tuple[str, str]]:
         cols = [("p_gen", "pu")]
@@ -367,21 +398,23 @@ class _AggregateTier:
             cols.append((f"{plant.name}_power", "pu"))
         return cols
 
-    def values(self) -> list[float]:
-        machine = self.grid.machines[0]
-        vals = [machine.p_mech + machine.gov_power]
-        if self.grid.fast_sources:
+    def record(self, rows: array) -> None:
+        grid = self.grid
+        machine = grid.machines[0]
+        rows.append(grid.f_nom if self.pinned else machine.frequency)
+        rows.append(machine.p_mech + machine.gov_power)
+        if grid.fast_sources:
             p_fast = 0.0
-            for fs in self.grid.fast_sources:
+            for fs in grid.fast_sources:
                 p_fast += fs.power
-            vals.append(p_fast)
-        for plant, meas in zip(self.grid.plants, self._meas):
+            rows.append(p_fast)
+        for plant, meas in zip(grid.plants, self._meas):
             signal = self._signal(plant)
-            vals += [signal, meas]
+            rows.append(signal)
+            rows.append(meas)
             if plant.operating_point:
-                vals.append(signal / plant.operating_point)
-            vals.append(self._power(plant))
-        return vals
+                rows.append(signal / plant.operating_point)
+            rows.append(self._power(plant))
 
     def on_topology_change(self) -> None:
         pcc = self.grid.pcc  # a closed PCC pins the frequency to f_nom
@@ -408,19 +441,22 @@ class _MultiMachineTier:
     def step(self, t: float, k: int, demand: float) -> None:
         self._swing(demand, k)
 
-    def frequency(self) -> float:
-        h_total = weighted = 0.0
-        for m in self.grid.machines:
-            if m.connected:
-                h_total += m.inertia_const
-                weighted += m.inertia_const * m.frequency
-        return weighted / h_total if h_total else 0.0  # inertia_const > 0: 0 iff none connected
-
     def columns(self) -> list[tuple[str, str]]:
         return [(f"freq_{m.id}", "Hz") for m in self.grid.machines]
 
-    def values(self) -> list[float]:
-        return [m.frequency for m in self.grid.machines]
+    def record(self, rows: array) -> None:
+        """The inertia-weighted system frequency, then each machine's."""
+        at = len(rows)
+        rows.append(0.0)  # set once every machine's frequency is read
+        h_total = weighted = 0.0
+        for m in self.grid.machines:
+            f = m.frequency
+            rows.append(f)
+            if m.connected:
+                h_total += m.inertia_const
+                weighted += m.inertia_const * f
+        # inertia_const > 0: h_total is 0 iff no machine is connected
+        rows[at] = weighted / h_total if h_total else 0.0
 
     def on_topology_change(self) -> None:
         pass
@@ -529,8 +565,10 @@ class _TdTier(_MultiMachineTier):
     def columns(self) -> list[tuple[str, str]]:
         return super().columns() + [("v_pcc", "pu"), ("v_dist", "pu")]
 
-    def values(self) -> list[float]:
-        return super().values() + [self.v1 / self.v1_nom, self.v2 / self.v2_nom]
+    def record(self, rows: array) -> None:
+        super().record(rows)
+        rows.append(self.v1 / self.v1_nom)
+        rows.append(self.v2 / self.v2_nom)
 
 
 # ---------------------------------------------------------------------------

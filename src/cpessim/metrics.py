@@ -21,6 +21,7 @@ from .physical import FrequencyProtection, protection_bands
 SS_FRACTION = 0.1               # steady state estimated over this share of the tail
 RISE_LO, RISE_HI = 0.1, 0.9     # the rise runs between these shares of the final value
 DEFAULT_VOLT_LIMITS = (0.95, 1.05)
+CSV_BLOCK = 4096                # rows the trace writer formats and joins at a time
 
 
 def csv_time_cells(t: np.ndarray) -> list[str]:
@@ -50,23 +51,34 @@ class TimeSeries:
 
         ``t_cells`` is ``csv_time_cells(self.t)`` when the caller already
         holds it, as ``engine.export`` does for the axis a run's traces
-        share.  Each distinct bit pattern of ``v`` is formatted once: keying
-        on bits, not values, keeps ``0.0`` and ``-0.0`` apart."""
+        share.  The rows are written ``CSV_BLOCK`` at a time, so only one
+        block's cells are held: each distinct bit pattern of a block's values
+        is formatted once (keying on bits, not values, keeps ``0.0`` and
+        ``-0.0`` apart) and the block is joined into one string."""
         if t_cells is None:
             t_cells = csv_time_cells(self.t)
+        if len(t_cells) != len(self.v):
+            raise ValueError(f"series {self.name!r}: {len(t_cells)} time cells "
+                             f"for {len(self.v)} samples")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["t", self.name, "unit"])
         header = buf.getvalue()
         writer.writerow(["", "", self.unit])
         unit_field = buf.getvalue()[len(header) + 1:]  # ",<encoded unit>" and its line end
-        bits, inverse = np.unique(self.v.view(np.int64), return_inverse=True)
-        cells = np.array([repr(v) + unit_field for v in bits.view(np.float64).tolist()],
-                         dtype=object)
-        rows = [header] * (2 * len(t_cells) + 1)
-        rows[1::2] = t_cells
-        rows[2::2] = cells[inverse]  # a ValueError unless t_cells holds one cell per sample
-        return "".join(rows)
+        bits = self.v.view(np.int64)
+
+        def block(start: int) -> str:
+            distinct, inverse = np.unique(bits[start:start + CSV_BLOCK], return_inverse=True)
+            cells = np.array([repr(v) + unit_field for v in distinct.view(np.float64).tolist()],
+                             dtype=object)
+            rows = [header if start == 0 else ""] * (2 * len(inverse) + 1)
+            rows[1::2] = t_cells[start:start + CSV_BLOCK]
+            rows[2::2] = cells[inverse]
+            return "".join(rows)
+
+        # a single block is returned as it is, not copied
+        return "".join([block(start) for start in range(0, len(bits), CSV_BLOCK)])
 
     @classmethod
     def from_csv(cls, text: str) -> "TimeSeries":

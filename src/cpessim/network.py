@@ -85,14 +85,9 @@ class Packet:
     id: int
     src: str
     dst: str
-    size: int                   # bytes
     created_at: float
     kind: PacketKind
     payload: Optional[str] = None  # a command's action
-
-    def __post_init__(self):
-        if self.size <= 0:
-            raise ValueError("packet size must be > 0")
 
 
 class EventQueue:
@@ -108,13 +103,16 @@ class EventQueue:
             raise ValueError(f"cannot schedule event at {t} before now={self.now}")
         heapq.heappush(self._heap, (max(t, self.now), next(self._seq), fn))
 
-    def run_until(self, t_end: float) -> None:
-        """Dispatch every pending event with timestamp strictly before t_end."""
-        while self._heap and self._heap[0][0] < t_end:
-            t, _, fn = heapq.heappop(self._heap)
+    def run_until(self, t_end: float) -> float:
+        """Dispatch every pending event with timestamp strictly before t_end;
+        return the time of the next pending event, or inf if none is pending."""
+        heap = self._heap
+        while heap and heap[0][0] < t_end:
+            t, _, fn = heapq.heappop(heap)
             self.now = t
             fn()
         self.now = max(self.now, t_end)
+        return heap[0][0] if heap else math.inf
 
 
 def min_hop_path(adjacency: dict[str, list[str]], src: str, dst: str) -> list[str]:
@@ -157,9 +155,11 @@ class NetworkSim:
     def __init__(self, nodes: Sequence[NetNode], links: Sequence[NetLink],
                  rng: Optional[np.random.Generator] = None,
                  message_bytes: int = DEFAULT_MESSAGE_BYTES):
+        if message_bytes < 1:
+            raise ValueError(f"message_bytes must be >= 1, got {message_bytes}")
         self.nodes = {n.id: n for n in nodes}
         self.links = {l.id: l for l in links}
-        self.message_bytes = message_bytes
+        self.message_bytes = message_bytes  # every packet's size
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.events = EventQueue()
         self.log: list[dict] = []
@@ -226,11 +226,11 @@ class NetworkSim:
     def send_packet(self, src: str, dst: str, kind: PacketKind, payload=None,
                     now: Optional[float] = None) -> Packet:
         t = self.events.now if now is None else now
-        pkt = Packet(id=next(self._packet_ids), src=src, dst=dst, size=self.message_bytes,
-                     created_at=t, kind=kind, payload=payload)
+        pkt = Packet(id=next(self._packet_ids), src=src, dst=dst, created_at=t, kind=kind,
+                     payload=payload)
         path = self.route(src, dst)
         self._log(t, "send", src, pkt.id,
-                  {"kind": kind.value, "dst": dst, "size": pkt.size})
+                  {"kind": kind.value, "dst": dst, "size": self.message_bytes})
         if not path:
             self._deliver(pkt, src, t)
             return pkt
@@ -260,7 +260,7 @@ class NetworkSim:
             self.events.push(start_tx, lambda: self._start_tx(direction))
         else:
             start_tx = now
-        tx_end = start_tx + link.tx_time(pkt.size)
+        tx_end = start_tx + link.tx_time(self.message_bytes)
         self._busy_until[direction] = tx_end
 
         arrival = tx_end + link.prop_delay
@@ -329,5 +329,9 @@ class NetworkSim:
         return self.send_packet(self.master, self.outstations[asset],
                                 PacketKind.CONTROL_COMMAND, payload=action, now=now)
 
-    def run_until(self, t_end: float) -> None:
-        self.events.run_until(t_end)
+    def run_until(self, t_end: float) -> float:
+        """Dispatch every event before t_end; return the time of the next
+        pending event, or inf.  That time holds until an event is pushed from
+        outside a dispatch, so a caller that pushes none may skip every call
+        that would dispatch nothing."""
+        return self.events.run_until(t_end)

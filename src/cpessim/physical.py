@@ -593,7 +593,8 @@ def disconnect_machine(machine: Machine) -> None:
 
 def _balance_residual(pairs: list[tuple[float, float]], theta: float,
                       p_demand: float) -> float:
-    """sum_i K_i sin(delta_i - theta) - p_demand over (K_i, delta_i) pairs."""
+    """sum_i K_i sin(delta_i - theta) - p_demand over (K_i, delta_i) pairs,
+    for the bisection fallback of ``solve_load_angle``."""
     acc = 0.0
     for k, d in pairs:
         acc += k * math.sin(d - theta)
@@ -606,6 +607,8 @@ def solve_load_angle(machines: Sequence[Machine], p_demand: float,
 
     Solves sum_i K_i sin(delta_i - theta) = p_demand by Newton iteration with a
     bisection fallback; K_i is each connected machine's peak transfer power.
+    Each Newton iteration sums the transfers and their slope in one pass over
+    the machines.
     """
     pairs = [(m.coupling, m.delta) for m in machines if m.connected]
     if not pairs:
@@ -619,13 +622,15 @@ def solve_load_angle(machines: Sequence[Machine], p_demand: float,
 
     theta = theta_guess
     for _ in range(60):
-        df = 0.0
+        f = df = 0.0
         for k, d in pairs:
-            df += k * math.cos(d - theta)
+            x = d - theta
+            f += k * math.sin(x)
+            df += k * math.cos(x)
         df = -df
         if abs(df) < 1e-12:
             break
-        step = _balance_residual(pairs, theta, p_demand) / df
+        step = (f - p_demand) / df
         theta -= step
         if abs(step) < 1e-13:
             return theta

@@ -272,6 +272,86 @@ def test_overlapping_load_changes_follow_a_per_step_reference():
                                       abs=1e-15)
 
 
+# -- held columns and noise blocks ---------------------------------------------------
+
+def test_held_columns_follow_a_per_row_reference(monkeypatch):
+    # steps 0-3: b1 opens at step 0 and closes at step 3, b2 closes at step 0,
+    # l1 is shed at step 1 (its command arrives at 0.12 ms), l2's +50% ends at step 3
+    doc = boundary_doc()
+    doc["grid"]["breakers"][0]["schedule"] = [[0.0, "open"], [0.003, "close"]]
+    doc["grid"]["breakers"][1]["schedule"] = [[0.0, "close"]]
+    doc["network"]["commands"] = [{"t": 0.0, "asset": "l1", "action": "shed"}]
+    doc["attacks"] = [{"type": "load_change", "targets": ["l2"], "delta": 0.5,
+                       "window": [[0.0, 0.003]]}]
+    run = engine._Run(scenario_from_dict(doc), None)
+    grid, record = run.grid, run.tier.record
+    reference = []
+
+    def recorded(rows):
+        record(rows)
+        reference.append([demand_total(grid), *[float(b.closed) for b in grid.breakers],
+                          float(grid.load("l1").shed)])
+
+    monkeypatch.setattr(run.tier, "record", recorded)
+    traces = run.execute().traces
+    held = ["demand_total", "breaker_b1", "breaker_b2", "shed_l1"]
+    assert [traces[name].v.tolist() for name in held] == [list(c) for c in zip(*reference)]
+    # a boundary at step k shows from row k + 1
+    assert traces["breaker_b1"].v.tolist() == [1.0, 0.0, 0.0, 0.0, 1.0]
+    assert traces["breaker_b2"].v.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
+    assert traces["shed_l1"].v.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
+    assert traces["demand_total"].v.tolist() == pytest.approx([0.25, 0.25, 0.15, 0.15, 0.1],
+                                                              abs=1e-15)
+
+
+def test_case3_networked_open_moves_the_breaker_trace_at_the_next_row():
+    sc = presets.preset_scenario("case3_tda", "delay_0")
+    result = engine.run(sc)
+    [opened] = [e["t"] for e in result.event_log
+                if e["event"] == "breaker" and e["node"] == "pcc"]
+    k = round(opened / sc.dt_phys)  # the step whose boundary applied the command
+    pcc = result.traces["breaker_pcc"].v
+    assert np.all(pcc[:k + 1] == 1.0) and np.all(pcc[k + 1:] == 0.0)
+
+
+def three_plant_case1(horizon):
+    """case1 with pv_loop (noise 0.2), pv_b (noise 0.05) and a noise-free pv_quiet."""
+    doc = presets.preset_doc("case1_dia")
+    doc["meta"]["horizon"] = horizon
+    [plant] = doc["grid"]["plants"]
+    doc["grid"]["plants"] += [dict(plant, name="pv_b", noise_std=[0.05]),
+                              dict(plant, name="pv_quiet", noise_std=[0.0])]
+    return scenario_from_dict(doc)
+
+
+def test_noise_blocks_equal_one_scalar_draw_per_plant_and_step(monkeypatch):
+    sc = three_plant_case1(horizon=1.2 * engine.NOISE_BLOCK * 0.001)
+    result = engine.run(sc)
+
+    def scalar_draws(draws):
+        rng = engine.rng_for(sc.seed, "phys.noise")
+        while True:  # each step, one draw per noisy plant in plant order
+            for std in (0.2, 0.05):
+                yield rng.normal(0.0, std)
+
+    monkeypatch.setattr(engine, "_noise_draws", scalar_draws)
+    reference = engine.run(sc)
+    assert fingerprint(result) == fingerprint(reference)
+    signals = [result.traces[f"{name}_signal"].v for name in ("pv_loop", "pv_b", "pv_quiet")]
+    assert len(signals[0]) > engine.NOISE_BLOCK + 1
+    assert not np.array_equal(signals[0], signals[1])
+
+
+def test_noise_free_plants_draw_nothing():
+    doc = presets.preset_doc("case1_dia")
+    doc["meta"]["horizon"] = 0.05
+    doc["grid"]["plants"][0]["noise_std"] = [0.0]
+    run = engine._Run(scenario_from_dict(doc), None)
+    run.execute()
+    assert run.tier.rng_phys.bit_generator.state \
+        == engine.rng_for(run.seed, "phys.noise").bit_generator.state
+
+
 # -- case-study outcomes ------------------------------------------------------------
 
 def test_case1_dia_moves_frequency_only_while_the_attack_runs():

@@ -63,6 +63,16 @@ def test_csv_equals_csv_module_rows_and_reads_back_bit_exact(name, unit):
     assert np.isnan(back.v[nan]).all()  # "nan" carries no payload
 
 
+def test_csv_blocks_join_into_the_rows_of_one_block(monkeypatch):
+    # values repeat across blocks, and the last block is short
+    s = series(np.arange(3 * len(ODD_VALUES)) * 0.25, ODD_VALUES * 3, name="v", unit="pu")
+    whole = s.to_csv()
+    for block in (1, 3, 5):
+        monkeypatch.setattr(mx, "CSV_BLOCK", block)
+        assert s.to_csv() == whole
+        assert s.to_csv(mx.csv_time_cells(s.t)) == whole
+
+
 def test_csv_takes_the_time_cells_of_its_own_axis():
     s = series([0.0, 0.5, 1.0], [1.0, -0.0, 1.0])
     assert s.to_csv(mx.csv_time_cells(s.t)) == s.to_csv()

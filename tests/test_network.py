@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cpessim import presets
+from cpessim import engine, presets
 from cpessim.attacks import AttackWindow, DoS, TimeDelay
 from cpessim.network import (AppConfig, EventQueue, NetLink, NetNode, NetworkSim,
                              NodeRole, PacketKind, min_hop_path)
@@ -55,6 +55,62 @@ def test_event_queue_runs_strictly_before_end():
     assert seen == []
     q.run_until(1.0001)
     assert seen == [1]
+
+
+def test_event_queue_returns_the_next_pending_time():
+    q = EventQueue()
+    assert q.run_until(1.0) == math.inf
+    q.push(2.0, lambda: None)
+    q.push(1.5, lambda: q.push(3.0, lambda: None))
+    assert q.run_until(1.2) == 1.5
+    assert q.run_until(1.6) == 2.0  # the 1.5 event pushed one at 3.0
+    assert q.run_until(2.5) == 3.0
+    assert q.run_until(3.5) == math.inf
+    assert q.now == 3.5
+
+
+def test_network_skips_only_steps_without_a_due_event(monkeypatch):
+    # the engine calls the network only in a step that holds its next event;
+    # calling it every step, as a wrapper returning -inf forces, logs the same
+    sc = presets.preset_scenario("case3_tda", "delay_0")
+    real_run_until = NetworkSim.run_until
+
+    def every_step(self, t_end):
+        real_run_until(self, t_end)
+        return -math.inf
+
+    monkeypatch.setattr(NetworkSim, "run_until", every_step)
+    reference = engine.run(sc)
+    calls = []
+
+    def checked(self, t_end):
+        heap = self.events._heap
+        if calls:  # after the first call, each one has an event to dispatch
+            assert heap and heap[0][0] < t_end, t_end
+        calls.append(t_end)
+        return real_run_until(self, t_end)
+
+    monkeypatch.setattr(NetworkSim, "run_until", checked)
+    result = engine.run(sc)
+    n_steps = round(sc.horizon / sc.dt_phys)
+    assert len(calls) < n_steps / 3
+    assert result.event_log == reference.event_log
+    assert result.traces["freq"].v.tobytes() == reference.traces["freq"].v.tobytes()
+
+
+def test_message_bytes_must_be_positive():
+    nodes, links = [NetNode(id="a"), NetNode(id="b")], [NetLink(id="l", a="a", b="b",
+                                                                bandwidth=1e6)]
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="message_bytes"):
+            NetworkSim(nodes, links, message_bytes=size)
+    sim = NetworkSim(nodes, links, message_bytes=1)
+    sim.send_packet("a", "b", PacketKind.POLL, now=0.0)
+    sim.run_until(1.0)
+    [send] = events(sim, "send")
+    [deliver] = events(sim, "deliver")
+    assert send["detail"]["size"] == 1
+    assert deliver["t"] == 8.0 / 1e6  # one byte's transmit time, no propagation delay
 
 
 def test_event_queue_rejects_past():

@@ -517,6 +517,21 @@ def test_solve_load_angle_balances_demand():
     assert transfer == pytest.approx(demand, abs=1e-10)
 
 
+def test_solve_load_angle_falls_back_to_bisection_on_a_flat_guess(monkeypatch):
+    # cos(delta - guess) = cos(pi/2): Newton's slope is ~1e-16, so it stops at once
+    guess = 0.2
+    machines = [Machine(id="m", inertia_const=5, p_mech=0.3, reactance=0.3,
+                        delta=guess + math.pi / 2)]
+    residuals = []
+    real_residual = phys._balance_residual
+    monkeypatch.setattr(phys, "_balance_residual",
+                        lambda *args: residuals.append(None) or real_residual(*args))
+    theta = phys.solve_load_angle(machines, 0.3, guess)
+    assert residuals  # only the bisection evaluates the residual on its own
+    assert theta == 1.6806743817805743
+    assert abs(machines[0].coupling * math.sin(machines[0].delta - theta) - 0.3) < 1e-12
+
+
 def test_solve_load_angle_rejects_excess_demand():
     machines = [Machine(id="m", inertia_const=5, p_mech=0.3, reactance=0.3)]
     with pytest.raises(phys.SingularBoundaryError):
