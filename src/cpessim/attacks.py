@@ -8,8 +8,8 @@ zero delay, zero demand offset, empty schedules) are identities everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class SinusoidNoise:
     amplitude: float
     freq_hz: float
 
-    def sample(self, t: float, rng=None) -> float:
+    def sample(self, t: float, rng: np.random.Generator) -> float:
         return self.amplitude * math.sin(2 * math.pi * self.freq_hz * t)
 
 
@@ -155,7 +155,7 @@ AttackSpec = Union[DiaCombined, ControlDia, LoadChange, TimeDelay, DoS, BreakerA
 
 
 def apply_dia(y: float, t: float, spec: DiaCombined,
-              rng: Optional[np.random.Generator] = None) -> tuple[float, float]:
+              rng: np.random.Generator) -> tuple[float, float]:
     """Attack one scalar measurement: return (y_a, delta_y), where
     y_a = beta * y + W inside the window and delta_y = y_a - y is the
     manipulation (0.0 outside the window)."""

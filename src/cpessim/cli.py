@@ -90,6 +90,8 @@ def _default_out() -> Path:
 
 def _cmd_run(args) -> int:
     out_base = Path(args.out) if args.out else _default_out()
+    if args.batch and args.seed is not None:
+        raise ValueError("--seed and --batch: a batch runs each file at its own seed")
     if args.batch:
         paths = sorted(Path(args.scenario).glob("*.json"))
         if not paths:
@@ -117,7 +119,7 @@ def _export_run(result, sc: Scenario, out_dir: Path, args) -> None:
     if args.json:
         print(json.dumps(report))
     else:
-        print((out_dir / "report.txt").read_text(), end="")
+        print(engine.report_text(report), end="")
         print(f"exported to {out_dir}", file=sys.stderr)
 
 
@@ -176,10 +178,7 @@ def _cmd_metrics(args) -> int:
     if args.json:
         print(json.dumps(doc))
     else:
-        for r in reports:
-            print(f"[{r.kind}] trace={r.trace}")
-            for key, value in r.values.items():
-                print(f"  {key:<32} {value}")
+        print("\n".join(engine.metric_lines(doc["metrics"])), end="")
     return EXIT_OK
 
 

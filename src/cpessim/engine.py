@@ -39,7 +39,7 @@ from .attacks import (BreakerAttack, ControlDia, DiaCombined, DoS, LoadChange,
                       TimeDelay, apply_control_dia, apply_dia, apply_load_change)
 from .metrics import (MetricReport, TimeSeries, control_metrics, csv_time_cells,
                       cyber_metrics, frequency_stability, voltage_stability)
-from .network import NetworkSim
+from .network import NetworkSim, log_entry
 from .physical import (GridModel, NodalBoundary, demand_total, disconnect_machine,
                        group_step, lti_step, nodal_solve, protection_changes,
                        protection_check, solve_load_angle, swing_step)
@@ -92,7 +92,6 @@ class _Run:
         self.load_attacks = [a for a in sc.attacks if isinstance(a, LoadChange)]
         self._attacked_loads = list({target: self.grid.load(target) for spec in
                                      self.load_attacks for target in spec.targets}.values())
-        self.schedule = self._boundary_schedule()
 
         # network wiring
         self.net: Optional[NetworkSim] = None
@@ -102,8 +101,8 @@ class _Run:
                                   message_bytes=cfg.message_bytes)
             self.net.attach_attacks([replace(spec, tap=spec.tap.partition(":")[2]) for spec
                                      in sc.attacks if isinstance(spec, (DoS, TimeDelay))])
-            self.net.command_sink = lambda asset, action, _t: self.staged_commands.append(
-                (asset, action))
+            staged = self.staged_commands  # the sink holds the list, not the run
+            self.net.command_sink = lambda asset, action, _t: staged.append((asset, action))
             self.log = self.net.log  # one shared chronological log
             self.net.start_polling(cfg.poll_period, cfg.poll_start)
             for cmd in cfg.commands:  # scenario load ensures a master sends them
@@ -144,24 +143,21 @@ class _Run:
             self._set_breaker(self.grid.breaker(asset), action == "close_breaker", t)
         else:  # shed or unshed; scenario load ensures a shed load is sheddable
             self.grid.load(asset).shed = action == "shed"
-            self._log(t, "command_applied", asset, {"action": action})
+            self.log.append(log_entry(t, "command_applied", asset, None, {"action": action}))
 
     def _set_breaker(self, breaker, closed: bool, t: float) -> None:
         if breaker.closed == closed:
             return
         breaker.closed = closed
         self._topology_dirty = True
-        self._log(t, "breaker", breaker.id, {"action": "close" if closed else "open"})
+        self.log.append(log_entry(t, "breaker", breaker.id, None,
+                                  {"action": "close" if closed else "open"}))
 
     def _disconnect(self, machine, t: float) -> None:
         if machine.connected:
             disconnect_machine(machine)
             self._topology_dirty = True
-            self._log(t, "contingency", machine.id, {"action": "disconnect"})
-
-    def _log(self, t: float, event: str, node: str, detail: dict) -> None:
-        self.log.append({"t": t, "event": event, "node": node,
-                         "packet_id": None, "detail": detail})
+            self.log.append(log_entry(t, "contingency", machine.id, None, {"action": "disconnect"}))
 
     def _boundary_schedule(self) -> dict[int, list]:
         """Step index -> the scheduled actions due at it, called with its time:
@@ -196,7 +192,8 @@ class _Run:
         sc = self.sc
         n_steps, dt, grid, net = self.n_steps, self.dt, self.grid, self.net
         step, record, rows = self.tier.step, self.tier.record, self._rows
-        apply_boundary, schedule, staged = self._apply_boundary, self.schedule, self.staged_commands
+        apply_boundary, staged = self._apply_boundary, self.staged_commands
+        schedule = self._boundary_schedule()  # a local, so the run it binds is freed on return
         due = 0.0 if net is not None else math.inf  # the network's next event time
         self._apply_load_attacks(0.0)
         demand = demand_total(grid)
@@ -276,8 +273,8 @@ class _Run:
         p = self.grid.protection
         for k in protection_changes(freq.v, p).tolist():
             t, f = float(freq.t[k]), float(freq.v[k])
-            entry = {"t": t, "event": "protection", "node": "grid", "packet_id": None,
-                     "detail": {"action": protection_check(f, p).value, "frequency": f}}
+            entry = log_entry(t, "protection", "grid", None,
+                              {"action": protection_check(f, p).value, "frequency": f})
             # first among equal t: network events at t are dispatched (run_until is
             # strict) and boundary events at t logged only after the row at t
             self.log.insert(bisect.bisect_left(self.log, t, key=lambda e: e["t"]), entry)
@@ -431,15 +428,12 @@ class _MultiMachineTier:
         for m in grid.machines:
             m.delta = math.asin(m.p_mech / m.coupling)
 
-    def _swing(self, d_total: float, k: int) -> None:
+    def step(self, t: float, k: int, demand: float) -> None:
         machines = self.grid.machines
-        self.theta = solve_load_angle(machines, d_total, self.theta)
+        self.theta = solve_load_angle(machines, demand, self.theta)
         for m in machines:
             swing_step(m, m.coupling * math.sin(m.delta - self.theta), self.dt,
                        step_index=k)
-
-    def step(self, t: float, k: int, demand: float) -> None:
-        self._swing(demand, k)
 
     def columns(self) -> list[tuple[str, str]]:
         return [(f"freq_{m.id}", "Hz") for m in self.grid.machines]
@@ -560,7 +554,7 @@ class _TdTier(_MultiMachineTier):
         # machines see the (lagged, bounded) boundary transfer on top of local load
         p_target = min(max(p_pcc / self.p_pcc0, -1.0), 3.0)
         self._p_norm = p_target + (self._p_norm - p_target) * self._decay
-        self._swing(demand + cfg.dist_demand * self._p_norm, k)
+        super().step(t, k, demand + cfg.dist_demand * self._p_norm)
 
     def columns(self) -> list[tuple[str, str]]:
         return super().columns() + [("v_pcc", "pu"), ("v_dist", "pu")]
@@ -633,8 +627,8 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def export(result: RunResult, out_dir, scenario_doc: Optional[dict] = None) -> Path:
-    """Write traces, event log, reports, and manifest under out_dir."""
+def export(result: RunResult, out_dir, scenario_doc: dict) -> Path:
+    """Write traces, event log, reports, manifest and scenario under out_dir."""
     out = Path(out_dir)
     (out / "traces").mkdir(parents=True, exist_ok=True)
     t_cells = {}  # id of a time axis -> its CSV column; a run's traces share one axis
@@ -648,11 +642,10 @@ def export(result: RunResult, out_dir, scenario_doc: Optional[dict] = None) -> P
                               "attack_samples": result.attack_samples}, separators=(",", ":")))
     report = report_dict(result)
     _write_atomic(out / "report.json", json.dumps(report, indent=2))
-    _write_atomic(out / "report.txt", _report_text(report))
+    _write_atomic(out / "report.txt", report_text(report))
     _write_atomic(out / "manifest.json", json.dumps(result.manifest, indent=2))
-    if scenario_doc is not None:
-        _write_atomic(out / "scenario.json",
-                      json.dumps(scenario_doc, indent=2, sort_keys=True))
+    _write_atomic(out / "scenario.json",
+                  json.dumps(scenario_doc, indent=2, sort_keys=True))
     return out
 
 
@@ -666,20 +659,10 @@ def report_dict(result: RunResult) -> dict:
     }
 
 
-def _report_text(report: dict) -> str:
-    lines = [f"scenario: {report['scenario']}", f"seed: {report['seed']}", ""]
-    for m in report["metrics"]:
-        lines.append(f"[{m['kind']}] trace={m['trace']}")
-        for key, value in m["values"].items():
-            if isinstance(value, dict):
-                for sub, sval in value.items():
-                    lines.append(f"  {key}.{sub:<28} {sval}")
-            else:
-                lines.append(f"  {key:<32} {value}")
-        for label, intervals in m.get("intervals", {}).items():
-            pretty = ", ".join(f"[{a:.4f}, {b:.4f}]" for a, b in intervals)
-            lines.append(f"  intervals.{label:<22} {pretty}")
-        lines.append("")
+def report_text(report: dict) -> str:
+    """``report.txt``, which ``cpessim run`` also prints."""
+    lines = [f"scenario: {report['scenario']}", f"seed: {report['seed']}", "",
+             *metric_lines(report["metrics"])]
     risk = report.get("risk")
     if risk:
         lines.append("[risk]")
@@ -688,3 +671,21 @@ def _report_text(report: dict) -> str:
             lines.append(f"  {obj:<32} {score}")
         lines.append("")
     return "\n".join(lines)
+
+
+def metric_lines(metrics: list[dict]) -> list[str]:
+    """Each ``MetricReport.to_dict()`` as text lines, ending in a blank line."""
+    lines = []
+    for m in metrics:
+        lines.append(f"[{m['kind']}] trace={m['trace']}")
+        for key, value in m["values"].items():
+            if isinstance(value, dict):
+                for sub, sval in value.items():
+                    lines.append(f"  {key}.{sub:<28} {sval}")
+            else:
+                lines.append(f"  {key:<32} {value}")
+        for label, intervals in m["intervals"].items():
+            pretty = ", ".join(f"[{a:.4f}, {b:.4f}]" for a, b in intervals)
+            lines.append(f"  intervals.{label:<22} {pretty}")
+        lines.append("")
+    return lines

@@ -45,18 +45,16 @@ class TimeSeries:
         if len(self.t) > 1 and not np.all(np.diff(self.t) > 0):
             raise ValueError(f"series {self.name!r}: t must be strictly increasing")
 
-    def to_csv(self, t_cells: Optional[list[str]] = None) -> str:
+    def to_csv(self, t_cells: list[str]) -> str:
         """Header ``t,<name>,unit``, then one ``repr(t),repr(v),<unit>`` row per
         sample; text fields are quoted by the ``csv`` module's rules.
 
-        ``t_cells`` is ``csv_time_cells(self.t)`` when the caller already
-        holds it, as ``engine.export`` does for the axis a run's traces
-        share.  The rows are written ``CSV_BLOCK`` at a time, so only one
-        block's cells are held: each distinct bit pattern of a block's values
-        is formatted once (keying on bits, not values, keeps ``0.0`` and
-        ``-0.0`` apart) and the block is joined into one string."""
-        if t_cells is None:
-            t_cells = csv_time_cells(self.t)
+        ``t_cells`` is ``csv_time_cells(self.t)``, which ``engine.export``
+        formats once for the axis a run's traces share.  The rows are
+        written ``CSV_BLOCK`` at a time, so only one block's cells are held:
+        each distinct bit pattern of a block's values is formatted once
+        (keying on bits, not values, keeps ``0.0`` and ``-0.0`` apart) and
+        the block is joined into one string."""
         if len(t_cells) != len(self.v):
             raise ValueError(f"series {self.name!r}: {len(t_cells)} time cells "
                              f"for {len(self.v)} samples")
@@ -194,7 +192,7 @@ def percent_overshoot(s: TimeSeries, step_value: float) -> float:
     return max(0.0, 100.0 * (float(np.max(s.v)) - step_value) / step_value)
 
 
-def settling_time(s: TimeSeries, band_pct: float = 0.02) -> float:
+def settling_time(s: TimeSeries, band_pct: float) -> float:
     """Time of the last sample outside the +-band around the steady state."""
     ss = steady_state(s)
     band = band_pct * abs(ss) if ss != 0 else band_pct

@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .attacks import DoS, TimeDelay
+from .physical import float_sum
 
 DEFAULT_MESSAGE_BYTES = 292
 QUEUE_CAPACITY = 64  # packets waiting per link direction; one more drops
@@ -88,6 +89,11 @@ class Packet:
     created_at: float
     kind: PacketKind
     payload: Optional[str] = None  # a command's action
+
+
+def log_entry(t: float, event: str, node: str, packet_id, detail: dict) -> dict:
+    """One entry of the event log, which the network and the engine share."""
+    return {"t": t, "event": event, "node": node, "packet_id": packet_id, "detail": detail}
 
 
 class EventQueue:
@@ -158,7 +164,6 @@ class NetworkSim:
         if message_bytes < 1:
             raise ValueError(f"message_bytes must be >= 1, got {message_bytes}")
         self.nodes = {n.id: n for n in nodes}
-        self.links = {l.id: l for l in links}
         self.message_bytes = message_bytes  # every packet's size
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.events = EventQueue()
@@ -203,10 +208,8 @@ class NetworkSim:
 
     def baseline_delay(self, src: str, dst: str) -> float:
         """Deterministic end-to-end delay along the route: sum of tx + prop per hop."""
-        total = 0.0
-        for link in self.links_on(src, dst):
-            total += link.tx_time(self.message_bytes) + link.prop_delay
-        return total
+        return float_sum(link.tx_time(self.message_bytes) + link.prop_delay
+                         for link in self.links_on(src, dst))
 
     def attach_attacks(self, specs: Sequence) -> None:
         for spec in specs:
@@ -215,26 +218,19 @@ class NetworkSim:
             elif isinstance(spec, TimeDelay):
                 self._delays.setdefault(spec.tap, []).append(spec)
 
-    # -- logging -----------------------------------------------------------
-
-    def _log(self, t: float, event: str, node: str, packet_id, detail: dict) -> None:
-        self.log.append({"t": t, "event": event, "node": node,
-                         "packet_id": packet_id, "detail": detail})
-
     # -- packet pipeline ----------------------------------------------------
 
-    def send_packet(self, src: str, dst: str, kind: PacketKind, payload=None,
-                    now: Optional[float] = None) -> Packet:
-        t = self.events.now if now is None else now
-        pkt = Packet(id=next(self._packet_ids), src=src, dst=dst, created_at=t, kind=kind,
+    def send_packet(self, src: str, dst: str, kind: PacketKind, now: float,
+                    payload=None) -> Packet:
+        pkt = Packet(id=next(self._packet_ids), src=src, dst=dst, created_at=now, kind=kind,
                      payload=payload)
         path = self.route(src, dst)
-        self._log(t, "send", src, pkt.id,
-                  {"kind": kind.value, "dst": dst, "size": self.message_bytes})
+        self.log.append(log_entry(now, "send", src, pkt.id,
+                                  {"kind": kind.value, "dst": dst, "size": self.message_bytes}))
         if not path:
-            self._deliver(pkt, src, t)
+            self._deliver(pkt, src, now)
             return pkt
-        self.events.push(t, lambda: self._hop(pkt, path, 0, t))
+        self.events.push(now, lambda: self._hop(pkt, path, 0, now))
         return pkt
 
     def _hop(self, pkt: Packet, path: list[str], hop: int, now: float) -> None:
@@ -281,23 +277,23 @@ class NetworkSim:
         self._queued[direction] -= 1
 
     def _drop(self, pkt: Packet, link_id: str, now: float, reason: str) -> None:
-        self._log(now, "drop", link_id, pkt.id,
-                  {"reason": reason, "kind": pkt.kind.value,
-                   "src": pkt.src, "dst": pkt.dst})
+        self.log.append(log_entry(now, "drop", link_id, pkt.id,
+                                  {"reason": reason, "kind": pkt.kind.value,
+                                   "src": pkt.src, "dst": pkt.dst}))
         if pkt.kind is PacketKind.CONTROL_COMMAND:
-            self._log(now, "command_lost", pkt.dst, pkt.id,
-                      {"reason": reason, "payload": f"action={pkt.payload}"})
+            self.log.append(log_entry(now, "command_lost", pkt.dst, pkt.id,
+                                      {"reason": reason, "payload": f"action={pkt.payload}"}))
 
     def _deliver(self, pkt: Packet, node_id: str, now: float) -> None:
-        self._log(now, "deliver", node_id, pkt.id,
-                  {"kind": pkt.kind.value, "src": pkt.src, "dst": pkt.dst,
-                   "created_at": pkt.created_at, "delay": now - pkt.created_at})
+        self.log.append(log_entry(now, "deliver", node_id, pkt.id,
+                                  {"kind": pkt.kind.value, "src": pkt.src, "dst": pkt.dst,
+                                   "created_at": pkt.created_at, "delay": now - pkt.created_at}))
         node = self.nodes[node_id]
         app = node.app
         if app is None:
             return
         if app.kind == "outstation" and pkt.kind is PacketKind.POLL:
-            self.send_packet(node_id, pkt.src, PacketKind.MEASUREMENT_REPORT, now=now)
+            self.send_packet(node_id, pkt.src, PacketKind.MEASUREMENT_REPORT, now)
         elif app.kind == "outstation" and pkt.kind is PacketKind.CONTROL_COMMAND:
             self.command_sink(app.asset, pkt.payload, now)
 
@@ -317,17 +313,17 @@ class NetworkSim:
 
         def emit(out: str, offset: float, k: int):
             t = start + offset + k * period  # multiplicative: no float accumulation
-            self.send_packet(self.master, out, PacketKind.POLL, now=t)
+            self.send_packet(self.master, out, PacketKind.POLL, t)
             self.events.push(t + period, lambda: emit(out, offset, k + 1))
 
         for j, out in enumerate(outstations):
             self.events.push(start + j * slot,
                              lambda out=out, j=j: emit(out, j * slot, 0))
 
-    def send_command(self, asset: str, action: str, now: Optional[float] = None) -> Packet:
+    def send_command(self, asset: str, action: str, now: float) -> Packet:
         """Issue a control command from the master to the outstation bound to asset."""
         return self.send_packet(self.master, self.outstations[asset],
-                                PacketKind.CONTROL_COMMAND, payload=action, now=now)
+                                PacketKind.CONTROL_COMMAND, now, payload=action)
 
     def run_until(self, t_end: float) -> float:
         """Dispatch every event before t_end; return the time of the next

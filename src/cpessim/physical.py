@@ -572,10 +572,7 @@ class GridModel:
 
 def demand_total(grid: GridModel) -> float:
     """Total system demand: all load draws (attacked ones included) plus losses."""
-    acc = 0.0
-    for l in grid.loads:
-        acc += l.demand
-    return acc + grid.p_loss
+    return float_sum(l.demand for l in grid.loads) + grid.p_loss
 
 
 def disconnect_machine(machine: Machine) -> None:

@@ -44,14 +44,16 @@ def preset_doc(name: str, variant: str | None = None) -> dict:
     if name not in PRESET_NAMES:
         raise KeyError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
     variant = variant or DEFAULT_VARIANTS[name]
-    builder = {"case1_dia": _case1, "case2_load": _case2,
-               "case3_tda": _case3, "case4_td": _case4}[name]
+    builder, variants = {"case1_dia": (_case1, ("default",)),
+                         "case2_load": (_case2, _CASE2_VARIANTS),
+                         "case3_tda": (_case3, _CASE3_DELAYS),
+                         "case4_td": (_case4, _CASE4_VARIANTS)}[name]
+    if variant not in variants:
+        raise ValueError(f"{name} variant must be one of {sorted(variants)}, got {variant!r}")
     return builder(variant)
 
 
 def _case1(variant: str) -> dict:
-    if variant != "default":
-        raise ValueError(f"case1_dia has no variant {variant!r}")
     return {
         "schema_version": 1,
         "meta": {
@@ -123,9 +125,6 @@ _CASE2_VARIANTS = {
 
 
 def _case2(variant: str) -> dict:
-    if variant not in _CASE2_VARIANTS:
-        raise ValueError(f"case2_load variant must be one of "
-                         f"{sorted(_CASE2_VARIANTS)}, got {variant!r}")
     targets, fraction = _CASE2_VARIANTS[variant]
     governor = {"gain": 1.0, "deadband": 0.036, "time_constant": 0.5,
                 "max_boost": 0.5, "min_boost": -0.5}
@@ -178,9 +177,6 @@ _CASE3_DELAYS = {"delay_0": 0.0, "delay_0_5": 0.5, "delay_5": 5.0, "delay_15": 1
 
 
 def _case3(variant: str) -> dict:
-    if variant not in _CASE3_DELAYS:
-        raise ValueError(f"case3_tda variant must be one of "
-                         f"{sorted(_CASE3_DELAYS)}, got {variant!r}")
     delay = _CASE3_DELAYS[variant]
     outstations = [("out_gen", "genset"), ("out_bess", "bess_meter"),
                    ("out_load1", "load1"), ("out_load2", "load2"),
@@ -253,31 +249,20 @@ def _case3(variant: str) -> dict:
     }
 
 
-_CASE4_VARIANTS = ("breaker_open", "breaker_open_close", "breaker_triple",
-                   "n1", "n11", "n2")
+_CASE4_VARIANTS = {  # variant -> (the breaker attack's schedule on pcc, contingencies)
+    "breaker_open": (((1.5, "open"),), ()),
+    "breaker_open_close": (((1.5, "open"), (1.75, "close")), ()),
+    "breaker_triple": (((1.5, "open"), (1.75, "close"), (2.0, "open")), ()),
+    "n1": ((), ((1.5, "g2"),)),
+    "n11": ((), ((1.5, "g2"), (1.6, "g3"))),
+    "n2": ((), ((1.5, "g2"), (1.5, "g3"))),
+}
 
 
 def _case4(variant: str) -> dict:
-    if variant not in _CASE4_VARIANTS:
-        raise ValueError(f"case4_td variant must be one of "
-                         f"{_CASE4_VARIANTS}, got {variant!r}")
-    attacks = []
-    contingencies = []
-    if variant == "breaker_open":
-        attacks.append({"type": "breaker", "breaker": "pcc",
-                        "schedule": [[1.5, "open"]]})
-    elif variant == "breaker_open_close":
-        attacks.append({"type": "breaker", "breaker": "pcc",
-                        "schedule": [[1.5, "open"], [1.75, "close"]]})
-    elif variant == "breaker_triple":
-        attacks.append({"type": "breaker", "breaker": "pcc",
-                        "schedule": [[1.5, "open"], [1.75, "close"], [2.0, "open"]]})
-    elif variant == "n1":
-        contingencies = [{"t": 1.5, "machine": "g2"}]
-    elif variant == "n11":
-        contingencies = [{"t": 1.5, "machine": "g2"}, {"t": 1.6, "machine": "g3"}]
-    elif variant == "n2":
-        contingencies = [{"t": 1.5, "machine": "g2"}, {"t": 1.5, "machine": "g3"}]
+    schedule, contingencies = _CASE4_VARIANTS[variant]
+    attacks = [{"type": "breaker", "breaker": "pcc",
+                "schedule": [list(action) for action in schedule]}] if schedule else []
     governor = {"gain": 0.3, "deadband": 0.036, "time_constant": 0.4,
                 "max_boost": 0.6, "min_boost": -0.6}
     return {
@@ -303,7 +288,7 @@ def _case4(variant: str) -> dict:
             ],
             "loads": [{"id": "td_local", "demand": 0.30}],
             "breakers": [{"id": "pcc", "closed": True}],
-            "contingencies": contingencies,
+            "contingencies": [{"t": t, "machine": m} for t, m in contingencies],
             "td_system": {
                 "sources": [
                     {"machine": "g1", "emf": 1.4267, "r": 0.1, "l": 0.02},

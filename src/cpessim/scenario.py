@@ -64,12 +64,10 @@ class Scenario:
     grid: dict                           # raw grid section (engine builds fresh models)
     network: Optional[NetworkConfig]
     attacks: list[AttackSpec]
-    threat: Optional[tm.ThreatModel]
     risk_inputs: Optional[dict]
     metrics_requested: list[dict]
+    doc: dict                            # canonical source document
     seed: int = 0
-    description: str = ""
-    doc: dict = field(default_factory=dict)  # canonical source document
 
     def build_grid(self) -> GridModel:
         return build_grid(self.grid)
@@ -102,6 +100,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     meta = _value(doc, "", "meta", "dict")
     _check_keys(meta, "meta", "name description horizon dt_phys")
     name = _value(meta, "meta", "name", "str", convert=_file_name)  # `run --batch` dir
+    _value(meta, "meta", "description", "str", None)  # checked; nothing reads it
     horizon = _value(meta, "meta", "horizon", "float", convert=_positive)
     dt_phys = _value(meta, "meta", "dt_phys", "float", convert=_positive)
     if dt_phys > MAX_SWING_DT:
@@ -120,10 +119,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
                      _each("attacks", lambda loc, raw: _parse_attack(loc, raw, grid)))
     _check_taps(attacks, grid, network)
 
-    threat = None
-    if doc.get("threat") is not None:
-        threat = parse_threat(doc["threat"], "threat")
-        violations = tm.validate(threat)
+    if doc.get("threat") is not None:  # checked; nothing reads it after load
+        violations = tm.validate(parse_threat(doc["threat"], "threat"))
         if violations:
             raise ScenarioError("threat", "; ".join(violations))
 
@@ -135,10 +132,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     seed = _value(doc, "", "seed", "int", Scenario.seed)
 
     return Scenario(name=name, horizon=horizon, dt_phys=dt_phys, grid=grid_doc,
-                    network=network, attacks=attacks, threat=threat,
-                    risk_inputs=risk_inputs, metrics_requested=metrics_requested,
-                    seed=seed, description=_value(meta, "meta", "description", "str",
-                                                  Scenario.description), doc=doc)
+                    network=network, attacks=attacks, risk_inputs=risk_inputs,
+                    metrics_requested=metrics_requested, seed=seed, doc=doc)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +299,7 @@ def _parse_network(raw: dict) -> NetworkConfig:
                 "message_bytes commands", nodes=_each("network.nodes", _parse_node),
                 links=_each("network.links", _parse_link),
                 commands=_each("network.commands", _parse_command),
-                poll_period=_non_negative, poll_start=_non_negative,
+                poll_period=lambda v: _non_negative(_finite(v)), poll_start=_non_negative,
                 message_bytes=_positive)
     _check_unique("network.nodes", [n.id for n in net.nodes], "id")
     _check_unique("network.links", [l.id for l in net.links], "id")
@@ -320,7 +315,8 @@ def _parse_node(loc: str, raw: dict) -> NetNode:
 def _parse_link(loc: str, raw: dict) -> NetLink:
     return _read(NetLink, raw, loc, "id a b bandwidth_mbps:bandwidth prop_delay_ms:prop_delay "
                  "jitter_ms:jitter loss_rate",
-                 bandwidth=lambda mbps: _positive(mbps) * 1e6, prop_delay=_ms, jitter=_ms)
+                 bandwidth=lambda mbps: _positive(mbps) * 1e6, prop_delay=_ms,
+                 jitter=lambda ms: _ms(_finite(ms)))
 
 
 _COMMAND_TARGETS = {"shed": "load", "unshed": "load",
@@ -368,11 +364,11 @@ def _tagged(table: dict, tag: str, loc: str, raw: dict, **parsed):
 
 def _check_network(net: NetworkConfig, grid: GridModel) -> None:
     """The topology must route every packet the run sends: each link joins
-    two different known nodes, once; each endpoint has a link; the one master
-    reaches every outstation; each outstation is bound to its own known grid
-    asset; and each command goes to a bound outstation, with an action that
-    fits its asset's kind (a load's shed or unshed, a breaker's open or
-    close) and, for a shed, a sheddable load."""
+    two different known nodes, once; each endpoint has a link; the one master,
+    bound to no asset, reaches every outstation; each outstation is bound to
+    its own known grid asset; and each command goes to a bound outstation,
+    with an action that fits its asset's kind (a load's shed or unshed, a
+    breaker's open or close) and, for a shed, a sheddable load."""
     adjacency = {n.id: [] for n in net.nodes}
     for i, link in enumerate(net.links):
         for end in "ab":
@@ -402,6 +398,8 @@ def _check_network(net: NetworkConfig, grid: GridModel) -> None:
             raise ScenarioError(f"{loc}.app", "apps run only on endpoints")
         if node.app.kind == "master" and node.id != masters[0]:
             raise ScenarioError(f"{loc}.app", f"second master; {masters[0]!r} is the master")
+        if node.app.kind == "master" and node.app.asset is not None:
+            raise ScenarioError(f"{loc}.app.asset", "a master app is bound to no grid asset")
         if node.app.kind == "outstation":
             asset = node.app.asset
             if asset not in assets:
@@ -635,7 +633,8 @@ def _non_negative(value):
 
 
 def _finite(value: float) -> float:
-    if not math.isfinite(value):  # an event at NaN or infinity would never fire
+    """Reject infinity: no event fires there; a period or jitter there breaks the event times."""
+    if not math.isfinite(value):
         raise ValueError(f"must be finite, got {value}")
     return value
 

@@ -44,7 +44,7 @@ def test_window_multiple_intervals():
 
 def test_dia_beta_one_no_noise_is_identity():
     spec = DiaCombined(tap="meas:p", beta=1.0, window=AttackWindow(((0.0, 10.0),)))
-    y_a, dy = atk.apply_dia(200.0, 5.0, spec)
+    y_a, dy = atk.apply_dia(200.0, 5.0, spec, np.random.default_rng(0))
     assert y_a == 200.0
     assert dy == 0.0
 
@@ -53,13 +53,13 @@ def test_dia_outside_window_is_identity():
     spec = DiaCombined(tap="meas:p", beta=0.5,
                        noise=SinusoidNoise(10.0, 1.0),
                        window=AttackWindow(((2.0, 3.0),)))
-    y_a, dy = atk.apply_dia(200.0, 1.0, spec)
+    y_a, dy = atk.apply_dia(200.0, 1.0, spec, np.random.default_rng(0))
     assert y_a == 200.0 and dy == 0.0
 
 
 def test_dia_scaling():
     spec = DiaCombined(tap="meas:p", beta=0.8, window=AttackWindow(((0.0, 1.0),)))
-    y_a, dy = atk.apply_dia(200.0, 0.5, spec)
+    y_a, dy = atk.apply_dia(200.0, 0.5, spec, np.random.default_rng(0))
     assert y_a == pytest.approx(160.0)
     assert dy == pytest.approx(-40.0)
 
@@ -68,7 +68,7 @@ def test_dia_sinusoid_is_deterministic():
     spec = DiaCombined(tap="meas:p", beta=1.0, noise=SinusoidNoise(5.0, 2.0),
                        window=AttackWindow(((0.0, 1.0),)))
     t = 0.125  # sin(2*pi*2*t) = sin(pi/2) = 1
-    y_a, dy = atk.apply_dia(100.0, t, spec)
+    y_a, dy = atk.apply_dia(100.0, t, spec, np.random.default_rng(0))
     assert y_a == pytest.approx(105.0)
 
 
@@ -91,7 +91,7 @@ def test_dia_replay_from_logged_delta():
                        window=AttackWindow(((0.0, 10.0),)))
     for t in np.linspace(0, 12, 61):
         y = 120.0 + 10 * math.sin(t)
-        y_a, dy = atk.apply_dia(y, float(t), spec)
+        y_a, dy = atk.apply_dia(y, float(t), spec, np.random.default_rng(0))
         assert y + dy == pytest.approx(y_a, rel=1e-12)
 
 

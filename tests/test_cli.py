@@ -34,6 +34,16 @@ def test_batch_rejects_two_files_with_one_name_before_any_run(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_batch_rejects_a_seed_it_would_not_use(tmp_path, capsys):
+    write_doc(tmp_path / "a.json", short_doc("case2_load", "a"))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(tmp_path), "--batch", "--seed", "7", "--out", str(out),
+                     "--json"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "--seed" in err and "--batch" in err
+    assert not out.exists()
+
+
 def test_threat_with_violations_exits_negative(tmp_path, capsys):
     model = tm.preset("cross_layer_firmware")
     broken = tm.ThreatModel(
@@ -89,6 +99,21 @@ def test_metrics_on_exported_run_equals_run_report(tmp_path, capsys):
     # NaN never equals itself, so compare the serialized forms
     assert json.dumps(read_back["metrics"], sort_keys=True) == \
         json.dumps(run_report["metrics"], sort_keys=True)
+
+
+def test_run_and_metrics_print_the_metric_reports_as_report_txt(tmp_path, capsys):
+    doc = short_doc("case3_tda", "delay_0", horizon=0.5)
+    doc["network"]["commands"] = [{"t": 0.05, "asset": "pcc", "action": "open_breaker"}]
+    out = tmp_path / "out"
+    assert cli.main(["run", write_doc(tmp_path / "sc.json", doc), "--out", str(out)]) \
+        == cli.EXIT_OK
+    report_txt = (out / "report.txt").read_text()
+    assert capsys.readouterr().out == report_txt
+    assert cli.main(["metrics", str(out)]) == cli.EXIT_OK
+    printed = capsys.readouterr().out
+    assert "  intervals.governor               [0.0740, 0.4890]" in printed
+    assert "  per_flow_jitter.mgc->out_bess" in printed  # one line per flow
+    assert report_txt.startswith("scenario: case3_tda_delay_0\nseed: 303\n\n" + printed)
 
 
 def test_metrics_reads_only_the_requested_traces(tmp_path, capsys):

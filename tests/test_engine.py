@@ -1,11 +1,13 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from cpessim import cli, engine, presets
-from cpessim.metrics import TimeSeries
+from cpessim.metrics import TimeSeries, csv_time_cells
 from cpessim.physical import demand_total
 from cpessim.scenario import ScenarioError, scenario_from_dict
 
@@ -76,10 +78,29 @@ def test_demand_total_runs_once_per_boundary(preset, variant, monkeypatch):
 
     monkeypatch.setattr(engine, "demand_total", counted)
     run = engine._Run(sc, None)
-    assert len(run.schedule) == 2
+    boundaries = len(run._boundary_schedule())
+    assert boundaries == 2
     result = run.execute()
-    assert len(calls) == 1 + len(run.schedule)  # the first row, then each boundary
+    assert len(calls) == 1 + boundaries  # the first row, then each boundary
     assert result.traces["demand_total"].v.size == run.n_steps + 1
+
+
+@pytest.mark.parametrize("preset, variant", [
+    ("case2_load", "a"), ("case3_tda", "delay_0"), ("case4_td", "n11")])
+def test_finished_run_is_freed_without_the_cyclic_collector(preset, variant):
+    # at full horizon, so the boundary schedule and the network's commands fire
+    sc = presets.preset_scenario(preset, variant)
+    gc.collect()
+    gc.disable()
+    try:
+        run = engine._Run(sc, None)
+        alive = weakref.ref(run)
+        result = run.execute()
+        del run
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert result.traces["freq"].v.size == round(sc.horizon / sc.dt_phys) + 1
 
 
 def test_unnamed_plants_each_inject_their_own_base_power():
@@ -183,7 +204,7 @@ def test_one_boundary_applies_every_kind_of_event_in_order(monkeypatch):
                       {"type": "load_change", "targets": ["l2"], "delta": 0.5,
                        "window": [[0.0015, 0.003]]}]
     run = engine._Run(scenario_from_dict(doc), None)
-    assert sorted(run.schedule) == [2, 3]  # the window's end is the only event at 3 ms
+    assert sorted(run._boundary_schedule()) == [2, 3]  # the window's end is the only event at 3 ms
     rebuilds = []
     rebuild = run.tier.on_topology_change
     monkeypatch.setattr(run.tier, "on_topology_change",
@@ -541,12 +562,15 @@ def test_export_writes_each_artifact_once(preset, variant, tmp_path):
 
 
 def test_export_writes_a_trace_off_the_run_axis_from_its_own_axis(tmp_path):
-    result = engine.run(short("case2_load", "a", horizon=0.05))
+    sc = short("case2_load", "a", horizon=0.05)
+    result = engine.run(sc)
     axis = result.traces["freq"].t
     result.traces["late"] = TimeSeries(t=axis + 0.5, v=np.ones(len(axis)), name="late")
-    out = engine.export(result, tmp_path / "run")
+    out = engine.export(result, tmp_path / "run", scenario_doc=sc.doc)
     for name in ("late", "freq"):
-        assert (out / "traces" / f"{name}.csv").read_text() == result.traces[name].to_csv()
+        series = result.traces[name]
+        assert (out / "traces" / f"{name}.csv").read_text() == \
+            series.to_csv(csv_time_cells(series.t))
 
 
 # -- determinism and batches ------------------------------------------------------------

@@ -30,7 +30,7 @@ def test_all_preset_docs_parse_and_validate():
         sc = presets.preset_scenario(name)
         assert sc.horizon > 0
         assert sc.seed != 0
-        assert sc.threat is not None
+        assert sc.doc["threat"]["adversary"]  # validated at load; the run reads nothing of it
         assert sc.risk_inputs is not None
 
 
@@ -420,6 +420,14 @@ PRIORITIES = {"people_health_safety": 4, "uninterrupted_operation": 3,
      "grid.td_system.pcc_shunt_c"),
     ("case3_tda", "delay_0", _set(["network", "links", 0, "jitter_ms"], -1.0),
      "network.links[0].jitter_ms"),
+    # infinite jitter overflows the uniform draw, and an infinite poll period
+    # schedules a poll at 0 * inf; the other infinite network times mean never
+    ("case3_tda", "delay_0", _set(["network", "links", 0, "jitter_ms"], math.inf),
+     "network.links[0].jitter_ms"),
+    ("case3_tda", "delay_0", _set(["network", "poll_period"], math.inf), "network.poll_period"),
+    # a master reads no grid asset, so an asset on it would be ignored
+    ("case3_tda", "delay_0", _set(["network", "nodes", 0, "app", "asset"], "genset"),
+     "network.nodes[0].app.asset"),
     ("case3_tda", "delay_0", _set(["network", "message_bytes"], 0), "network.message_bytes"),
     ("case3_tda", "delay_0", _set(["network", "commands", 0, "t"], -1.0),
      "network.commands[0].t"),
@@ -439,6 +447,7 @@ PRIORITIES = {"people_health_safety": 4, "uninterrupted_operation": 3,
     ("case1_dia", None, _set(["risk", "priorities"], [4, 3, 2, 1]), "risk.priorities"),
     ("case1_dia", None, _set(["threat", "notez"], "firmware"), "threat.notez"),
     ("case1_dia", None, _set(["threat", "attack", "asset"], "hmi"), "threat.attack.asset"),
+    ("case1_dia", None, _set(["meta", "description"], 5), "meta.description"),
     ("case3_tda", "delay_0", _set(["network", "links", 0, "b"], "ghost"), "network.links[0].b"),
     ("case3_tda", "delay_0", _append(["network", "links"], {
         "id": "l_again", "a": "router", "b": "mgc", "bandwidth_mbps": 100.0}),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cpessim import presets
-from cpessim.metrics import TimeSeries
+from cpessim.metrics import TimeSeries, csv_time_cells
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 PINNED = Path(__file__).with_name("export_hashes.txt")
@@ -31,7 +31,7 @@ def write_tree(root: Path, traces: dict[str, list[float]]) -> Path:
         path.parent.mkdir(parents=True, exist_ok=True)
         series = TimeSeries(t=np.arange(len(values)) * 0.5, v=np.array(values), unit="pu",
                             name=name)
-        path.write_text(series.to_csv())
+        path.write_text(series.to_csv(csv_time_cells(series.t)))
     return root
 
 
@@ -130,6 +130,19 @@ def test_ab_time_reports_one_checkout_against_itself(capsys):
     assert run_wins in ("0/1", "1/1") and export_wins in ("0/1", "1/1")
     assert len(row.split()) == 9
     assert last == "outputs identical"
+
+
+def test_ab_time_speedup_is_the_median_of_per_repeat_ratios():
+    # the change is 1.1x faster in every repeat, but the host switches to its
+    # half-speed mode between the two sides of the last two repeats, so the
+    # ratio of the two medians would read 0.55x
+    fast, slow = 1.0, 2.0
+    parent = [fast, fast, slow, fast, fast]
+    change = [fast / 1.1, fast / 1.1, slow / 1.1, slow / 1.1, slow / 1.1]
+    p_med, c_med, speedup, wins = ab_time.summary(parent, change).split()
+    assert (p_med, c_med) == ("1.0000", "1.8182")
+    assert speedup == "1.10x"
+    assert wins == "3/5"
 
 
 def test_ab_time_fails_when_a_trace_moves(tmp_path, capsys):

@@ -14,10 +14,13 @@ Run it from the repository root:
     python tools/ab_time.py /tmp/parent/src --repeats 9
 
 One line per variant gives, for the run and then for the export, each
-side's median, the speed-up (parent median over change median) and the
-repeats the change won.  The exit code is 1 if any run's traces, event log,
-attack samples or reports, or any exported file's bytes, differ between the
-two sides, else 0.
+side's median, the speed-up and the repeats the change won.  The speed-up
+is the median over repeats of parent time over change time: a repeat's two
+sides run back to back, so a host that switches between speed modes moves
+both sides of most repeats together, where a ratio of the two medians can
+compare one side's fast runs with the other's slow ones.  The exit code
+is 1 if any run's traces, event log, attack samples or reports, or any
+exported file's bytes, differ between the two sides, else 0.
 """
 
 from __future__ import annotations
@@ -86,10 +89,11 @@ def timed_run(package, preset: str, variant: str) -> tuple[float, float, tuple]:
 
 
 def summary(parent: list[float], change: list[float]) -> str:
-    """Both medians, the speed-up and the change's wins, as columns."""
+    """Both medians, the median per-repeat speed-up and the change's wins, as columns."""
     wins = sum(c < p for p, c in zip(parent, change))
     p_med, c_med = statistics.median(parent), statistics.median(change)
-    return f"{p_med:>9.4f} {c_med:>9.4f} {p_med / c_med:>7.2f}x {wins:>3}/{len(change)}"
+    speedup = statistics.median(p / c for p, c in zip(parent, change))
+    return f"{p_med:>9.4f} {c_med:>9.4f} {speedup:>7.2f}x {wins:>3}/{len(change)}"
 
 
 def main(argv=None) -> int:
