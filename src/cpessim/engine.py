@@ -16,6 +16,15 @@ as one ``(first row, values)`` stretch from the start and one from each
 boundary, and written into the trace matrix once the run ends.  One RNG stream
 per subsystem is derived from the master seed by fixed labels, so attaching a
 network never perturbs the physical noise draws.
+
+A step is a pure function of the tier's ``state()`` (every float it carries to
+the next step, the load angle as the Newton guess among them), the held demand
+and the held grid; plant loops, whose noise and attacks change every step, make
+the aggregate tier give ``None``, and it is never checked.  Every ``CHECK_EVERY`` steps the loop compares the state before
+and after one step, bit for bit.  If they match and no command is staged, every
+step up to the next boundary repeats that step's row: the rows are copied and
+the network dispatched ahead to that boundary, or to the end of the step in
+which a dispatch stages a command, where the loop goes on.
 """
 
 from __future__ import annotations
@@ -45,6 +54,8 @@ from .physical import (GridModel, NodalBoundary, demand_total, disconnect_machin
                        protection_check, solve_load_angle, swing_step)
 from .scenario import (Scenario, ScenarioError, build_protection, scenario_hash,
                        td_operating_point)
+
+CHECK_EVERY = 32  # steps from one fixed-point check to the next
 
 
 def rng_for(seed: int, label: str) -> np.random.Generator:
@@ -200,7 +211,9 @@ class _Run:
         held = [(0, self._held_values(demand))]
         record(rows)
 
-        for k in range(n_steps):
+        check = 0 if self.tier.state() is not None else n_steps  # the next step checked
+        steps = iter(range(n_steps))
+        for k in steps:
             t = k * dt
             if k in schedule or staged:
                 apply_boundary(t, schedule.get(k, ()))
@@ -208,8 +221,25 @@ class _Run:
                 held.append((k + 1, self._held_values(demand)))
             if due < (k + 1) * dt:
                 due = net.run_until((k + 1) * dt)
+            if k < check:
+                step(t, k, demand)
+                record(rows)
+                continue
+            before = array("d", self.tier.state()).tobytes()
             step(t, k, demand)
             record(rows)
+            check = k + CHECK_EVERY
+            if staged or array("d", self.tier.state()).tobytes() != before:
+                continue
+            end = min((b for b in schedule if b > k), default=n_steps)  # the next boundary
+            if due < end * dt:  # dispatch ahead; a staged command ends the stretch early
+                due = net.run_until(end * dt, stop_on_stage=True)
+                if staged:  # finish the dispatch of the step it came in, as the loop would
+                    end = bisect.bisect_right(range(end), due, key=lambda j: (j + 1) * dt) + 1
+                    due = net.run_until(end * dt)
+            rows.extend(rows[-len(self._step_traces):] * (end - k - 1))
+            for _ in zip(range(k + 1, end), steps):  # the loop goes on at step end
+                pass
 
         # one trace matrix; every trace is a row of it, on one read-only time axis
         n_rows = n_steps + 1
@@ -413,6 +443,11 @@ class _AggregateTier:
                 rows.append(signal / plant.operating_point)
             rows.append(self._power(plant))
 
+    def state(self) -> Optional[list]:
+        m = self.grid.machines[0]
+        return None if self.loops else [m.omega, m.gov_power, m.delta, self.pinned,
+                                        *[fs.power for fs in self.grid.fast_sources]]
+
     def on_topology_change(self) -> None:
         pcc = self.grid.pcc  # a closed PCC pins the frequency to f_nom
         self.pinned = pcc is not None and pcc.closed
@@ -437,6 +472,10 @@ class _MultiMachineTier:
 
     def columns(self) -> list[tuple[str, str]]:
         return [(f"freq_{m.id}", "Hz") for m in self.grid.machines]
+
+    def state(self) -> list:
+        return [*[x for m in self.grid.machines for x in (m.omega, m.gov_power, m.delta)],
+                self.theta]
 
     def record(self, rows: array) -> None:
         """The inertia-weighted system frequency, then each machine's."""
@@ -558,6 +597,9 @@ class _TdTier(_MultiMachineTier):
 
     def columns(self) -> list[tuple[str, str]]:
         return super().columns() + [("v_pcc", "pu"), ("v_dist", "pu")]
+
+    def state(self) -> list:
+        return [*super().state(), *self.i_src, self.i_f, self.v1, self.v2, self._p_norm]
 
     def record(self, rows: array) -> None:
         super().record(rows)

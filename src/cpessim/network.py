@@ -69,14 +69,6 @@ class NetLink:
     jitter: float = 0.0         # uniform +/- jitter, s (0 disables)
     loss_rate: float = 0.0
 
-    def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError(f"link {self.id!r}: bandwidth must be > 0")
-        if self.prop_delay < 0:
-            raise ValueError(f"link {self.id!r}: prop_delay must be >= 0")
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ValueError(f"link {self.id!r}: loss_rate must be in [0, 1]")
-
     def tx_time(self, size_bytes: int) -> float:
         return size_bytes * 8.0 / self.bandwidth
 
@@ -109,14 +101,17 @@ class EventQueue:
             raise ValueError(f"cannot schedule event at {t} before now={self.now}")
         heapq.heappush(self._heap, (max(t, self.now), next(self._seq), fn))
 
-    def run_until(self, t_end: float) -> float:
+    def run_until(self, t_end: float, stop=None) -> float:
         """Dispatch every pending event with timestamp strictly before t_end;
-        return the time of the next pending event, or inf if none is pending."""
+        return the time of the next pending event, or inf if none is pending.
+        A dispatch after which ``stop()`` is true returns its own time at once."""
         heap = self._heap
         while heap and heap[0][0] < t_end:
             t, _, fn = heapq.heappop(heap)
             self.now = t
             fn()
+            if stop is not None and stop():
+                return t
         self.now = max(self.now, t_end)
         return heap[0][0] if heap else math.inf
 
@@ -177,6 +172,7 @@ class NetworkSim:
         self._delays: dict[str, list[TimeDelay]] = {}
         self._routes: dict[tuple[str, str], list[str]] = {}
         self.command_sink: Callable[[str, str, float], None] = lambda *a: None
+        self._commands_handed = 0
         self.master = next((n.id for n in nodes if n.app and n.app.kind == "master"), None)
         self.outstations = {n.app.asset: n.id for n in nodes
                             if n.app and n.app.kind == "outstation"}
@@ -295,6 +291,7 @@ class NetworkSim:
         if app.kind == "outstation" and pkt.kind is PacketKind.POLL:
             self.send_packet(node_id, pkt.src, PacketKind.MEASUREMENT_REPORT, now)
         elif app.kind == "outstation" and pkt.kind is PacketKind.CONTROL_COMMAND:
+            self._commands_handed += 1
             self.command_sink(app.asset, pkt.payload, now)
 
     # -- applications --------------------------------------------------------
@@ -325,9 +322,12 @@ class NetworkSim:
         return self.send_packet(self.master, self.outstations[asset],
                                 PacketKind.CONTROL_COMMAND, now, payload=action)
 
-    def run_until(self, t_end: float) -> float:
+    def run_until(self, t_end: float, stop_on_stage: bool = False) -> float:
         """Dispatch every event before t_end; return the time of the next
         pending event, or inf.  That time holds until an event is pushed from
         outside a dispatch, so a caller that pushes none may skip every call
-        that would dispatch nothing."""
-        return self.events.run_until(t_end)
+        that would dispatch nothing.  With ``stop_on_stage``, the first dispatch
+        that hands ``command_sink`` a command ends the call and returns its time."""
+        handed = self._commands_handed
+        return self.events.run_until(t_end, (lambda: self._commands_handed != handed)
+                                     if stop_on_stage else None)

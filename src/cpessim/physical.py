@@ -219,12 +219,8 @@ class Machine:
     coupling: float = field(init=False)  # peak transfer Vs*Vr/X to the bus; 0 if disconnected
 
     def __post_init__(self):
-        if self.inertia_const <= 0:
-            raise ValueError(f"machine {self.id!r}: inertia_const must be > 0")
         if self.reactance <= 0:
             raise ValueError(f"machine {self.id!r}: reactance must be > 0")
-        if self.omega_sync <= 0:
-            raise ValueError(f"machine {self.id!r}: omega_sync must be > 0")
         self.coupling = self.v_internal * self.v_recv / self.reactance if self.connected else 0.0
 
     @property
@@ -546,10 +542,6 @@ class GridModel:
     contingencies: list[tuple[float, str]] = field(default_factory=list)  # (time, machine id)
     td_system: Optional[TdSystemConfig] = None
     pcc: Optional[Breaker] = None   # a closed PCC pins an aggregate grid to f_nom
-
-    def __post_init__(self):
-        if self.f_nom <= 0:
-            raise ValueError("f_nom must be > 0")
 
     def machine(self, machine_id: str) -> Machine:
         for m in self.machines:

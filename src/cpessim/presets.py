@@ -143,11 +143,11 @@ def _case2(variant: str) -> dict:
             "p_loss": 0.01,
             "machines": [
                 {"id": "g1", "inertia_const": 4.0, "p_mech": 0.35, "v_internal": 1.0,
-                 "reactance": 0.3, "damping": 0.15, "governor": governor},
+                 "reactance": 0.3, "damping": 0.15, "governor": dict(governor)},
                 {"id": "g2", "inertia_const": 3.5, "p_mech": 0.33, "v_internal": 1.0,
-                 "reactance": 0.3, "damping": 0.15, "governor": governor},
+                 "reactance": 0.3, "damping": 0.15, "governor": dict(governor)},
                 {"id": "g3", "inertia_const": 3.0, "p_mech": 0.33, "v_internal": 1.0,
-                 "reactance": 0.3, "damping": 0.15, "governor": governor},
+                 "reactance": 0.3, "damping": 0.15, "governor": dict(governor)},
             ],
             "loads": [
                 {"id": "bus29", "demand": 0.30},
@@ -157,7 +157,7 @@ def _case2(variant: str) -> dict:
             ],
         },
         "attacks": [{
-            "type": "load_change", "targets": targets, "delta": fraction,
+            "type": "load_change", "targets": list(targets), "delta": fraction,
             "fraction": True, "window": [[4.0, 4.5]],
         }],
         "threat": tm.to_dict(tm.preset("load_changing")),
@@ -280,11 +280,11 @@ def _case4(variant: str) -> dict:
             "p_loss": 0.0,
             "machines": [
                 {"id": "g1", "inertia_const": 6.0, "p_mech": 0.30, "v_internal": 1.0,
-                 "reactance": 0.25, "damping": 0.15, "governor": governor},
+                 "reactance": 0.25, "damping": 0.15, "governor": dict(governor)},
                 {"id": "g2", "inertia_const": 4.0, "p_mech": 0.20, "v_internal": 1.0,
-                 "reactance": 0.25, "damping": 0.15, "governor": governor},
+                 "reactance": 0.25, "damping": 0.15, "governor": dict(governor)},
                 {"id": "g3", "inertia_const": 4.0, "p_mech": 0.20, "v_internal": 1.0,
-                 "reactance": 0.25, "damping": 0.15, "governor": governor},
+                 "reactance": 0.25, "damping": 0.15, "governor": dict(governor)},
             ],
             "loads": [{"id": "td_local", "demand": 0.30}],
             "breakers": [{"id": "pcc", "closed": True}],

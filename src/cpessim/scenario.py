@@ -316,7 +316,7 @@ def _parse_link(loc: str, raw: dict) -> NetLink:
     return _read(NetLink, raw, loc, "id a b bandwidth_mbps:bandwidth prop_delay_ms:prop_delay "
                  "jitter_ms:jitter loss_rate",
                  bandwidth=lambda mbps: _positive(mbps) * 1e6, prop_delay=_ms,
-                 jitter=lambda ms: _ms(_finite(ms)))
+                 jitter=lambda ms: _ms(_finite(ms)), loss_rate=_probability)
 
 
 _COMMAND_TARGETS = {"shed": "load", "unshed": "load",
@@ -629,6 +629,12 @@ def _positive(value):
 def _non_negative(value):
     if not value >= 0:
         raise ValueError(f"must be >= 0, got {value}")
+    return value
+
+
+def _probability(value: float) -> float:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"must be in [0, 1], got {value}")
     return value
 
 

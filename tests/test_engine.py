@@ -482,6 +482,7 @@ def test_td_boundary_matrix_follows_live_topology(variant, topologies, monkeypat
         return real_nodal_solve(b, i1, i2)
 
     monkeypatch.setattr(engine, "nodal_solve", checked)
+    monkeypatch.setattr(engine._TdTier, "state", lambda self: None)  # solve every step
     run.execute()
     assert len(seen) == run.n_steps
     assert set(seen) == topologies
@@ -546,6 +547,142 @@ def test_td_step_runs_without_lapack(monkeypatch):
     sc = presets.preset_scenario("case4_td", "n11")
     result = engine.run(sc)
     assert result.traces["v_pcc"].t[-1] == pytest.approx(sc.horizon)
+
+
+# -- skipped steps -------------------------------------------------------------------
+
+TIERS = (engine._AggregateTier, engine._MultiMachineTier, engine._TdTier)
+
+
+def run_unskipped(sc, monkeypatch, run=engine.run):
+    """``run(sc)`` with no step skipped: every tier's ``state()`` gives None."""
+    with monkeypatch.context() as patch:
+        for tier in TIERS:
+            patch.setattr(tier, "state", lambda self: None)
+        return run(sc)
+
+
+def stepped_indices(monkeypatch):
+    """The step index of every ``swing_step`` call from here on."""
+    indices = []
+    real_swing_step = engine.swing_step
+
+    def counted(machine, p_elec, dt, step_index=None):
+        indices.append(step_index)
+        return real_swing_step(machine, p_elec, dt, step_index=step_index)
+
+    monkeypatch.setattr(engine, "swing_step", counted)
+    return indices
+
+
+def test_skip_stops_at_a_boundary_and_resumes_after_it(monkeypatch):
+    # breaker bx switches nothing the machines see: each of its boundaries
+    # ends a skip, and the fixed point holds again after it
+    doc = presets.preset_doc("case2_load", "a")
+    doc["grid"]["breakers"] = [{"id": "bx", "schedule": [[1.0, "open"], [1.003, "close"]]}]
+    sc = scenario_from_dict(doc)
+    reference = run_unskipped(sc, monkeypatch)
+    indices = stepped_indices(monkeypatch)
+    result = engine.run(sc)
+    assert fingerprint(result) == fingerprint(reference)
+    stepped = set(indices)
+    assert {0, 1000, 1003, 4000} <= stepped
+    assert not {1, 999, 1001, 1002, 1500, 3999} & stepped
+    assert result.traces["breaker_bx"].v[[1000, 1001, 1004]].tolist() == [1.0, 0.0, 1.0]
+
+
+def test_command_staged_in_a_checked_step_is_applied_at_the_next(monkeypatch):
+    # three balanced machines: step 0 is checked and leaves the state as it was,
+    # but the shed command it dispatches applies at step 1
+    doc = boundary_doc()
+    doc["meta"]["horizon"] = 0.1
+    doc["grid"]["loads"][1]["demand"] = 0.2
+    indices = stepped_indices(monkeypatch)
+    engine.run(scenario_from_dict(doc))
+    assert indices == [0, 0, 0]  # without the command, step 0 starts a skip to the end
+    doc["network"]["commands"] = [{"t": 0.0, "asset": "l1", "action": "shed"}]
+    sc = scenario_from_dict(doc)
+    result = engine.run(sc)
+    assert fingerprint(result) == fingerprint(run_unskipped(sc, monkeypatch))
+    assert result.traces["shed_l1"].v[:3].tolist() == [0.0, 0.0, 1.0]
+
+
+def test_command_staged_during_a_skip_applies_at_its_own_step(monkeypatch):
+    # delay_0's 10.0 s PCC command is dispatched ahead while the grid is pinned
+    sc = presets.preset_scenario("case3_tda", "delay_0")
+    reference = run_unskipped(sc, monkeypatch)
+    real_run_until = engine.NetworkSim.run_until
+    stopped = []
+
+    def recorded(self, t_end, stop_on_stage=False):
+        due = real_run_until(self, t_end, stop_on_stage)
+        if stop_on_stage and due < t_end:
+            stopped.append(due)
+        return due
+
+    monkeypatch.setattr(engine.NetworkSim, "run_until", recorded)
+    result = engine.run(sc)
+    assert stopped and 10.0 < stopped[0] < 10.003
+    assert fingerprint(result) == fingerprint(reference)
+    applied = [(i, e["t"]) for i, e in enumerate(result.event_log)
+               if e["event"] in ("breaker", "command_applied")]
+    assert applied == [(i, e["t"]) for i, e in enumerate(reference.event_log)
+                       if e["event"] in ("breaker", "command_applied")]
+
+
+def test_state_change_the_row_does_not_record_is_not_skipped(monkeypatch):
+    doc = {"schema_version": 1, "meta": {"name": "settling", "horizon": 0.2, "dt_phys": 0.001},
+           "grid": {"machines": [{"id": "g", "inertia_const": 4.0, "p_mech": 0.31,
+                                  "governor": {"gain": 1.0, "deadband": 0.036,
+                                               "time_constant": 0.5}}],
+                    "loads": [{"id": "l", "demand": 0.31}]},
+           "attacks": [], "metrics": [], "seed": 1}
+    sc = scenario_from_dict(doc)
+    indices = stepped_indices(monkeypatch)
+    engine.run(sc)
+    assert len(indices) < sc.horizon / sc.dt_phys  # the start-up point is a fixed point
+
+    def settling(sc):
+        # a governor output below p_mech's last bit: every row is the same,
+        # but each step shrinks the output, so no step repeats the state
+        run = engine._Run(sc, None)
+        run.grid.machines[0].gov_power = 1e-20
+        return run.execute()
+
+    assert 0.31 + 1e-20 == 0.31
+    reference = run_unskipped(sc, monkeypatch, run=settling)
+    indices.clear()
+    result = settling(sc)
+    assert indices == list(range(200))
+    assert fingerprint(result) == fingerprint(reference)
+    assert set(result.traces["p_gen"].v.tolist()) == {0.31}
+
+
+def test_case1_asks_for_its_state_once(monkeypatch):
+    sc = short("case1_dia", horizon=1.0)
+    reference = run_unskipped(sc, monkeypatch)
+    calls = []
+    real_state = engine._AggregateTier.state
+
+    def counted(self):
+        calls.append(None)
+        return real_state(self)
+
+    monkeypatch.setattr(engine._AggregateTier, "state", counted)
+    result = engine.run(sc)
+    assert len(calls) == 1
+    assert fingerprint(result) == fingerprint(reference)
+
+
+def test_case2_skips_its_steady_start(monkeypatch):
+    sc = presets.preset_scenario("case2_load", "a")
+    indices = stepped_indices(monkeypatch)
+    reference = run_unskipped(sc, monkeypatch)
+    unskipped_calls = len(indices)
+    indices.clear()
+    result = engine.run(sc)
+    assert len(indices) < 0.6 * unskipped_calls
+    assert fingerprint(result) == fingerprint(reference)
 
 
 # -- export ------------------------------------------------------------------------------

@@ -71,7 +71,8 @@ def test_event_queue_returns_the_next_pending_time():
 
 def test_network_skips_only_steps_without_a_due_event(monkeypatch):
     # the engine calls the network only in a step that holds its next event;
-    # calling it every step, as a wrapper returning -inf forces, logs the same
+    # calling it every step, as a wrapper returning -inf forces on a run that
+    # skips no step, logs the same
     sc = presets.preset_scenario("case3_tda", "delay_0")
     real_run_until = NetworkSim.run_until
 
@@ -79,16 +80,18 @@ def test_network_skips_only_steps_without_a_due_event(monkeypatch):
         real_run_until(self, t_end)
         return -math.inf
 
-    monkeypatch.setattr(NetworkSim, "run_until", every_step)
-    reference = engine.run(sc)
+    with monkeypatch.context() as patch:
+        patch.setattr(NetworkSim, "run_until", every_step)
+        patch.setattr(engine._AggregateTier, "state", lambda self: None)
+        reference = engine.run(sc)
     calls = []
 
-    def checked(self, t_end):
+    def checked(self, t_end, stop_on_stage=False):
         heap = self.events._heap
         if calls:  # after the first call, each one has an event to dispatch
             assert heap and heap[0][0] < t_end, t_end
         calls.append(t_end)
-        return real_run_until(self, t_end)
+        return real_run_until(self, t_end, stop_on_stage)
 
     monkeypatch.setattr(NetworkSim, "run_until", checked)
     result = engine.run(sc)
@@ -162,13 +165,6 @@ def test_transmit_loss_fraction_within_binomial_bounds():
         sim.log.clear()  # count as we go instead of holding every entry
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(drops / n - p) < 3 * sigma
-
-
-def test_link_validation():
-    with pytest.raises(ValueError):
-        NetLink(id="l", a="a", b="b", bandwidth=0.0)
-    with pytest.raises(ValueError):
-        NetLink(id="l", a="a", b="b", bandwidth=1.0, loss_rate=1.5)
 
 
 # -- routing ---------------------------------------------------------------------

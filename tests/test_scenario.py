@@ -34,14 +34,40 @@ def test_all_preset_docs_parse_and_validate():
         assert sc.risk_inputs is not None
 
 
+VARIANTS = {"case1_dia": ("default",), "case2_load": ("a", "b", "c", "d"),
+            "case3_tda": ("delay_0", "delay_0_5", "delay_5", "delay_15"),
+            "case4_td": ("breaker_open", "breaker_open_close", "breaker_triple",
+                         "n1", "n11", "n2")}
+
+
 def test_all_preset_variants_parse():
-    for variant in ("a", "b", "c", "d"):
-        presets.preset_scenario("case2_load", variant)
-    for variant in ("delay_0", "delay_0_5", "delay_5", "delay_15"):
-        presets.preset_scenario("case3_tda", variant)
-    for variant in ("breaker_open", "breaker_open_close", "breaker_triple",
-                    "n1", "n11", "n2"):
-        presets.preset_scenario("case4_td", variant)
+    for preset, variants in VARIANTS.items():
+        for variant in variants:
+            presets.preset_scenario(preset, variant)
+
+
+def _containers(node):
+    """Every list and object of a JSON document, the document first."""
+    yield node
+    for child in (node.values() if isinstance(node, dict) else node):
+        if isinstance(child, (dict, list)):
+            yield from _containers(child)
+
+
+@pytest.mark.parametrize("preset, variant", [(p, v) for p, vs in VARIANTS.items() for v in vs])
+def test_preset_docs_share_no_mutable_part(preset, variant):
+    # case2_load's targets once came from the module's variant table itself,
+    # and one governor object once served every machine of a document
+    expected = json.dumps(presets.preset_doc(preset, variant))
+    doc = presets.preset_doc(preset, variant)
+    containers = list(_containers(doc))
+    assert len({id(c) for c in containers}) == len(containers)
+    for container in containers:
+        if isinstance(container, list):
+            container.append("changed")
+        else:
+            container["changed"] = True
+    assert json.dumps(presets.preset_doc(preset, variant)) == expected
 
 
 def test_unknown_preset_and_variant():
@@ -391,6 +417,9 @@ PRIORITIES = {"people_health_safety": 4, "uninterrupted_operation": 3,
     ("case1_dia", None, _set(["grid", "machines", 0, "damping"], "x"),
      "grid.machines[0].damping"),
     ("case1_dia", None, _set(["grid", "f_nom"], "60"), "grid.f_nom"),
+    ("case2_load", "a", _set(["grid", "f_nom"], 0.0), "grid.f_nom"),
+    ("case1_dia", None, _set(["grid", "machines", 0, "inertia_const"], 0.0),
+     "grid.machines[0].inertia_const"),
     ("case1_dia", None, _set(["grid", "p_loss"], "x"), "grid.p_loss"),
     ("case1_dia", None, _set(["grid", "machines", 0, "governor", "gain"], "0.4"),
      "grid.machines[0].governor.gain"),
@@ -449,6 +478,12 @@ PRIORITIES = {"people_health_safety": 4, "uninterrupted_operation": 3,
     ("case1_dia", None, _set(["threat", "attack", "asset"], "hmi"), "threat.attack.asset"),
     ("case1_dia", None, _set(["meta", "description"], 5), "meta.description"),
     ("case3_tda", "delay_0", _set(["network", "links", 0, "b"], "ghost"), "network.links[0].b"),
+    ("case3_tda", "delay_0", _set(["network", "links", 0, "bandwidth_mbps"], 0.0),
+     "network.links[0].bandwidth_mbps"),
+    ("case3_tda", "delay_0", _set(["network", "links", 0, "loss_rate"], 1.5),
+     "network.links[0].loss_rate"),
+    ("case3_tda", "delay_0", _set(["network", "links", 0, "loss_rate"], -0.1),
+     "network.links[0].loss_rate"),
     ("case3_tda", "delay_0", _append(["network", "links"], {
         "id": "l_again", "a": "router", "b": "mgc", "bandwidth_mbps": 100.0}),
      "network.links[7]"),
