@@ -1,13 +1,18 @@
 """Co-simulation engine: one virtual clock over the physical solver and the
 event-driven network.
 
-Each macro-step of ``dt_phys`` applies its boundary (commands that arrived
+The coupling runs one way.  An outstation's report carries no grid value, and
+every network event is pushed at start-up or inside a dispatch, so the
+network's whole run depends only on its config and its own RNG stream.  It is
+therefore run once, to the horizon, before the first step, and the grid sees
+it only through the commands it delivers.  If an outstation ever reports a
+grid value, this design must change: the network would then have to be
+dispatched step by step alongside the grid.
+
+Each macro-step of ``dt_phys`` applies its boundary (the commands delivered
 during the previous step, then the breaker actions, contingencies and
-load-attack window edges resolved to this step when the run was built),
-dispatches every network event with a timestamp inside the step, and advances
-the physical models.  The network is called only in a step that holds its next
-pending event: every event is pushed at start-up or inside a dispatch, so the
-time the last call returned stays the next event's time.
+load-attack window edges), all resolved to steps when the run is built, and
+advances the physical models.
 
 Each step's row is written by the tier's ``record(rows)``: the system
 frequency, then the tier's own columns.  Loads, breakers and sheds change only
@@ -20,16 +25,16 @@ network never perturbs the physical noise draws.
 A step is a pure function of the tier's ``state()`` (every float it carries to
 the next step, the load angle as the Newton guess among them), the held demand
 and the held grid; plant loops, whose noise and attacks change every step, make
-the aggregate tier give ``None``, and it is never checked.  Every ``CHECK_EVERY`` steps the loop compares the state before
-and after one step, bit for bit.  If they match and no command is staged, every
-step up to the next boundary repeats that step's row: the rows are copied and
-the network dispatched ahead to that boundary, or to the end of the step in
-which a dispatch stages a command, where the loop goes on.
+the aggregate tier give ``None``, and it is never checked.  Every
+``CHECK_EVERY`` steps the loop compares the state before and after one step,
+bit for bit.  If they match, every step up to the next boundary repeats that
+step's row: the rows are copied and the loop goes on at that boundary.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 import json
 import math
 import os
@@ -94,31 +99,14 @@ class _Run:
         self.seed = sc.seed if seed is None else seed
         self.dt = sc.dt_phys
         self.grid: GridModel = sc.build_grid()
-        self.log: list[dict] = []
+        self.log: list[dict] = []  # the boundary events, in the order they apply
         self.attack_samples: list[dict] = []
-        self.staged_commands: list[tuple[str, str]] = []  # (asset, action)
         self.n_steps = int(round(sc.horizon / self.dt))
         self._topology_dirty = False
 
         self.load_attacks = [a for a in sc.attacks if isinstance(a, LoadChange)]
         self._attacked_loads = list({target: self.grid.load(target) for spec in
                                      self.load_attacks for target in spec.targets}.values())
-
-        # network wiring
-        self.net: Optional[NetworkSim] = None
-        if sc.network is not None:
-            cfg = sc.network
-            self.net = NetworkSim(cfg.nodes, cfg.links, rng=rng_for(self.seed, "net"),
-                                  message_bytes=cfg.message_bytes)
-            self.net.attach_attacks([replace(spec, tap=spec.tap.partition(":")[2]) for spec
-                                     in sc.attacks if isinstance(spec, (DoS, TimeDelay))])
-            staged = self.staged_commands  # the sink holds the list, not the run
-            self.net.command_sink = lambda asset, action, _t: staged.append((asset, action))
-            self.log = self.net.log  # one shared chronological log
-            self.net.start_polling(cfg.poll_period, cfg.poll_start)
-            for cmd in cfg.commands:  # scenario load ensures a master sends them
-                self.net.events.push(cmd["t"], partial(self.net.send_command, cmd["asset"],
-                                                       cmd["action"], now=cmd["t"]))
 
         # physical tier
         if self.grid.td_system is not None:
@@ -147,6 +135,23 @@ class _Run:
                                     f"trace {req['trace']!r} not produced by this "
                                     f"scenario (have {sorted(self.trace_names)})")
 
+        # the network's whole run, to the end of the last step, ahead of the
+        # grid (see the module docstring)
+        self.net_log: list[dict] = []
+        self.commands: list[tuple[float, str, str]] = []  # (dispatch time, asset, action)
+        if sc.network is not None:
+            cfg = sc.network
+            net = NetworkSim(cfg.nodes, cfg.links, rng=rng_for(self.seed, "net"),
+                             message_bytes=cfg.message_bytes)
+            net.attach_attacks([replace(spec, tap=spec.tap.partition(":")[2]) for spec
+                                in sc.attacks if isinstance(spec, (DoS, TimeDelay))])
+            net.start_polling(cfg.poll_period, cfg.poll_start)
+            for cmd in cfg.commands:  # scenario load ensures a master sends them
+                net.events.push(cmd["t"], partial(net.send_command, cmd["asset"],
+                                                  cmd["action"], now=cmd["t"]))
+            net.run_until(self.n_steps * self.dt)
+            self.net_log, self.commands = net.log, net.commands
+
     # -- grid/network glue ----------------------------------------------------
 
     def _apply_command(self, asset: str, action: str, t: float) -> None:
@@ -172,7 +177,10 @@ class _Run:
 
     def _boundary_schedule(self) -> dict[int, list]:
         """Step index -> the scheduled actions due at it, called with its time:
-        breaker actions in time order (at equal t, breakers in grid order, each
+        the commands delivered during the step before, in arrival order (a
+        command dispatched at t is delivered in the first step j with
+        t < (j+1)*dt, as the step loop would dispatch it), then breaker
+        actions in time order (at equal t, breakers in grid order, each
         one's own schedule before the ``breaker`` attacks on it, in list order),
         contingencies in time order, then all load attacks again if a window
         edge falls in the step.  An action or contingency at t fires at the
@@ -187,6 +195,9 @@ class _Run:
         timed += sorted([(t, partial(self._disconnect, grid.machine(machine_id)))
                          for t, machine_id in grid.contingencies], key=lambda e: e[0])
         schedule: dict[int, list] = {}
+        for t, asset, action in self.commands:
+            k = bisect.bisect_right(steps, t, key=lambda j: (j + 1) * dt) + 1
+            schedule.setdefault(k, []).append(partial(self._apply_command, asset, action))
         for t, action in timed:
             k = bisect.bisect_left(steps, t, key=lambda k: k * dt + 1e-12)
             schedule.setdefault(k, []).append(action)
@@ -201,11 +212,10 @@ class _Run:
 
     def execute(self) -> RunResult:
         sc = self.sc
-        n_steps, dt, grid, net = self.n_steps, self.dt, self.grid, self.net
+        n_steps, dt, grid = self.n_steps, self.dt, self.grid
         step, record, rows = self.tier.step, self.tier.record, self._rows
-        apply_boundary, staged = self._apply_boundary, self.staged_commands
+        apply_boundary = self._apply_boundary
         schedule = self._boundary_schedule()  # a local, so the run it binds is freed on return
-        due = 0.0 if net is not None else math.inf  # the network's next event time
         self._apply_load_attacks(0.0)
         demand = demand_total(grid)
         held = [(0, self._held_values(demand))]
@@ -215,12 +225,10 @@ class _Run:
         steps = iter(range(n_steps))
         for k in steps:
             t = k * dt
-            if k in schedule or staged:
-                apply_boundary(t, schedule.get(k, ()))
+            if k in schedule:
+                apply_boundary(t, schedule[k])
                 demand = demand_total(grid)
                 held.append((k + 1, self._held_values(demand)))
-            if due < (k + 1) * dt:
-                due = net.run_until((k + 1) * dt)
             if k < check:
                 step(t, k, demand)
                 record(rows)
@@ -229,14 +237,9 @@ class _Run:
             step(t, k, demand)
             record(rows)
             check = k + CHECK_EVERY
-            if staged or array("d", self.tier.state()).tobytes() != before:
+            if array("d", self.tier.state()).tobytes() != before:
                 continue
             end = min((b for b in schedule if b > k), default=n_steps)  # the next boundary
-            if due < end * dt:  # dispatch ahead; a staged command ends the stretch early
-                due = net.run_until(end * dt, stop_on_stage=True)
-                if staged:  # finish the dispatch of the step it came in, as the loop would
-                    end = bisect.bisect_right(range(end), due, key=lambda j: (j + 1) * dt) + 1
-                    due = net.run_until(end * dt)
             rows.extend(rows[-len(self._step_traces):] * (end - k - 1))
             for _ in zip(range(k + 1, end), steps):  # the loop goes on at step end
                 pass
@@ -252,8 +255,11 @@ class _Run:
         t_axis.flags.writeable = False
         traces = {name: TimeSeries(t=t_axis, v=column, unit=unit, name=name)
                   for name, unit, column in zip(self.trace_names, self.trace_units, matrix)}
-        self._log_protection(traces["freq"])
-        reports = compute_metrics(sc, traces, self.log)
+        # at equal t: the band change of the row at t, the boundary applied
+        # after that row, then the network events dispatched in the step from t
+        log = list(heapq.merge(self._log_protection(traces["freq"]), self.log, self.net_log,
+                               key=lambda e: e["t"]))
+        reports = compute_metrics(sc, traces, log)
         risk_report = None
         if sc.risk_inputs is not None:
             risk_report = risk_mod.risk(**sc.risk_inputs, name=sc.name)
@@ -268,14 +274,11 @@ class _Run:
             "traces": sorted(traces),
         }
         return RunResult(scenario_name=sc.name, seed=self.seed, traces=traces,
-                         event_log=self.log, attack_samples=self.attack_samples,
+                         event_log=log, attack_samples=self.attack_samples,
                          metric_reports=reports, risk_report=risk_report,
                          manifest=manifest)
 
     def _apply_boundary(self, t: float, actions) -> None:
-        for asset, action in self.staged_commands:
-            self._apply_command(asset, action, t)
-        self.staged_commands.clear()
         for action in actions:
             action(t)
         if self._topology_dirty:
@@ -298,16 +301,16 @@ class _Run:
         return [demand, *[1.0 if b.closed else 0.0 for b in self.grid.breakers],
                 *[1.0 if load.shed else 0.0 for load in self._shed_loads]]
 
-    def _log_protection(self, freq: TimeSeries) -> None:
-        """Log each protection band change of the finished trace, in time order."""
+    def _log_protection(self, freq: TimeSeries) -> list[dict]:
+        """The log entry of each protection band change of the finished trace,
+        in time order."""
         p = self.grid.protection
+        entries = []
         for k in protection_changes(freq.v, p).tolist():
             t, f = float(freq.t[k]), float(freq.v[k])
-            entry = log_entry(t, "protection", "grid", None,
-                              {"action": protection_check(f, p).value, "frequency": f})
-            # first among equal t: network events at t are dispatched (run_until is
-            # strict) and boundary events at t logged only after the row at t
-            self.log.insert(bisect.bisect_left(self.log, t, key=lambda e: e["t"]), entry)
+            entries.append(log_entry(t, "protection", "grid", None,
+                                     {"action": protection_check(f, p).value, "frequency": f}))
+        return entries
 
 
 # ---------------------------------------------------------------------------

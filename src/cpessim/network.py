@@ -4,10 +4,10 @@ Nodes exchange typed packets over links with bandwidth, propagation delay,
 optional jitter, and loss.  Routing is static minimum-hop, fixed at scenario
 load.  Master/outstation apps implement polling semantics: the master polls
 each outstation periodically and each outstation answers with an empty
-measurement report.  A control command's payload is its action, handed to the
-grid through ``command_sink`` when it reaches the asset's outstation.  All
-ordering is defined on the virtual clock; ties dispatch in insertion order so
-runs are reproducible.
+measurement report.  A control command's payload is its action; when it
+reaches the asset's outstation it is kept in ``NetworkSim.commands`` with its
+dispatch time, for the grid to apply.  All ordering is defined on the virtual
+clock; ties dispatch in insertion order so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -101,19 +101,14 @@ class EventQueue:
             raise ValueError(f"cannot schedule event at {t} before now={self.now}")
         heapq.heappush(self._heap, (max(t, self.now), next(self._seq), fn))
 
-    def run_until(self, t_end: float, stop=None) -> float:
-        """Dispatch every pending event with timestamp strictly before t_end;
-        return the time of the next pending event, or inf if none is pending.
-        A dispatch after which ``stop()`` is true returns its own time at once."""
+    def run_until(self, t_end: float) -> None:
+        """Dispatch every pending event with timestamp strictly before t_end."""
         heap = self._heap
         while heap and heap[0][0] < t_end:
             t, _, fn = heapq.heappop(heap)
             self.now = t
             fn()
-            if stop is not None and stop():
-                return t
         self.now = max(self.now, t_end)
-        return heap[0][0] if heap else math.inf
 
 
 def min_hop_path(adjacency: dict[str, list[str]], src: str, dst: str) -> list[str]:
@@ -147,7 +142,8 @@ def min_hop_path(adjacency: dict[str, list[str]], src: str, dst: str) -> list[st
 
 
 class NetworkSim:
-    """Event-driven network bound to a grid through a command callback.
+    """Event-driven network; the commands its outstations receive are kept in
+    ``commands`` as ``(dispatch time, asset, action)``, in arrival order.
 
     The topology is taken as given: scenario load checks ids, link ends,
     parallel links, app placement (one master, at most one outstation per
@@ -171,8 +167,7 @@ class NetworkSim:
         self._dos: dict[str, list[DoS]] = {}
         self._delays: dict[str, list[TimeDelay]] = {}
         self._routes: dict[tuple[str, str], list[str]] = {}
-        self.command_sink: Callable[[str, str, float], None] = lambda *a: None
-        self._commands_handed = 0
+        self.commands: list[tuple[float, str, str]] = []
         self.master = next((n.id for n in nodes if n.app and n.app.kind == "master"), None)
         self.outstations = {n.app.asset: n.id for n in nodes
                             if n.app and n.app.kind == "outstation"}
@@ -291,8 +286,7 @@ class NetworkSim:
         if app.kind == "outstation" and pkt.kind is PacketKind.POLL:
             self.send_packet(node_id, pkt.src, PacketKind.MEASUREMENT_REPORT, now)
         elif app.kind == "outstation" and pkt.kind is PacketKind.CONTROL_COMMAND:
-            self._commands_handed += 1
-            self.command_sink(app.asset, pkt.payload, now)
+            self.commands.append((self.events.now, app.asset, pkt.payload))
 
     # -- applications --------------------------------------------------------
 
@@ -322,12 +316,6 @@ class NetworkSim:
         return self.send_packet(self.master, self.outstations[asset],
                                 PacketKind.CONTROL_COMMAND, now, payload=action)
 
-    def run_until(self, t_end: float, stop_on_stage: bool = False) -> float:
-        """Dispatch every event before t_end; return the time of the next
-        pending event, or inf.  That time holds until an event is pushed from
-        outside a dispatch, so a caller that pushes none may skip every call
-        that would dispatch nothing.  With ``stop_on_stage``, the first dispatch
-        that hands ``command_sink`` a command ends the call and returns its time."""
-        handed = self._commands_handed
-        return self.events.run_until(t_end, (lambda: self._commands_handed != handed)
-                                     if stop_on_stage else None)
+    def run_until(self, t_end: float) -> None:
+        """Dispatch every event before t_end."""
+        self.events.run_until(t_end)

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import weakref
+from array import array
 
 import numpy as np
 import pytest
@@ -237,6 +238,16 @@ def test_boundary_event_fires_at_the_first_step_it_is_due(t, fired_at):
         result = engine.run(scenario_from_dict(doc))
         fired = [time for time, event, _, _ in boundary_events(result) if event == kind]
         assert fired == ([] if fired_at is None else [fired_at]), kind
+
+
+def test_boundary_entries_come_before_the_network_entries_of_their_step():
+    # the 2 ms poll is dispatched in the step that the 2 ms boundary starts
+    doc = boundary_doc()
+    doc["network"]["poll_period"] = 0.002
+    doc["grid"]["breakers"][0]["schedule"] = [[0.002, "open"]]
+    log = engine.run(scenario_from_dict(doc)).event_log
+    assert [(e["event"], e["node"]) for e in log if e["t"] == 0.002] == [
+        ("breaker", "b1"), ("send", "master")]
 
 
 def test_breaker_attack_merges_with_the_breaker_schedule():
@@ -607,27 +618,56 @@ def test_command_staged_in_a_checked_step_is_applied_at_the_next(monkeypatch):
     assert result.traces["shed_l1"].v[:3].tolist() == [0.0, 0.0, 1.0]
 
 
-def test_command_staged_during_a_skip_applies_at_its_own_step(monkeypatch):
-    # delay_0's 10.0 s PCC command is dispatched ahead while the grid is pinned
+def test_command_delivered_during_a_skip_applies_at_its_own_step(monkeypatch):
+    # delay_0's 10.0 s PCC command arrives while the pinned grid is skipped
     sc = presets.preset_scenario("case3_tda", "delay_0")
     reference = run_unskipped(sc, monkeypatch)
-    real_run_until = engine.NetworkSim.run_until
-    stopped = []
-
-    def recorded(self, t_end, stop_on_stage=False):
-        due = real_run_until(self, t_end, stop_on_stage)
-        if stop_on_stage and due < t_end:
-            stopped.append(due)
-        return due
-
-    monkeypatch.setattr(engine.NetworkSim, "run_until", recorded)
-    result = engine.run(sc)
-    assert stopped and 10.0 < stopped[0] < 10.003
+    run = engine._Run(sc, None)
+    assert 10.0 < run.commands[0][0] < 10.003
+    stepped = []
+    step = run.tier.step
+    monkeypatch.setattr(run.tier, "step", lambda t, k, demand: stepped.append(k) or
+                        step(t, k, demand))
+    result = run.execute()
     assert fingerprint(result) == fingerprint(reference)
+    [opened] = [e["t"] for e in result.event_log if e["event"] == "breaker"]
+    k = round(opened / sc.dt_phys)  # the step whose boundary applied the command
+    assert k in stepped and k - 1 not in stepped
     applied = [(i, e["t"]) for i, e in enumerate(result.event_log)
                if e["event"] in ("breaker", "command_applied")]
     assert applied == [(i, e["t"]) for i, e in enumerate(reference.event_log)
                        if e["event"] in ("breaker", "command_applied")]
+
+
+def carried_values(tier):
+    """(owner, attribute or index) of every value a tier's step carries forward."""
+    cells = [(m, key) for m in tier.grid.machines for key in ("omega", "gov_power", "delta")]
+    if isinstance(tier, engine._AggregateTier):
+        return cells + [(tier, "pinned"), *[(fs, "power") for fs in tier.grid.fast_sources]]
+    cells.append((tier, "theta"))
+    if isinstance(tier, engine._TdTier):
+        cells += [*[(tier.i_src, i) for i in range(len(tier.i_src))],
+                  *[(tier, key) for key in ("i_f", "v1", "v2", "_p_norm")]]
+    return cells
+
+
+@pytest.mark.parametrize("preset, variant, tier_type", [
+    ("case3_tda", "delay_0", engine._AggregateTier),
+    ("case2_load", "a", engine._MultiMachineTier), ("case4_td", "n11", engine._TdTier)])
+def test_state_holds_every_carried_value(preset, variant, tier_type):
+    # a value the state leaves out could change while the state holds, and the
+    # steps it changes in would be skipped
+    tier = engine._Run(short(preset, variant), None).tier
+    assert type(tier) is tier_type
+    state = array("d", tier.state()).tobytes()
+    for owner, key in carried_values(tier):
+        if isinstance(key, int):
+            owner[key] += 0.5
+        else:
+            value = getattr(owner, key)
+            setattr(owner, key, (not value) if isinstance(value, bool) else value + 0.5)
+        before, state = state, array("d", tier.state()).tobytes()
+        assert state != before, (type(owner).__name__, key)
 
 
 def test_state_change_the_row_does_not_record_is_not_skipped(monkeypatch):

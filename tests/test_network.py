@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -57,48 +59,44 @@ def test_event_queue_runs_strictly_before_end():
     assert seen == [1]
 
 
-def test_event_queue_returns_the_next_pending_time():
-    q = EventQueue()
-    assert q.run_until(1.0) == math.inf
-    q.push(2.0, lambda: None)
-    q.push(1.5, lambda: q.push(3.0, lambda: None))
-    assert q.run_until(1.2) == 1.5
-    assert q.run_until(1.6) == 2.0  # the 1.5 event pushed one at 3.0
-    assert q.run_until(2.5) == 3.0
-    assert q.run_until(3.5) == math.inf
-    assert q.now == 3.5
-
-
-def test_network_skips_only_steps_without_a_due_event(monkeypatch):
-    # the engine calls the network only in a step that holds its next event;
-    # calling it every step, as a wrapper returning -inf forces on a run that
-    # skips no step, logs the same
+def test_networked_run_dispatches_the_network_once(monkeypatch):
+    # once the run is built, up to the time the last step ends at
     sc = presets.preset_scenario("case3_tda", "delay_0")
     real_run_until = NetworkSim.run_until
-
-    def every_step(self, t_end):
-        real_run_until(self, t_end)
-        return -math.inf
-
-    with monkeypatch.context() as patch:
-        patch.setattr(NetworkSim, "run_until", every_step)
-        patch.setattr(engine._AggregateTier, "state", lambda self: None)
-        reference = engine.run(sc)
     calls = []
 
-    def checked(self, t_end, stop_on_stage=False):
-        heap = self.events._heap
-        if calls:  # after the first call, each one has an event to dispatch
-            assert heap and heap[0][0] < t_end, t_end
+    def counted(self, t_end):
         calls.append(t_end)
-        return real_run_until(self, t_end, stop_on_stage)
+        real_run_until(self, t_end)
 
-    monkeypatch.setattr(NetworkSim, "run_until", checked)
-    result = engine.run(sc)
+    monkeypatch.setattr(NetworkSim, "run_until", counted)
+    run = engine._Run(sc, None)
     n_steps = round(sc.horizon / sc.dt_phys)
-    assert len(calls) < n_steps / 3
-    assert result.event_log == reference.event_log
-    assert result.traces["freq"].v.tobytes() == reference.traces["freq"].v.tobytes()
+    assert calls == [n_steps * sc.dt_phys]
+    run.execute()
+    assert len(calls) == 1
+
+
+PACKET_EVENTS = ("send", "deliver", "drop", "command_lost")
+
+
+def test_grid_never_reaches_into_the_network():
+    # delay_15's packet entries are those of a bare network run to the horizon,
+    # with no grid attached: the coupling runs one way, network to grid
+    sc = presets.preset_scenario("case3_tda", "delay_15")
+    cfg = sc.network
+    sim = NetworkSim(cfg.nodes, cfg.links, rng=engine.rng_for(sc.seed, "net"),
+                     message_bytes=cfg.message_bytes)
+    sim.attach_attacks([replace(spec, tap=spec.tap.partition(":")[2]) for spec in sc.attacks
+                        if isinstance(spec, (DoS, TimeDelay))])
+    sim.start_polling(cfg.poll_period, cfg.poll_start)
+    for cmd in cfg.commands:
+        sim.events.push(cmd["t"], partial(sim.send_command, cmd["asset"], cmd["action"],
+                                          now=cmd["t"]))
+    sim.run_until(sc.horizon)
+    packets = [e for e in engine.run(sc).event_log if e["event"] in PACKET_EVENTS]
+    assert {e["event"] for e in packets} >= {"send", "deliver"}
+    assert packets == [e for e in sim.log if e["event"] in PACKET_EVENTS]
 
 
 def test_message_bytes_must_be_positive():
@@ -240,12 +238,9 @@ def test_polling_off_without_period_master_or_outstation():
 
 def test_send_command_applies_payload():
     sim = star(("o1",))
-    received = []
-    sim.command_sink = lambda asset, action, t: received.append((asset, action, t))
     sim.send_command("o1", "shed", now=0.0)
     sim.run_until(1.0)
-    assert len(received) == 1
-    asset, action, t = received[0]
+    [(t, asset, action)] = sim.commands
     assert (asset, action) == ("o1", "shed")
     assert t == pytest.approx(sim.baseline_delay("m", "o1"), rel=1e-9)
 
@@ -253,11 +248,9 @@ def test_send_command_applies_payload():
 def test_command_lost_under_drop_all_dos():
     sim = star(("o1",))
     sim.attach_attacks([DoS(tap="l_o1", window=AttackWindow(((0.0, 10.0),)))])
-    received = []
-    sim.command_sink = lambda *a: received.append(a)
     sim.send_command("o1", "shed", now=0.0)
     sim.run_until(1.0)
-    assert received == []
+    assert sim.commands == []
     lost = [e for e in sim.log if e["event"] == "command_lost"]
     assert len(lost) == 1
 
