@@ -726,7 +726,7 @@ def metric_lines(metrics: list[dict]) -> list[str]:
         for key, value in m["values"].items():
             if isinstance(value, dict):
                 for sub, sval in value.items():
-                    lines.append(f"  {key}.{sub:<28} {sval}")
+                    lines.append(f"  {key + '.' + sub:<32} {sval}")
             else:
                 lines.append(f"  {key:<32} {value}")
         for label, intervals in m["intervals"].items():

@@ -727,6 +727,13 @@ def test_case2_skips_its_steady_start(monkeypatch):
 
 # -- export ------------------------------------------------------------------------------
 
+def test_metric_lines_put_every_value_in_one_column():
+    lines = engine.metric_lines([{"kind": "cyber", "trace": "event_log",
+                                  "values": {"packets_sent": 7, "per_flow_jitter": {"a->b": 8}},
+                                  "intervals": {"governor": [(1.0, 2.0)]}}])
+    assert [line[35:] for line in lines[1:4]] == ["7", "8", "[1.0000, 2.0000]"]
+
+
 @pytest.mark.parametrize("preset, variant", [("case1_dia", None), ("case3_tda", "delay_0")])
 def test_export_writes_each_artifact_once(preset, variant, tmp_path):
     sc = short(preset, variant, horizon=0.5)
