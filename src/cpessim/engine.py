@@ -147,8 +147,7 @@ class _Run:
                                 in sc.attacks if isinstance(spec, (DoS, TimeDelay))])
             net.start_polling(cfg.poll_period, cfg.poll_start)
             for cmd in cfg.commands:  # scenario load ensures a master sends them
-                net.events.push(cmd["t"], partial(net.send_command, cmd["asset"],
-                                                  cmd["action"], now=cmd["t"]))
+                net.events.push(cmd["t"], partial(net.send_command, cmd["asset"], cmd["action"]))
             net.run_until(self.n_steps * self.dt)
             self.net_log, self.commands = net.log, net.commands
 

@@ -6,8 +6,9 @@ load.  Master/outstation apps implement polling semantics: the master polls
 each outstation periodically and each outstation answers with an empty
 measurement report.  A control command's payload is its action; when it
 reaches the asset's outstation it is kept in ``NetworkSim.commands`` with its
-dispatch time, for the grid to apply.  All ordering is defined on the virtual
-clock; ties dispatch in insertion order so runs are reproducible.
+dispatch time, for the grid to apply.  The event queue's ``now`` is the one
+clock: each event runs at the time it was pushed, never before ``now``, and
+reads that time from the queue; ties run in insertion order, reproducibly.
 """
 
 from __future__ import annotations
@@ -97,9 +98,10 @@ class EventQueue:
         self.now = 0.0
 
     def push(self, t: float, fn: Callable[[], None]) -> None:
-        if not t >= self.now - 1e-9:  # NaN too: it would never dispatch
+        """fn runs at t, the time it was pushed, and never before ``now``."""
+        if not t >= self.now:  # NaN too: it would never dispatch
             raise ValueError(f"cannot schedule event at {t} before now={self.now}")
-        heapq.heappush(self._heap, (max(t, self.now), next(self._seq), fn))
+        heapq.heappush(self._heap, (t, next(self._seq), fn))
 
     def run_until(self, t_end: float) -> None:
         """Dispatch every pending event with timestamp strictly before t_end."""
@@ -211,36 +213,36 @@ class NetworkSim:
 
     # -- packet pipeline ----------------------------------------------------
 
-    def send_packet(self, src: str, dst: str, kind: PacketKind, now: float,
-                    payload=None) -> Packet:
-        pkt = Packet(id=next(self._packet_ids), src=src, dst=dst, created_at=now, kind=kind,
-                     payload=payload)
+    def send_packet(self, src: str, dst: str, kind: PacketKind, payload=None) -> Packet:
+        pkt = Packet(id=next(self._packet_ids), src=src, dst=dst,
+                     created_at=self.events.now, kind=kind, payload=payload)
         path = self.route(src, dst)
-        self.log.append(log_entry(now, "send", src, pkt.id,
+        self.log.append(log_entry(pkt.created_at, "send", src, pkt.id,
                                   {"kind": kind.value, "dst": dst, "size": self.message_bytes}))
         if not path:
-            self._deliver(pkt, src, now)
+            self._deliver(pkt, src)
             return pkt
-        self.events.push(now, lambda: self._hop(pkt, path, 0, now))
+        self.events.push(pkt.created_at, lambda: self._hop(pkt, path, 0))
         return pkt
 
-    def _hop(self, pkt: Packet, path: list[str], hop: int, now: float) -> None:
+    def _hop(self, pkt: Packet, path: list[str], hop: int) -> None:
         a, b = path[hop], path[hop + 1]
         link = self._link_by_pair[(a, b)]
         direction = (a, b)
+        now = self.events.now
 
         for spec in self._dos.get(link.id, ()):
             if spec.window.contains(now):
-                self._drop(pkt, link.id, now, "dos")
+                self._drop(pkt, link.id, "dos")
                 return
         if link.loss_rate > 0 and self.rng.random() < link.loss_rate:
-            self._drop(pkt, link.id, now, "loss")
+            self._drop(pkt, link.id, "loss")
             return
 
         busy = self._busy_until[direction]
         if now < busy:
             if self._queued[direction] >= QUEUE_CAPACITY:
-                self._drop(pkt, link.id, now, "queue_full")
+                self._drop(pkt, link.id, "queue_full")
                 return
             self._queued[direction] += 1
             start_tx = busy
@@ -259,34 +261,34 @@ class NetworkSim:
                 arrival += spec.delay
 
         if hop + 1 == len(path) - 1:
-            self.events.push(arrival, lambda: self._deliver(pkt, path[-1], arrival))
+            self.events.push(arrival, lambda: self._deliver(pkt, path[-1]))
         else:
-            forward_at = arrival + self.nodes[b].processing_delay
-            self.events.push(forward_at, lambda: self._hop(pkt, path, hop + 1, forward_at))
+            self.events.push(arrival + self.nodes[b].processing_delay,
+                             lambda: self._hop(pkt, path, hop + 1))
 
     def _start_tx(self, direction: tuple[str, str]) -> None:
         self._queued[direction] -= 1
 
-    def _drop(self, pkt: Packet, link_id: str, now: float, reason: str) -> None:
-        self.log.append(log_entry(now, "drop", link_id, pkt.id,
+    def _drop(self, pkt: Packet, link_id: str, reason: str) -> None:
+        self.log.append(log_entry(self.events.now, "drop", link_id, pkt.id,
                                   {"reason": reason, "kind": pkt.kind.value,
                                    "src": pkt.src, "dst": pkt.dst}))
         if pkt.kind is PacketKind.CONTROL_COMMAND:
-            self.log.append(log_entry(now, "command_lost", pkt.dst, pkt.id,
+            self.log.append(log_entry(self.events.now, "command_lost", pkt.dst, pkt.id,
                                       {"reason": reason, "payload": f"action={pkt.payload}"}))
 
-    def _deliver(self, pkt: Packet, node_id: str, now: float) -> None:
+    def _deliver(self, pkt: Packet, node_id: str) -> None:
+        now = self.events.now
         self.log.append(log_entry(now, "deliver", node_id, pkt.id,
                                   {"kind": pkt.kind.value, "src": pkt.src, "dst": pkt.dst,
                                    "created_at": pkt.created_at, "delay": now - pkt.created_at}))
-        node = self.nodes[node_id]
-        app = node.app
+        app = self.nodes[node_id].app
         if app is None:
             return
         if app.kind == "outstation" and pkt.kind is PacketKind.POLL:
-            self.send_packet(node_id, pkt.src, PacketKind.MEASUREMENT_REPORT, now)
+            self.send_packet(node_id, pkt.src, PacketKind.MEASUREMENT_REPORT)
         elif app.kind == "outstation" and pkt.kind is PacketKind.CONTROL_COMMAND:
-            self.commands.append((self.events.now, app.asset, pkt.payload))
+            self.commands.append((now, app.asset, pkt.payload))
 
     # -- applications --------------------------------------------------------
 
@@ -302,19 +304,18 @@ class NetworkSim:
             return
         slot = period / len(outstations)
 
-        def emit(out: str, offset: float, k: int):
-            t = start + offset + k * period  # multiplicative: no float accumulation
-            self.send_packet(self.master, out, PacketKind.POLL, t)
-            self.events.push(t + period, lambda: emit(out, offset, k + 1))
+        def emit(out: str, offset: float, k: int):  # runs at start + offset + k * period
+            self.send_packet(self.master, out, PacketKind.POLL)
+            self.events.push(start + offset + (k + 1) * period, lambda: emit(out, offset, k + 1))
 
         for j, out in enumerate(outstations):
             self.events.push(start + j * slot,
                              lambda out=out, j=j: emit(out, j * slot, 0))
 
-    def send_command(self, asset: str, action: str, now: float) -> Packet:
+    def send_command(self, asset: str, action: str) -> Packet:
         """Issue a control command from the master to the outstation bound to asset."""
         return self.send_packet(self.master, self.outstations[asset],
-                                PacketKind.CONTROL_COMMAND, now, payload=action)
+                                PacketKind.CONTROL_COMMAND, payload=action)
 
     def run_until(self, t_end: float) -> None:
         """Dispatch every event before t_end."""

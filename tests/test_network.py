@@ -91,8 +91,7 @@ def test_grid_never_reaches_into_the_network():
                         if isinstance(spec, (DoS, TimeDelay))])
     sim.start_polling(cfg.poll_period, cfg.poll_start)
     for cmd in cfg.commands:
-        sim.events.push(cmd["t"], partial(sim.send_command, cmd["asset"], cmd["action"],
-                                          now=cmd["t"]))
+        sim.events.push(cmd["t"], partial(sim.send_command, cmd["asset"], cmd["action"]))
     sim.run_until(sc.horizon)
     packets = [e for e in engine.run(sc).event_log if e["event"] in PACKET_EVENTS]
     assert {e["event"] for e in packets} >= {"send", "deliver"}
@@ -106,7 +105,7 @@ def test_message_bytes_must_be_positive():
         with pytest.raises(ValueError, match="message_bytes"):
             NetworkSim(nodes, links, message_bytes=size)
     sim = NetworkSim(nodes, links, message_bytes=1)
-    sim.send_packet("a", "b", PacketKind.POLL, now=0.0)
+    sim.send_packet("a", "b", PacketKind.POLL)
     sim.run_until(1.0)
     [send] = events(sim, "send")
     [deliver] = events(sim, "deliver")
@@ -119,6 +118,9 @@ def test_event_queue_rejects_past():
     q.run_until(5.0)
     with pytest.raises(ValueError):
         q.push(1.0, lambda: None)
+    with pytest.raises(ValueError):  # no tolerance: a hair before now is the past too
+        q.push(5.0 - 1e-15, lambda: None)
+    q.push(5.0, lambda: None)
 
 
 def test_event_queue_rejects_nan():
@@ -134,7 +136,7 @@ def test_event_queue_rejects_nan():
 def test_transmit_deterministic_delay():
     link = NetLink(id="l", a="a", b="b", bandwidth=100e6, prop_delay=1e-3)
     sim = NetworkSim([NetNode(id="a"), NetNode(id="b")], [link], message_bytes=1000)
-    sim.send_packet("a", "b", PacketKind.MEASUREMENT_REPORT, now=0.0)
+    sim.send_packet("a", "b", PacketKind.MEASUREMENT_REPORT)
     sim.run_until(1.0)
     [deliver] = events(sim, "deliver")
     assert deliver["t"] == pytest.approx(1.08e-3, abs=1e-12)
@@ -144,7 +146,7 @@ def test_transmit_deterministic_delay():
 def test_transmit_always_drops_at_loss_one():
     sim = single_link(bandwidth=1e6, loss=1.0)
     for k in range(100):
-        sim.send_packet("a", "b", PacketKind.MEASUREMENT_REPORT, now=k * 0.01)
+        sim.events.push(k * 0.01, partial(sim.send_packet, "a", "b", PacketKind.MEASUREMENT_REPORT))
     sim.run_until(2.0)
     assert events(sim, "deliver") == []
     assert [e["detail"]["reason"] for e in events(sim, "drop")] == ["loss"] * 100
@@ -157,7 +159,8 @@ def test_transmit_loss_fraction_within_binomial_bounds():
     spacing = 1e-5  # well above one packet's transmit time: nothing queues
     drops = 0
     for k in range(n):
-        sim.send_packet("a", "b", PacketKind.MEASUREMENT_REPORT, now=k * spacing)
+        sim.events.push(k * spacing,
+                        partial(sim.send_packet, "a", "b", PacketKind.MEASUREMENT_REPORT))
         sim.run_until((k + 1) * spacing)
         drops += len(events(sim, "drop"))
         sim.log.clear()  # count as we go instead of holding every entry
@@ -227,6 +230,31 @@ def test_round_trip_is_twice_one_way():
     assert reply["t"] - poll["t"] == pytest.approx(2 * one_way, rel=1e-9)
 
 
+def test_each_poll_runs_at_the_time_it_is_logged():
+    # poll k of the outstation in slot j runs at start + j * slot + k * period, that
+    # very float, which is also the queue's clock when its send is logged
+    sim = star(("o1", "o2", "o3"))
+    clock = []
+
+    class Clocked(list):
+        def append(self, entry):
+            clock.append(sim.events.now)
+            super().append(entry)
+
+    sim.log = Clocked()
+    start, period, horizon = 0.05, 0.1, 30.0
+    slot = period / 3
+    sim.start_polling(period=period, start=start)
+    sim.run_until(horizon)
+    sends = [(e, now) for e, now in zip(sim.log, clock)
+             if e["event"] == "send" and e["detail"]["kind"] == "poll"]
+    for j, out in enumerate(("o1", "o2", "o3")):
+        got = [(e["t"], now) for e, now in sends if e["detail"]["dst"] == out]
+        want = [start + j * slot + k * period for k in range(len(got))]
+        assert got == [(t, t) for t in want]
+        assert len(got) >= 299 and start + j * slot + len(got) * period >= horizon
+
+
 def test_polling_off_without_period_master_or_outstation():
     for sim, period in ((star(("o1",)), 0.0), (star(()), 0.1), (single_link(1e6), 0.1)):
         sim.start_polling(period=period)
@@ -238,7 +266,7 @@ def test_polling_off_without_period_master_or_outstation():
 
 def test_send_command_applies_payload():
     sim = star(("o1",))
-    sim.send_command("o1", "shed", now=0.0)
+    sim.send_command("o1", "shed")
     sim.run_until(1.0)
     [(t, asset, action)] = sim.commands
     assert (asset, action) == ("o1", "shed")
@@ -248,7 +276,7 @@ def test_send_command_applies_payload():
 def test_command_lost_under_drop_all_dos():
     sim = star(("o1",))
     sim.attach_attacks([DoS(tap="l_o1", window=AttackWindow(((0.0, 10.0),)))])
-    sim.send_command("o1", "shed", now=0.0)
+    sim.send_command("o1", "shed")
     sim.run_until(1.0)
     assert sim.commands == []
     lost = [e for e in sim.log if e["event"] == "command_lost"]
@@ -323,8 +351,7 @@ def test_fifo_same_flow_never_reorders():
              NetNode(id="b", app=AppConfig(kind="outstation", asset="x"))]
     links = [NetLink(id="l", a="a", b="b", bandwidth=8e4, prop_delay=1e-3)]
     sim = NetworkSim(nodes, links, rng=np.random.default_rng(0))
-    ids = [sim.send_packet("a", "b", PacketKind.MEASUREMENT_REPORT, now=0.0).id
-           for _ in range(20)]
+    ids = [sim.send_packet("a", "b", PacketKind.MEASUREMENT_REPORT).id for _ in range(20)]
     sim.run_until(10.0)
     arrivals = [e["packet_id"] for e in sim.log
                 if e["event"] == "deliver" and e["node"] == "b"]
@@ -337,7 +364,7 @@ def test_queue_overflow_drops_when_full():
     links = [NetLink(id="l", a="a", b="b", bandwidth=8e3, prop_delay=0.0)]
     sim = NetworkSim(nodes, links, rng=np.random.default_rng(0))
     for _ in range(80):
-        sim.send_packet("a", "b", PacketKind.MEASUREMENT_REPORT, now=0.0)
+        sim.send_packet("a", "b", PacketKind.MEASUREMENT_REPORT)
     sim.run_until(60.0)
     drops = [e for e in sim.log if e["event"] == "drop"
              and e["detail"]["reason"] == "queue_full"]
