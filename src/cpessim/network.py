@@ -200,9 +200,14 @@ class NetworkSim:
         return [self._link_by_pair[(a, b)] for a, b in zip(path, path[1:])]
 
     def baseline_delay(self, src: str, dst: str) -> float:
-        """Deterministic end-to-end delay along the route: sum of tx + prop per hop."""
-        return float_sum(link.tx_time(self.message_bytes) + link.prop_delay
-                         for link in self.links_on(src, dst))
+        """Deterministic end-to-end delay along the route: tx + prop per hop, and
+        the processing delay of each node the packet is forwarded through, in hop
+        order."""
+        terms = []
+        for link, node in zip(self.links_on(src, dst), self.route(src, dst)[1:]):
+            terms += [link.tx_time(self.message_bytes) + link.prop_delay,
+                      self.nodes[node].processing_delay]
+        return float_sum(terms[:-1])  # the destination forwards nothing
 
     def attach_attacks(self, specs: Sequence) -> None:
         for spec in specs:

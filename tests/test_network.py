@@ -335,6 +335,24 @@ def case3_doc():
     return presets.preset_doc("case3_tda", "delay_0")
 
 
+def test_processing_delay_alone_delays_no_packet():
+    # the router's processing delay is part of each routed flow's baseline: with no
+    # queueing, jitter or attack, no packet counts as delayed
+    doc = case3_doc()
+    doc["meta"]["horizon"] = 2.0  # before the commands, so nothing queues
+    doc["attacks"] = []
+    assert doc["network"]["nodes"][1]["id"] == "router"
+    doc["network"]["nodes"][1]["processing_delay_ms"] = 0.5
+    sc = scenario_from_dict(doc)
+    [cyber] = [r for r in engine.run(sc).metric_reports if r.kind == "cyber"]
+    assert cyber.values["packets_delivered"] > 100
+    assert cyber.values["packets_delayed"] == 0
+    sim = NetworkSim(sc.network.nodes, sc.network.links)
+    hop = sim.links_on("mgc", "router")[0]
+    assert sim.baseline_delay("mgc", "out_gen") == pytest.approx(
+        2 * (hop.tx_time(sim.message_bytes) + hop.prop_delay) + 0.5e-3, rel=1e-12)
+
+
 def test_attach_attack_unknown_link():
     doc = case3_doc()
     doc["attacks"] = [{"type": "dos", "tap": "link:nope", "window": [[0.0, 1.0]]}]
