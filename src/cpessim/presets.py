@@ -44,13 +44,11 @@ def preset_doc(name: str, variant: str | None = None) -> dict:
     if name not in PRESET_NAMES:
         raise KeyError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
     variant = variant or DEFAULT_VARIANTS[name]
-    builder, variants = {"case1_dia": (_case1, ("default",)),
-                         "case2_load": (_case2, _CASE2_VARIANTS),
-                         "case3_tda": (_case3, _CASE3_DELAYS),
-                         "case4_td": (_case4, _CASE4_VARIANTS)}[name]
-    if variant not in variants:
-        raise ValueError(f"{name} variant must be one of {sorted(variants)}, got {variant!r}")
-    return builder(variant)
+    if variant not in VARIANTS[name]:
+        raise ValueError(f"{name} variant must be one of {sorted(VARIANTS[name])}, "
+                         f"got {variant!r}")
+    return {"case1_dia": _case1, "case2_load": _case2, "case3_tda": _case3,
+            "case4_td": _case4}[name](variant)
 
 
 def _case1(variant: str) -> dict:
@@ -319,3 +317,8 @@ def _case4(variant: str) -> dict:
         ],
         "seed": 404,
     }
+
+
+# preset name -> its variants, in the order of each preset's own table
+VARIANTS = {"case1_dia": ("default",), "case2_load": tuple(_CASE2_VARIANTS),
+            "case3_tda": tuple(_CASE3_DELAYS), "case4_td": tuple(_CASE4_VARIANTS)}

@@ -41,6 +41,7 @@ VARIANTS = {"case1_dia": ("default",), "case2_load": ("a", "b", "c", "d"),
 
 
 def test_all_preset_variants_parse():
+    assert presets.VARIANTS == VARIANTS
     for preset, variants in VARIANTS.items():
         for variant in variants:
             presets.preset_scenario(preset, variant)

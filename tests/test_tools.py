@@ -95,6 +95,14 @@ def test_exports_match_pinned_hashes(monkeypatch):
     assert unordered == []
 
 
+def test_export_hashes_covers_every_preset_variant():
+    # built from the presets' own table, so a new variant reaches the pinned file
+    assert tuple(presets.VARIANTS) == presets.PRESET_NAMES
+    assert set(export_hashes.VARIANTS) == {(name, v) for name, variants
+                                           in presets.VARIANTS.items() for v in variants}
+    assert len(export_hashes.VARIANTS) == 15
+
+
 def test_pinned_hashes_see_one_ulp(monkeypatch):
     run = export_hashes.engine.run
 

@@ -1,7 +1,8 @@
-"""Print the sha256 of every exported file of the 15 preset variants.
+"""Print the sha256 of every exported file of every preset variant.
 
-Each variant runs at its preset seed and at seed+3 and is exported exactly as
-``cpessim run`` exports it.  One line per file, sorted:
+Each variant of ``presets.VARIANTS`` runs at its preset seed and at seed+3
+and is exported exactly as ``cpessim run`` exports it.  One line per file,
+sorted:
 ``<sha256>  <preset>/<variant>/seed<N>/<path>``.  Run it from the repository
 root against the ``cpessim`` that ``PYTHONPATH`` selects, so two checkouts
 compare with a plain ``diff``:
@@ -27,11 +28,7 @@ from pathlib import Path
 
 from cpessim import engine, presets
 
-VARIANTS = (("case1_dia", "default"),
-            *(("case2_load", v) for v in ("a", "b", "c", "d")),
-            *(("case3_tda", v) for v in ("delay_0", "delay_0_5", "delay_5", "delay_15")),
-            *(("case4_td", v) for v in ("breaker_open", "breaker_open_close", "breaker_triple",
-                                        "n1", "n11", "n2")))
+VARIANTS = tuple((name, v) for name, variants in presets.VARIANTS.items() for v in variants)
 SEED_OFFSETS = (0, 3)
 
 
