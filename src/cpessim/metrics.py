@@ -22,6 +22,7 @@ SS_FRACTION = 0.1               # steady state estimated over this share of the 
 RISE_LO, RISE_HI = 0.1, 0.9     # the rise runs between these shares of the final value
 DEFAULT_VOLT_LIMITS = (0.95, 1.05)
 CSV_BLOCK = 4096                # rows the trace writer formats and joins at a time
+DELAY_EPS = 1e-12               # delay differences up to this are float residue: none
 
 
 def csv_time_cells(t: np.ndarray) -> list[str]:
@@ -295,17 +296,16 @@ def cyber_metrics(event_log: Sequence[dict], horizon: float, baselines: dict,
     diffs = []
     per_flow_jitter = {}
     for key, ds in sorted(flows.items()):
-        fd = [abs(b - a) for a, b in zip(ds, ds[1:])]
+        fd = [d if d > DELAY_EPS else 0.0 for d in (abs(b - a) for a, b in zip(ds, ds[1:]))]
         per_flow_jitter[key] = float(np.mean(fd)) if fd else 0.0
         diffs.extend(fd)
 
     packets_delayed = 0
-    eps = 1e-12
     bits_per_link: dict[str, float] = {}
     for e in deliveries:
         key = f"{e['detail']['src']}->{e['detail']['dst']}"
         base = baselines.get(key)
-        if base is not None and e["detail"]["delay"] > base + eps:
+        if base is not None and e["detail"]["delay"] > base + DELAY_EPS:
             packets_delayed += 1
         bits = size_bits.get(e["packet_id"], 0.0)
         for link_id in flow_links.get(key, ()):

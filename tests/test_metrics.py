@@ -290,6 +290,27 @@ def test_cyber_metrics_aggregation():
     assert v["hop_counts"] == {"a->b": 1, "b->a": 1}
 
 
+def test_delay_residue_counts_as_none_in_jitter_and_delayed_packets():
+    # one rule for both: delay differences up to DELAY_EPS are float residue
+    def deliver(pid, delay):
+        return {"t": 1.0 + pid, "event": "deliver", "node": "b", "packet_id": pid,
+                "detail": {"kind": "poll", "src": "a", "dst": "b",
+                           "created_at": 1.0 + pid - delay, "delay": delay}}
+
+    residue = mx.DELAY_EPS / 2
+    log = [deliver(1, 0.002), deliver(2, 0.002 + residue), deliver(3, 0.002)]
+    v = cyber_metrics(log, horizon=10.0, baselines={"a->b": 0.002}, flow_links={},
+                      bandwidths={}).values
+    assert v["per_flow_jitter"]["a->b"] == v["jitter"] == 0.0
+    assert v["packets_delayed"] == 0
+    late = 0.002 + 2 * mx.DELAY_EPS
+    log[1] = deliver(2, late)
+    v = cyber_metrics(log, horizon=10.0, baselines={"a->b": 0.002}, flow_links={},
+                      bandwidths={}).values
+    assert v["per_flow_jitter"]["a->b"] == v["jitter"] == pytest.approx(late - 0.002)
+    assert v["packets_delayed"] == 1
+
+
 def test_cyber_metrics_empty_log():
     rep = cyber_metrics([], horizon=1.0, baselines={}, flow_links={}, bandwidths={})
     assert rep.values["packets_sent"] == 0

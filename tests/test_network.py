@@ -255,6 +255,27 @@ def test_each_poll_runs_at_the_time_it_is_logged():
         assert len(got) >= 299 and start + j * slot + len(got) * period >= horizon
 
 
+def test_only_polls_queued_behind_a_command_show_jitter():
+    # case3's links carry no jitter.  The polls of out_bess at 10.0 s and 10.1 s are
+    # sent while the 10.0 s and 10.1 s commands are still on l_mgc, and wait one
+    # transmit time behind them; every other delivery takes its fixed path delay
+    sc = presets.preset_scenario("case3_tda", "delay_15")
+    result = engine.run(sc)
+    tx = sc.network.message_bytes * 8 / 100e6  # 23.36 us on each 100 Mbit/s link
+    fixed = 2 * (tx + 1e-3)                     # 2.04672 ms over two hops
+    bess = [(e["detail"]["created_at"], e["detail"]["delay"]) for e in result.event_log
+            if e["event"] == "deliver" and e["node"] == "out_bess"]
+    late = [(t, delay) for t, delay in bess if delay != pytest.approx(fixed, abs=1e-12)]
+    assert len(bess) == 300
+    assert [t for t, _ in late] == pytest.approx([10.0, 10.1], abs=1e-12)
+    assert [delay for _, delay in late] == pytest.approx([fixed + tx] * 2, abs=1e-12)
+    [cyber] = [r for r in result.metric_reports if r.kind == "cyber"]
+    jitter = cyber.values["per_flow_jitter"]
+    assert len(jitter) == 11
+    assert {key for key, value in jitter.items() if value != 0.0} == {"mgc->out_bess"}
+    assert jitter["mgc->out_bess"] == pytest.approx(2 * tx / 299, rel=1e-9)  # up, then down
+
+
 def test_polling_off_without_period_master_or_outstation():
     for sim, period in ((star(("o1",)), 0.0), (star(()), 0.1), (single_link(1e6), 0.1)):
         sim.start_polling(period=period)
