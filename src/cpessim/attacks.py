@@ -40,9 +40,6 @@ class AttackWindow:
         return False
 
 
-EMPTY_WINDOW = AttackWindow(())
-
-
 # --- noise variants for the combined data-integrity attack ---
 
 @dataclass(frozen=True)
@@ -70,9 +67,9 @@ class DiaCombined:
     """Measurement-tap attack: y_a = beta * y + W inside the window."""
 
     tap: str                    # measurement channel, e.g. "meas:pv_loop"
+    window: AttackWindow
     beta: float = 1.0
     noise: Noise = None
-    window: AttackWindow = EMPTY_WINDOW
 
     def __post_init__(self):
         if not math.isfinite(self.beta):
@@ -84,8 +81,8 @@ class ControlDia:
     """Control-tap attack: additive delta-u from a piecewise-constant schedule."""
 
     tap: str
+    window: AttackWindow
     schedule: tuple[tuple[float, float], ...] = ()   # (from_time, delta_u)
-    window: AttackWindow = EMPTY_WINDOW
 
     def __post_init__(self):
         sched = tuple((t, float(v)) for t, v in event_schedule(self.schedule))
@@ -109,8 +106,8 @@ class LoadChange:
 
     targets: tuple[str, ...]
     delta: float
+    window: AttackWindow
     fraction: bool = True       # True: delta of base demand; False: absolute pu offset
-    window: AttackWindow = EMPTY_WINDOW
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
@@ -124,7 +121,7 @@ class TimeDelay:
 
     tap: str
     delay: float                # seconds added to each arrival
-    window: AttackWindow = EMPTY_WINDOW
+    window: AttackWindow
 
     def __post_init__(self):
         if not self.delay >= 0:
@@ -136,7 +133,7 @@ class DoS:
     """Drop-all attack on a link while the window is active."""
 
     tap: str
-    window: AttackWindow = EMPTY_WINDOW
+    window: AttackWindow
 
 
 @dataclass(frozen=True)

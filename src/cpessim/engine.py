@@ -40,7 +40,7 @@ import math
 import os
 import tempfile
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -49,8 +49,8 @@ import numpy as np
 
 from . import __version__
 from . import risk as risk_mod
-from .attacks import (BreakerAttack, ControlDia, DiaCombined, DoS, LoadChange,
-                      TimeDelay, apply_control_dia, apply_dia, apply_load_change)
+from .attacks import (BreakerAttack, ControlDia, DiaCombined, LoadChange,
+                      apply_control_dia, apply_dia, apply_load_change)
 from .metrics import (MetricReport, TimeSeries, control_metrics, csv_time_cells,
                       cyber_metrics, frequency_stability, voltage_stability)
 from .network import NetworkSim, log_entry
@@ -143,11 +143,10 @@ class _Run:
             cfg = sc.network
             net = NetworkSim(cfg.nodes, cfg.links, rng=rng_for(self.seed, "net"),
                              message_bytes=cfg.message_bytes)
-            net.attach_attacks([replace(spec, tap=spec.tap.partition(":")[2]) for spec
-                                in sc.attacks if isinstance(spec, (DoS, TimeDelay))])
+            net.attach_attacks(sc.attacks)
             net.start_polling(cfg.poll_period, cfg.poll_start)
             for cmd in cfg.commands:  # scenario load ensures a master sends them
-                net.events.push(cmd["t"], partial(net.send_command, cmd["asset"], cmd["action"]))
+                net.push(cmd["t"], partial(net.send_command, cmd["asset"], cmd["action"]))
             net.run_until(self.n_steps * self.dt)
             self.net_log, self.commands = net.log, net.commands
 

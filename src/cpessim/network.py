@@ -6,9 +6,10 @@ load.  Master/outstation apps implement polling semantics: the master polls
 each outstation periodically and each outstation answers with an empty
 measurement report.  A control command's payload is its action; when it
 reaches the asset's outstation it is kept in ``NetworkSim.commands`` with its
-dispatch time, for the grid to apply.  The event queue's ``now`` is the one
-clock: each event runs at the time it was pushed, never before ``now``, and
-reads that time from the queue; ties run in insertion order, reproducibly.
+dispatch time, for the grid to apply.  ``NetworkSim.now`` is the one clock:
+each event runs at the time it was pushed, never before ``now``, and reads that
+time from the simulator; ties run in insertion order, reproducibly.  Every hop
+ends with the receiving node's processing delay, the destination's included.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -45,7 +48,7 @@ class NetNode:
     id: str
     role: NodeRole = NodeRole.ENDPOINT
     app: Optional["AppConfig"] = None
-    processing_delay: float = 0.0
+    processing_delay: float = 0.0  # s the node takes to handle each packet it receives
 
 
 @dataclass
@@ -87,30 +90,6 @@ class Packet:
 def log_entry(t: float, event: str, node: str, packet_id, detail: dict) -> dict:
     """One entry of the event log, which the network and the engine share."""
     return {"t": t, "event": event, "node": node, "packet_id": packet_id, "detail": detail}
-
-
-class EventQueue:
-    """Time-ordered pending events; ties break by insertion sequence."""
-
-    def __init__(self):
-        self._heap: list = []
-        self._seq = itertools.count()
-        self.now = 0.0
-
-    def push(self, t: float, fn: Callable[[], None]) -> None:
-        """fn runs at t, the time it was pushed, and never before ``now``."""
-        if not t >= self.now:  # NaN too: it would never dispatch
-            raise ValueError(f"cannot schedule event at {t} before now={self.now}")
-        heapq.heappush(self._heap, (t, next(self._seq), fn))
-
-    def run_until(self, t_end: float) -> None:
-        """Dispatch every pending event with timestamp strictly before t_end."""
-        heap = self._heap
-        while heap and heap[0][0] < t_end:
-            t, _, fn = heapq.heappop(heap)
-            self.now = t
-            fn()
-        self.now = max(self.now, t_end)
 
 
 def min_hop_path(adjacency: dict[str, list[str]], src: str, dst: str) -> list[str]:
@@ -159,14 +138,16 @@ class NetworkSim:
         self.nodes = {n.id: n for n in nodes}
         self.message_bytes = message_bytes  # every packet's size
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.events = EventQueue()
+        self.now = 0.0
+        self._heap: list = []  # pending (t, insertion sequence, fn)
+        self._seq = itertools.count()
         self.log: list[dict] = []
         self._packet_ids = itertools.count(1)
         self._link_by_pair: dict[tuple[str, str], NetLink] = {}
         self._adjacency: dict[str, list[str]] = {n: [] for n in self.nodes}
-        self._queued: dict[tuple[str, str], int] = {}  # packets waiting, per direction
+        self._waiting: dict[tuple[str, str], deque] = {}  # start times queued, per direction
         self._busy_until: dict[tuple[str, str], float] = {}
-        self._dos: dict[str, list[DoS]] = {}
+        self._dos: dict[str, list[DoS]] = {}  # keyed by link id
         self._delays: dict[str, list[TimeDelay]] = {}
         self._routes: dict[tuple[str, str], list[str]] = {}
         self.commands: list[tuple[float, str, str]] = []
@@ -181,7 +162,7 @@ class NetworkSim:
             self._adjacency[link.a].append(link.b)
             self._adjacency[link.b].append(link.a)
             for direction in (pair, pair[::-1]):
-                self._queued[direction] = 0
+                self._waiting[direction] = deque()
                 self._busy_until[direction] = 0.0
         for nb_list in self._adjacency.values():
             nb_list.sort()
@@ -200,41 +181,58 @@ class NetworkSim:
         return [self._link_by_pair[(a, b)] for a, b in zip(path, path[1:])]
 
     def baseline_delay(self, src: str, dst: str) -> float:
-        """Deterministic end-to-end delay along the route: tx + prop per hop, and
-        the processing delay of each node the packet is forwarded through, in hop
-        order."""
+        """Deterministic end-to-end delay along the route: per hop, tx + prop and
+        the receiving node's processing delay, in hop order."""
         terms = []
         for link, node in zip(self.links_on(src, dst), self.route(src, dst)[1:]):
             terms += [link.tx_time(self.message_bytes) + link.prop_delay,
                       self.nodes[node].processing_delay]
-        return float_sum(terms[:-1])  # the destination forwards nothing
+        return float_sum(terms)
 
     def attach_attacks(self, specs: Sequence) -> None:
+        """Keep the DoS and time-delay specs, by the link id of their
+        ``link:<id>`` tap; scenario load resolves each tap to a link."""
         for spec in specs:
-            if isinstance(spec, DoS):
-                self._dos.setdefault(spec.tap, []).append(spec)
-            elif isinstance(spec, TimeDelay):
-                self._delays.setdefault(spec.tap, []).append(spec)
+            if isinstance(spec, (DoS, TimeDelay)):
+                table = self._dos if isinstance(spec, DoS) else self._delays
+                table.setdefault(spec.tap.partition(":")[2], []).append(spec)
+
+    # -- event loop ------------------------------------------------------------
+
+    def push(self, t: float, fn: Callable[[], None]) -> None:
+        """fn runs at t, the time it was pushed, and never before ``now``."""
+        if not t >= self.now:  # NaN too: it would never dispatch
+            raise ValueError(f"cannot schedule event at {t} before now={self.now}")
+        heapq.heappush(self._heap, (t, next(self._seq), fn))
+
+    def run_until(self, t_end: float) -> None:
+        """Dispatch every pending event with timestamp strictly before t_end."""
+        heap = self._heap
+        while heap and heap[0][0] < t_end:
+            t, _, fn = heapq.heappop(heap)
+            self.now = t
+            fn()
+        self.now = max(self.now, t_end)
 
     # -- packet pipeline ----------------------------------------------------
 
     def send_packet(self, src: str, dst: str, kind: PacketKind, payload=None) -> Packet:
         pkt = Packet(id=next(self._packet_ids), src=src, dst=dst,
-                     created_at=self.events.now, kind=kind, payload=payload)
+                     created_at=self.now, kind=kind, payload=payload)
         path = self.route(src, dst)
         self.log.append(log_entry(pkt.created_at, "send", src, pkt.id,
                                   {"kind": kind.value, "dst": dst, "size": self.message_bytes}))
         if not path:
             self._deliver(pkt, src)
             return pkt
-        self.events.push(pkt.created_at, lambda: self._hop(pkt, path, 0))
+        self.push(pkt.created_at, lambda: self._hop(pkt, path, 0))
         return pkt
 
     def _hop(self, pkt: Packet, path: list[str], hop: int) -> None:
         a, b = path[hop], path[hop + 1]
         link = self._link_by_pair[(a, b)]
         direction = (a, b)
-        now = self.events.now
+        now = self.now
 
         for spec in self._dos.get(link.id, ()):
             if spec.window.contains(now):
@@ -244,14 +242,16 @@ class NetworkSim:
             self._drop(pkt, link.id, "loss")
             return
 
+        waiting = self._waiting[direction]
+        while waiting and waiting[0] <= now:  # started transmitting by now
+            waiting.popleft()
         busy = self._busy_until[direction]
         if now < busy:
-            if self._queued[direction] >= QUEUE_CAPACITY:
+            if len(waiting) >= QUEUE_CAPACITY:
                 self._drop(pkt, link.id, "queue_full")
                 return
-            self._queued[direction] += 1
+            waiting.append(busy)
             start_tx = busy
-            self.events.push(start_tx, lambda: self._start_tx(direction))
         else:
             start_tx = now
         tx_end = start_tx + link.tx_time(self.message_bytes)
@@ -265,25 +265,20 @@ class NetworkSim:
             if spec.window.contains(now):  # sent inside the window: arrives late
                 arrival += spec.delay
 
-        if hop + 1 == len(path) - 1:
-            self.events.push(arrival, lambda: self._deliver(pkt, path[-1]))
-        else:
-            self.events.push(arrival + self.nodes[b].processing_delay,
-                             lambda: self._hop(pkt, path, hop + 1))
-
-    def _start_tx(self, direction: tuple[str, str]) -> None:
-        self._queued[direction] -= 1
+        handle = (partial(self._deliver, pkt, b) if b == pkt.dst
+                  else partial(self._hop, pkt, path, hop + 1))
+        self.push(arrival + self.nodes[b].processing_delay, handle)
 
     def _drop(self, pkt: Packet, link_id: str, reason: str) -> None:
-        self.log.append(log_entry(self.events.now, "drop", link_id, pkt.id,
+        self.log.append(log_entry(self.now, "drop", link_id, pkt.id,
                                   {"reason": reason, "kind": pkt.kind.value,
                                    "src": pkt.src, "dst": pkt.dst}))
         if pkt.kind is PacketKind.CONTROL_COMMAND:
-            self.log.append(log_entry(self.events.now, "command_lost", pkt.dst, pkt.id,
+            self.log.append(log_entry(self.now, "command_lost", pkt.dst, pkt.id,
                                       {"reason": reason, "payload": f"action={pkt.payload}"}))
 
     def _deliver(self, pkt: Packet, node_id: str) -> None:
-        now = self.events.now
+        now = self.now
         self.log.append(log_entry(now, "deliver", node_id, pkt.id,
                                   {"kind": pkt.kind.value, "src": pkt.src, "dst": pkt.dst,
                                    "created_at": pkt.created_at, "delay": now - pkt.created_at}))
@@ -311,10 +306,10 @@ class NetworkSim:
 
         def emit(out: str, offset: float, k: int):  # runs at start + offset + k * period
             self.send_packet(self.master, out, PacketKind.POLL)
-            self.events.push(start + offset + (k + 1) * period, lambda: emit(out, offset, k + 1))
+            self.push(start + offset + (k + 1) * period, lambda: emit(out, offset, k + 1))
 
         for j, out in enumerate(outstations):
-            self.events.push(start + j * slot,
+            self.push(start + j * slot,
                              lambda out=out, j=j: emit(out, j * slot, 0))
 
     def send_command(self, asset: str, action: str) -> Packet:
@@ -322,6 +317,3 @@ class NetworkSim:
         return self.send_packet(self.master, self.outstations[asset],
                                 PacketKind.CONTROL_COMMAND, payload=action)
 
-    def run_until(self, t_end: float) -> None:
-        """Dispatch every event before t_end."""
-        self.events.run_until(t_end)

@@ -418,8 +418,8 @@ class FastSource:
     """Frequency-droop power source with a short lag and hard power cap."""
 
     id: str
+    max_power: float            # pu, symmetric cap
     gain: float = 0.0           # pu per Hz
-    max_power: float = 0.0      # pu, symmetric cap
     time_constant: float = 0.02  # s
     power: float = 0.0          # current output, pu
 

@@ -151,6 +151,8 @@ def build_grid(grid_doc: dict) -> GridModel:
     unit = _value(grid_doc, "grid", "unit", "str", "pu")
     if unit not in ("pu", "kW"):
         raise ScenarioError("grid.unit", f'must be "pu" or "kW", got {unit!r}')
+    if unit == "pu" and "s_base_kw" in grid_doc:
+        raise ScenarioError("grid.s_base_kw", 'only a "kW" grid reads it')
     s_base_kw = _value(grid_doc, "grid", "s_base_kw", "float", 1000.0, _positive)
     to_pu = (lambda v: v / s_base_kw) if unit == "kW" else float
     f_nom = _value(grid_doc, "grid", "f_nom", "float", GridModel.f_nom, _positive)
@@ -165,13 +167,6 @@ def build_grid(grid_doc: dict) -> GridModel:
                                               "gain deadband time_constant min_boost max_boost",
                                               time_constant=_non_negative))
 
-    def fast_source(loc, raw):
-        source = _read(FastSource, raw, loc, "id gain max_power time_constant",
-                       max_power=to_pu, time_constant=_non_negative)
-        if unit == "kW" and "max_power" not in raw:  # no default cap in kW
-            raise ScenarioError(f"{loc}.max_power", "missing field")
-        return source
-
     def section(key, read):
         return _value(grid_doc, "grid", key, "list", [], _each(f"grid.{key}", read))
 
@@ -180,7 +175,9 @@ def build_grid(grid_doc: dict) -> GridModel:
         raise ScenarioError("grid.machines", "scenario needs at least one machine")
     loads = section("loads", lambda loc, raw: _read(
         Load, raw, loc, "id demand:base_demand sheddable", id=_file_name, base_demand=to_pu))
-    fast_sources = section("fast_sources", fast_source)
+    fast_sources = section("fast_sources", lambda loc, raw: _read(
+        FastSource, raw, loc, "id gain max_power time_constant", max_power=to_pu,
+        time_constant=_non_negative))
     breakers = section("breakers", lambda loc, raw: _read(Breaker, raw, loc, "id closed schedule",
                                                           id=_file_name, schedule=event_schedule))
     plants = [_read(LtiPlant, raw, f"grid.plants[{i}]", "name G B C control_matrix noise_std "
@@ -198,9 +195,10 @@ def build_grid(grid_doc: dict) -> GridModel:
                      protection=build_protection(grid_doc))
     grid.td_system = td_cfg = _value(grid_doc, "grid", "td_system", "dict", None,
                                      lambda raw: _parse_td_system(raw, grid))
-    if plants and (len(machines) > 1 or td_cfg is not None):
-        raise ScenarioError("grid.plants", "LTI plants run only on the single-machine "
-                                           "aggregate tier")
+    for key in ("plants", "fast_sources", "pcc_breaker"):
+        if grid_doc.get(key) and (len(machines) > 1 or td_cfg is not None):
+            raise ScenarioError(f"grid.{key}", "only the single-machine aggregate tier "
+                                               "reads it")
 
     def contingency(loc, raw):
         _check_keys(raw, loc, "t machine")

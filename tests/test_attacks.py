@@ -16,6 +16,9 @@ def grid_with_loads(*demands, sheddable=False):
                      loads=loads, breakers=[Breaker(id="pcc")])
 
 
+WINDOW = AttackWindow(((0.0, 1.0),))
+
+
 # -- windows -------------------------------------------------------------------
 
 def test_window_contains_half_open():
@@ -83,7 +86,7 @@ def test_dia_gaussian_sample_mean():
 
 def test_dia_requires_finite_beta():
     with pytest.raises(ValueError):
-        DiaCombined(tap="meas:p", beta=float("inf"))
+        DiaCombined(tap="meas:p", beta=float("inf"), window=WINDOW)
 
 
 def test_dia_replay_from_logged_delta():
@@ -176,19 +179,19 @@ def test_load_change_unknown_target():
 
 def test_load_change_fraction_bound():
     with pytest.raises(ValueError):
-        LoadChange(targets=("l0",), delta=-1.0, fraction=True)
+        LoadChange(targets=("l0",), delta=-1.0, fraction=True, window=WINDOW)
 
 
 # -- time delay -----------------------------------------------------------------------
 
 def test_time_delay_rejects_negative():
     with pytest.raises(ValueError):
-        TimeDelay(tap="link:l1", delay=-1.0)
+        TimeDelay(tap="link:l1", delay=-1.0, window=WINDOW)
 
 
 def test_time_delay_rejects_nan():
     with pytest.raises(ValueError):
-        TimeDelay(tap="link:l1", delay=math.nan)
+        TimeDelay(tap="link:l1", delay=math.nan, window=WINDOW)
 
 
 # -- breaker ---------------------------------------------------------------------------
@@ -202,7 +205,7 @@ def test_breaker_attack_schedule_validation():
         with pytest.raises(ValueError):
             BreakerAttack(breaker="b", schedule=((t, "open"),))
         with pytest.raises(ValueError):
-            ControlDia(tap="ctrl:p", schedule=((t, 0.1),))
+            ControlDia(tap="ctrl:p", schedule=((t, 0.1),), window=WINDOW)
 
 
 # -- identity-outside-window properties ----------------------------------------------

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -7,8 +6,8 @@ import pytest
 
 from cpessim import engine, presets
 from cpessim.attacks import AttackWindow, DoS, TimeDelay
-from cpessim.network import (AppConfig, EventQueue, NetLink, NetNode, NetworkSim,
-                             NodeRole, PacketKind, min_hop_path)
+from cpessim.network import (AppConfig, NetLink, NetNode, NetworkSim, NodeRole, PacketKind,
+                             min_hop_path)
 from cpessim.scenario import scenario_from_dict
 
 
@@ -36,10 +35,10 @@ def star(outstations=("o1",), bandwidth=100e6, prop=1e-3, loss=0.0, jitter=0.0,
     return NetworkSim(nodes, links, rng=rng or np.random.default_rng(0))
 
 
-# -- event queue --------------------------------------------------------------
+# -- event loop ---------------------------------------------------------------
 
 def test_event_queue_orders_by_time_then_insertion():
-    q = EventQueue()
+    q = single_link(1e6)
     seen = []
     q.push(2.0, lambda: seen.append("late"))
     q.push(1.0, lambda: seen.append("first"))
@@ -50,7 +49,7 @@ def test_event_queue_orders_by_time_then_insertion():
 
 
 def test_event_queue_runs_strictly_before_end():
-    q = EventQueue()
+    q = single_link(1e6)
     seen = []
     q.push(1.0, lambda: seen.append(1))
     q.run_until(1.0)
@@ -87,11 +86,10 @@ def test_grid_never_reaches_into_the_network():
     cfg = sc.network
     sim = NetworkSim(cfg.nodes, cfg.links, rng=engine.rng_for(sc.seed, "net"),
                      message_bytes=cfg.message_bytes)
-    sim.attach_attacks([replace(spec, tap=spec.tap.partition(":")[2]) for spec in sc.attacks
-                        if isinstance(spec, (DoS, TimeDelay))])
+    sim.attach_attacks(sc.attacks)
     sim.start_polling(cfg.poll_period, cfg.poll_start)
     for cmd in cfg.commands:
-        sim.events.push(cmd["t"], partial(sim.send_command, cmd["asset"], cmd["action"]))
+        sim.push(cmd["t"], partial(sim.send_command, cmd["asset"], cmd["action"]))
     sim.run_until(sc.horizon)
     packets = [e for e in engine.run(sc).event_log if e["event"] in PACKET_EVENTS]
     assert {e["event"] for e in packets} >= {"send", "deliver"}
@@ -114,7 +112,7 @@ def test_message_bytes_must_be_positive():
 
 
 def test_event_queue_rejects_past():
-    q = EventQueue()
+    q = single_link(1e6)
     q.run_until(5.0)
     with pytest.raises(ValueError):
         q.push(1.0, lambda: None)
@@ -126,7 +124,7 @@ def test_event_queue_rejects_past():
 def test_event_queue_rejects_nan():
     # a NaN time compares false with everything: the heap would never dispatch it
     # or anything behind it
-    q = EventQueue()
+    q = single_link(1e6)
     with pytest.raises(ValueError):
         q.push(math.nan, lambda: None)
 
@@ -146,7 +144,7 @@ def test_transmit_deterministic_delay():
 def test_transmit_always_drops_at_loss_one():
     sim = single_link(bandwidth=1e6, loss=1.0)
     for k in range(100):
-        sim.events.push(k * 0.01, partial(sim.send_packet, "a", "b", PacketKind.MEASUREMENT_REPORT))
+        sim.push(k * 0.01, partial(sim.send_packet, "a", "b", PacketKind.MEASUREMENT_REPORT))
     sim.run_until(2.0)
     assert events(sim, "deliver") == []
     assert [e["detail"]["reason"] for e in events(sim, "drop")] == ["loss"] * 100
@@ -159,8 +157,8 @@ def test_transmit_loss_fraction_within_binomial_bounds():
     spacing = 1e-5  # well above one packet's transmit time: nothing queues
     drops = 0
     for k in range(n):
-        sim.events.push(k * spacing,
-                        partial(sim.send_packet, "a", "b", PacketKind.MEASUREMENT_REPORT))
+        sim.push(k * spacing,
+                 partial(sim.send_packet, "a", "b", PacketKind.MEASUREMENT_REPORT))
         sim.run_until((k + 1) * spacing)
         drops += len(events(sim, "drop"))
         sim.log.clear()  # count as we go instead of holding every entry
@@ -232,13 +230,13 @@ def test_round_trip_is_twice_one_way():
 
 def test_each_poll_runs_at_the_time_it_is_logged():
     # poll k of the outstation in slot j runs at start + j * slot + k * period, that
-    # very float, which is also the queue's clock when its send is logged
+    # very float, which is also the network's clock when its send is logged
     sim = star(("o1", "o2", "o3"))
     clock = []
 
     class Clocked(list):
         def append(self, entry):
-            clock.append(sim.events.now)
+            clock.append(sim.now)
             super().append(entry)
 
     sim.log = Clocked()
@@ -296,7 +294,7 @@ def test_send_command_applies_payload():
 
 def test_command_lost_under_drop_all_dos():
     sim = star(("o1",))
-    sim.attach_attacks([DoS(tap="l_o1", window=AttackWindow(((0.0, 10.0),)))])
+    sim.attach_attacks([DoS(tap="link:l_o1", window=AttackWindow(((0.0, 10.0),)))])
     sim.send_command("o1", "shed")
     sim.run_until(1.0)
     assert sim.commands == []
@@ -305,17 +303,13 @@ def test_command_lost_under_drop_all_dos():
 
 
 def test_dos_drops_counted_per_window():
-    dos_drops = []
-    for spec in (DoS(tap="l_o1", window=AttackWindow(((0.0, 0.5),))), DoS(tap="l_o1")):
-        sim = star(("o1",))
-        sim.attach_attacks([spec])
-        sim.start_polling(period=0.1, start=0.0)
-        sim.run_until(1.0)
-        dos_drops.append([e for e in sim.log if e["event"] == "drop"
-                          and e["detail"]["reason"] == "dos"])
+    sim = star(("o1",))
+    sim.attach_attacks([DoS(tap="link:l_o1", window=AttackWindow(((0.0, 0.5),)))])
+    sim.start_polling(period=0.1, start=0.0)
+    sim.run_until(1.0)
+    dos_drops = [e for e in sim.log if e["event"] == "drop" and e["detail"]["reason"] == "dos"]
     # polls entering the tapped link in [0, 0.5): emitted at 0.0 .. 0.4
-    assert len(dos_drops[0]) == 5
-    assert dos_drops[1] == []  # no window: no drops
+    assert len(dos_drops) == 5
 
 
 def test_time_delay_shifts_arrivals_by_constant():
@@ -323,7 +317,7 @@ def test_time_delay_shifts_arrivals_by_constant():
     base.start_polling(period=0.1, start=0.0)
     base.run_until(1.0)
     delayed = star(("o1",))
-    delayed.attach_attacks([TimeDelay(tap="l_o1", delay=0.25,
+    delayed.attach_attacks([TimeDelay(tap="link:l_o1", delay=0.25,
                                       window=AttackWindow(((0.0, 10.0),)))])
     delayed.start_polling(period=0.1, start=0.0)
     delayed.run_until(2.0)
@@ -338,7 +332,7 @@ def test_time_delay_shifts_arrivals_by_constant():
 def test_link_delay_window_gating():
     # only packets that enter the tapped link inside the window arrive late
     arrivals = []
-    for specs in ([], [TimeDelay(tap="l_o1", delay=0.25, window=AttackWindow(((0.3, 0.6),)))]):
+    for specs in ([], [TimeDelay(tap="link:l_o1", delay=0.25, window=AttackWindow(((0.3, 0.6),)))]):
         sim = star(("o1",))
         sim.attach_attacks(specs)
         sim.start_polling(period=0.1, start=0.0)
@@ -372,6 +366,29 @@ def test_processing_delay_alone_delays_no_packet():
     hop = sim.links_on("mgc", "router")[0]
     assert sim.baseline_delay("mgc", "out_gen") == pytest.approx(
         2 * (hop.tx_time(sim.message_bytes) + hop.prop_delay) + 0.5e-3, rel=1e-12)
+
+
+def test_endpoint_processing_delay_delays_the_packets_it_receives():
+    # every hop ends with the receiving node's processing delay, the destination's
+    # too, and the baseline counts it: no packet counts as delayed
+    doc = case3_doc()
+    doc["meta"]["horizon"] = 2.0  # before the commands, so nothing queues
+    for i, node in ((0, "mgc"), (2, "out_gen")):
+        assert doc["network"]["nodes"][i]["id"] == node
+        doc["network"]["nodes"][i]["processing_delay_ms"] = 5.0
+    sc = scenario_from_dict(doc)
+    result = engine.run(sc)
+    delays = [e["detail"]["delay"] for e in result.event_log
+              if e["event"] == "deliver" and e["node"] == "out_gen"]
+    assert len(delays) == 20
+    assert delays == pytest.approx([7.04672e-3] * 20, abs=1e-12)  # 2.04672 ms + 5 ms
+    sim = NetworkSim(sc.network.nodes, sc.network.links)
+    hop = sim.links_on("mgc", "router")[0]
+    assert sim.baseline_delay("mgc", "out_gen") == pytest.approx(
+        2 * (hop.tx_time(sim.message_bytes) + hop.prop_delay) + 5e-3, rel=1e-12)
+    [cyber] = [r for r in result.metric_reports if r.kind == "cyber"]
+    assert cyber.values["packets_delivered"] > 100
+    assert cyber.values["packets_delayed"] == 0
 
 
 def test_attach_attack_unknown_link():
@@ -409,6 +426,22 @@ def test_queue_overflow_drops_when_full():
              and e["detail"]["reason"] == "queue_full"]
     assert len(drops) == 15  # 1 transmitting + 64 queued survive out of 80
     assert len(events(sim, "deliver")) == 65
+
+
+def test_full_queue_accepts_a_packet_once_its_head_has_started():
+    # 1 ms per packet: one transmits from t = 0 and 64 wait, starting at 1, 2, .. ms;
+    # by 1.5 ms the first of them has started, so a packet sent then finds room
+    link = NetLink(id="l", a="a", b="b", bandwidth=1e6)
+    sim = NetworkSim([NetNode(id="a"), NetNode(id="b")], [link], message_bytes=125)
+    assert link.tx_time(sim.message_bytes) == 1e-3
+    for _ in range(66):
+        sim.send_packet("a", "b", PacketKind.MEASUREMENT_REPORT)
+    sim.push(1.5e-3, partial(sim.send_packet, "a", "b", PacketKind.POLL))
+    sim.run_until(1.0)
+    assert [e["detail"]["reason"] for e in events(sim, "drop")] == ["queue_full"]
+    delivered = events(sim, "deliver")
+    assert [e["detail"]["kind"] for e in delivered] == ["measurement_report"] * 65 + ["poll"]
+    assert delivered[-1]["t"] == pytest.approx(66e-3, abs=1e-12)  # after the 65 before it
 
 
 def test_conservation_per_flow():

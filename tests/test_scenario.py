@@ -341,7 +341,7 @@ PLANT = {"G": [[0.9]], "B": [[0.1]], "C": [[1.0]], "control_matrix": [[0.0]]}
     ("machines", {"id": "m1", "inertia_const": 5.0}, "id"),
     ("loads", {"id": "lA", "demand": 0.1}, "id"),
     ("breakers", {"id": "b1"}, "id"),
-    ("fast_sources", {"id": "f1"}, "id"),
+    ("fast_sources", {"id": "f1", "max_power": 0.1}, "id"),
     ("plants", dict(PLANT, name="p1"), "name")],
     ids=["machines", "loads", "breakers", "fast_sources", "plants"])
 def test_duplicate_id_names_field(kind, item, key):
@@ -385,8 +385,13 @@ def _set(path, value):
     return mutate
 
 
-def _drop_command(doc):
-    del doc["metrics"][2]["command"]
+def _del(path):
+    """Mutation that deletes ``doc[path[0]][path[1]]...``."""
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    return mutate
 
 
 def _append(path, value):
@@ -396,10 +401,6 @@ def _append(path, value):
             doc = doc[key]
         doc.append(value)
     return mutate
-
-
-def _drop_master(doc):
-    del doc["network"]["nodes"][0]["app"]
 
 
 def _isolate_out_crit(doc):
@@ -437,7 +438,7 @@ PRIORITIES = {"people_health_safety": 4, "uninterrupted_operation": 3,
     ("case3_tda", "delay_0", _set(["grid", "breakers", 0, "closed"], "false"),
      "grid.breakers[0].closed"),
     ("case2_load", "a", _set(["attacks", 0, "fraction"], "no"), "attacks[0].fraction"),
-    ("case1_dia", None, _drop_command, "metrics[2].command"),
+    ("case1_dia", None, _del(["metrics", 2, "command"]), "metrics[2].command"),
     ("case1_dia", None, _set(["metrics", 2, "band_pct"], "x"), "metrics[2].band_pct"),
     ("case1_dia", None, _set(["metrics", 1, "limits"], [1.05, 0.95]), "metrics[1].limits"),
     ("case1_dia", None, _set(["metrics", 1, "limits"], ["lo", 1.05]), "metrics[1].limits"),
@@ -493,7 +494,7 @@ PRIORITIES = {"people_health_safety": 4, "uninterrupted_operation": 3,
         "kind": "outstation", "asset": "load1"}), "network.nodes[1].app"),
     ("case3_tda", "delay_0", _set(["network", "commands", 1, "asset"], "ghost"),
      "network.commands[1].asset"),
-    ("case3_tda", "delay_0", _drop_master, "network.commands[0]"),
+    ("case3_tda", "delay_0", _del(["network", "nodes", 0, "app"]), "network.commands[0]"),
     ("case3_tda", "delay_0", _set(["network", "nodes", 2, "app"], {"kind": "master"}),
      "network.nodes[2].app"),
     ("case3_tda", "delay_0", _isolate_out_crit, "network.nodes[6]"),
@@ -522,10 +523,22 @@ PRIORITIES = {"people_health_safety": 4, "uninterrupted_operation": 3,
      "attacks[1].schedule"),
     # a plant tap's layer fits its attack, and each tap takes one attack
     ("case1_dia", None, _set(["attacks", 0, "tap"], "ctrl:pv_loop"), "attacks[0].tap"),
-    ("case1_dia", None, _append(["attacks"], {"type": "control_dia", "tap": "meas:pv_loop"}),
+    ("case1_dia", None, _append(["attacks"], {"type": "control_dia", "tap": "meas:pv_loop",
+                                              "window": [[0.0, 1.0]]}),
      "attacks[1].tap"),
-    ("case1_dia", None, _append(["attacks"], {"type": "dia", "tap": "meas:pv_loop"}),
+    ("case1_dia", None, _append(["attacks"], {"type": "dia", "tap": "meas:pv_loop",
+                                              "window": [[0.0, 1.0]]}),
      "attacks[1].tap"),
+    # a windowed attack without its window would never act
+    ("case1_dia", None, _del(["attacks", 0, "window"]), "attacks[0].window"),
+    # grid fields that the grid's tier never reads: no field loads and changes nothing
+    ("case2_load", "a", _set(["grid", "fast_sources"], [
+        {"id": "bess", "gain": 0.4, "max_power": 0.1}]), "grid.fast_sources"),
+    ("case4_td", "n1", _set(["grid", "pcc_breaker"], "pcc"), "grid.pcc_breaker"),
+    ("case1_dia", None, _set(["grid", "s_base_kw"], 1000.0), "grid.s_base_kw"),
+    # a fast source without its cap would never inject, on a pu grid as on a kW grid
+    ("case1_dia", None, _del(["grid", "fast_sources", 0, "max_power"]),
+     "grid.fast_sources[0].max_power"),
     # unknown ids of boundary events
     ("case4_td", "n1", _set(["grid", "contingencies", 0, "machine"], "nope"),
      "grid.contingencies[0].machine"),
