@@ -25,6 +25,8 @@ class AttackWindow:
     def __post_init__(self):
         ivs = tuple((float(s), float(e)) for s, e in self.intervals)
         object.__setattr__(self, "intervals", ivs)
+        if not ivs:  # a window without an interval would never act
+            raise ValueError("window must hold at least one interval")
         for s, e in ivs:
             if not s < e:
                 raise ValueError(f"window interval ({s}, {e}) must have start < end")

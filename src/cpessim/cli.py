@@ -167,6 +167,11 @@ def _cmd_threat(args) -> int:
 
 def _cmd_metrics(args) -> int:
     run_dir = Path(args.run_dir)
+    manifest = read_json(run_dir / "manifest.json")
+    version = manifest.get("schema_version") if isinstance(manifest, dict) else None
+    if version != engine.MANIFEST_SCHEMA:
+        raise ValueError(f"{run_dir / 'manifest.json'}: export schema_version {version!r}, "
+                         f"this version reads {engine.MANIFEST_SCHEMA}")
     sc = scenario_from_dict(read_json(run_dir / "scenario.json"))
     # only the traces the requests name; a missing one fails as an input error
     traces = {name: TimeSeries.from_csv((run_dir / "traces" / f"{name}.csv").read_text())

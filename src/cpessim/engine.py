@@ -61,6 +61,7 @@ from .scenario import (Scenario, ScenarioError, build_protection, scenario_hash,
                        td_operating_point)
 
 CHECK_EVERY = 32  # steps from one fixed-point check to the next
+MANIFEST_SCHEMA = 2  # traces/<name>.csv holds "t,<name>" rows; the manifest keeps the units
 
 
 def rng_for(seed: int, label: str) -> np.random.Generator:
@@ -262,14 +263,14 @@ class _Run:
         if sc.risk_inputs is not None:
             risk_report = risk_mod.risk(**sc.risk_inputs, name=sc.name)
         manifest = {
-            "schema_version": 1,
+            "schema_version": MANIFEST_SCHEMA,
             "scenario_name": sc.name,
             "seed": self.seed,
             "scenario_sha256": scenario_hash(sc.doc),
             "package_version": __version__,
             "dt_phys": self.dt,
             "horizon": n_steps * self.dt,
-            "traces": sorted(traces),
+            "traces": [[name, traces[name].unit] for name in sorted(traces)],
         }
         return RunResult(scenario_name=sc.name, seed=self.seed, traces=traces,
                          event_log=log, attack_samples=self.attack_samples,

@@ -47,8 +47,9 @@ class TimeSeries:
             raise ValueError(f"series {self.name!r}: t must be strictly increasing")
 
     def to_csv(self, t_cells: list[str]) -> str:
-        """Header ``t,<name>,unit``, then one ``repr(t),repr(v),<unit>`` row per
-        sample; text fields are quoted by the ``csv`` module's rules.
+        """Header ``t,<name>``, then one ``repr(t),repr(v)`` row per sample;
+        the name is quoted by the ``csv`` module's rules.  The unit is not
+        written: the run's manifest keeps it.
 
         ``t_cells`` is ``csv_time_cells(self.t)``, which ``engine.export``
         formats once for the axis a run's traces share.  The rows are
@@ -60,16 +61,13 @@ class TimeSeries:
             raise ValueError(f"series {self.name!r}: {len(t_cells)} time cells "
                              f"for {len(self.v)} samples")
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t", self.name, "unit"])
+        csv.writer(buf, lineterminator="\n").writerow(["t", self.name])
         header = buf.getvalue()
-        writer.writerow(["", "", self.unit])
-        unit_field = buf.getvalue()[len(header) + 1:]  # ",<encoded unit>" and its line end
         bits = self.v.view(np.int64)
 
         def block(start: int) -> str:
             distinct, inverse = np.unique(bits[start:start + CSV_BLOCK], return_inverse=True)
-            cells = np.array([repr(v) + unit_field for v in distinct.view(np.float64).tolist()],
+            cells = np.array([repr(v) + "\n" for v in distinct.view(np.float64).tolist()],
                              dtype=object)
             rows = [header if start == 0 else ""] * (2 * len(inverse) + 1)
             rows[1::2] = t_cells[start:start + CSV_BLOCK]
@@ -81,21 +79,17 @@ class TimeSeries:
 
     @classmethod
     def from_csv(cls, text: str) -> "TimeSeries":
+        """Read ``to_csv``'s layout back, with ``unit=""``: the manifest keeps it."""
         lines = io.StringIO(text)
-        reader = csv.reader(lines)
-        header = next(reader, [])
-        if len(header) != 3 or header[0] != "t":
-            raise ValueError("trace CSV must have header (t,<name>,unit)")
-        first = next(reader, None)
-        if first is None:
-            raise ValueError("trace CSV has no samples")
-        t, v = [float(first[0])], [float(first[1])]
-        # the rows after the first repeat its unit; only their numbers are read
+        header = next(csv.reader(lines), [])
+        if len(header) != 2 or header[0] != "t":
+            raise ValueError(f"trace CSV must have header (t,<name>), got {header!r}")
+        t, v = [], []
         for line in lines:
-            ti, vi, _ = line.split(",", 2)
+            ti, vi = line.split(",")
             t.append(float(ti))
             v.append(float(vi))
-        return cls(t=np.array(t), v=np.array(v), unit=first[2], name=header[1])
+        return cls(t=np.array(t), v=np.array(v), name=header[1])
 
 
 @dataclass

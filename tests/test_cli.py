@@ -130,6 +130,19 @@ def test_metrics_reads_only_the_requested_traces(tmp_path, capsys):
     assert "freq.csv" in capsys.readouterr().err
 
 
+def test_metrics_refuses_an_export_of_another_layout(tmp_path, capsys):
+    path = write_doc(tmp_path / "sc.json", short_doc("case1_dia"))
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out), "--json"]) == cli.EXIT_OK
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["schema_version"] = 1
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert cli.main(["metrics", str(out), "--json"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(out / "manifest.json") in err and "schema_version 1" in err
+
+
 def risk_doc(**overrides):
     doc = {"name": "breach", "probability": 2,
            "impacts": {"people_health_safety": "low", "uninterrupted_operation": "high",

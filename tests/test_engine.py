@@ -745,6 +745,21 @@ def test_export_writes_each_artifact_once(preset, variant, tmp_path):
         "events": result.event_log, "attack_samples": result.attack_samples}
 
 
+@pytest.mark.parametrize("preset, variant", [
+    ("case1_dia", None), ("case2_load", "a"), ("case3_tda", "delay_0"), ("case4_td", "n1")])
+def test_manifest_keeps_the_unit_of_every_trace(preset, variant, tmp_path):
+    sc = short(preset, variant)
+    result = engine.run(sc)
+    out = engine.export(result, tmp_path / "run", scenario_doc=sc.doc)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["schema_version"] == 2
+    assert manifest["traces"] == [[name, result.traces[name].unit]
+                                  for name in sorted(result.traces)]
+    assert dict(manifest["traces"])["freq"] == "Hz"
+    assert all(unit for _, unit in manifest["traces"])
+    assert sorted(p.stem for p in (out / "traces").iterdir()) == sorted(result.traces)
+
+
 def test_export_writes_a_trace_off_the_run_axis_from_its_own_axis(tmp_path):
     sc = short("case2_load", "a", horizon=0.05)
     result = engine.run(sc)

@@ -38,7 +38,7 @@ def test_csv_round_trip_is_bit_exact():
     s = series(np.cumsum(rng.uniform(1e-4, 1.0, 50)), rng.normal(size=50),
                name="freq", unit="Hz")
     back = TimeSeries.from_csv(csv_text(s))
-    assert back.name == "freq" and back.unit == "Hz"
+    assert back.name == "freq" and back.unit == ""  # the run's manifest keeps the unit
     assert np.array_equal(back.t, s.t)
     assert np.array_equal(back.v, s.v)
 
@@ -55,12 +55,12 @@ def test_csv_equals_csv_module_rows_and_reads_back_bit_exact(name, unit):
     s = series(np.arange(len(ODD_VALUES)) * 0.5, ODD_VALUES, name=name, unit=unit)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", name, "unit"])
+    writer.writerow(["t", name])
     for ti, vi in zip(s.t, s.v):
-        writer.writerow([repr(float(ti)), repr(float(vi)), unit])
+        writer.writerow([repr(float(ti)), repr(float(vi))])
     assert csv_text(s) == buf.getvalue()
     back = TimeSeries.from_csv(csv_text(s))
-    assert (back.name, back.unit) == (name, unit)
+    assert (back.name, back.unit) == (name, "")
     assert back.t.tobytes() == s.t.tobytes()
     nan = np.isnan(s.v)
     assert back.v[~nan].tobytes() == s.v[~nan].tobytes()  # keeps the sign of -0.0
@@ -78,7 +78,7 @@ def test_csv_blocks_join_into_the_rows_of_one_block(monkeypatch):
 
 def test_csv_takes_the_time_cells_of_its_own_axis():
     s = series([0.0, 0.5, 1.0], [1.0, -0.0, 1.0])
-    assert csv_text(s) == "t,s,unit\n0.0,1.0,u\n0.5,-0.0,u\n1.0,1.0,u\n"
+    assert csv_text(s) == "t,s\n0.0,1.0\n0.5,-0.0\n1.0,1.0\n"
     for other_axis in ([0.0, 0.5], [0.0, 0.5, 1.0, 1.5]):
         with pytest.raises(ValueError):
             s.to_csv(mx.csv_time_cells(np.array(other_axis)))
@@ -87,8 +87,13 @@ def test_csv_takes_the_time_cells_of_its_own_axis():
 def test_csv_header_shape():
     s = series([0.0, 1.0], [2.0, 3.0], name="volt", unit="pu")
     lines = csv_text(s).splitlines()
-    assert lines[0] == "t,volt,unit"
-    assert lines[1].endswith(",pu")
+    assert lines == ["t,volt", "0.0,2.0", "1.0,3.0"]  # no row carries the unit
+
+
+def test_csv_reader_rejects_the_layout_with_a_unit_column():
+    for text in ("t,v,unit\n0.0,1.0,u\n", "t,v\n0.0,1.0,u\n", "t,v\n0.0\n", "t,v\n"):
+        with pytest.raises(ValueError):
+            TimeSeries.from_csv(text)
 
 
 # -- control metrics ------------------------------------------------------------

@@ -531,6 +531,7 @@ PRIORITIES = {"people_health_safety": 4, "uninterrupted_operation": 3,
      "attacks[1].tap"),
     # a windowed attack without its window would never act
     ("case1_dia", None, _del(["attacks", 0, "window"]), "attacks[0].window"),
+    ("case1_dia", None, _set(["attacks", 0, "window"], []), "attacks[0].window"),
     # grid fields that the grid's tier never reads: no field loads and changes nothing
     ("case2_load", "a", _set(["grid", "fast_sources"], [
         {"id": "bess", "gain": 0.4, "max_power": 0.1}]), "grid.fast_sources"),

@@ -122,22 +122,23 @@ def test_pinned_hashes_see_one_ulp(monkeypatch):
         f"case2_load/a/seed{seed}/traces/freq.csv"]
 
 
-def ab_time_row(src: Path, change_src: Path, capsys) -> tuple[int, str, str]:
+def ab_time_row(src: Path, change_src: Path, capsys) -> tuple[int, str, list[str]]:
+    """The exit code, the variant's row and the lines printed after the table."""
     code = ab_time.main([str(src), "--change-src", str(change_src), "--repeats", "1",
                          "--variant", "case4_td/n11"])
-    out = capsys.readouterr().out
-    (row,) = [line for line in out.splitlines() if line.startswith("case4_td/n11 ")]
-    return code, row, out.splitlines()[-1]
+    header, row, *tail = capsys.readouterr().out.splitlines()
+    assert header.startswith("variant ") and row.startswith("case4_td/n11 ")
+    return code, row, tail
 
 
 def test_ab_time_reports_one_checkout_against_itself(capsys):
     src = TOOLS.parent / "src"
-    code, row, last = ab_time_row(src, src, capsys)
+    code, row, tail = ab_time_row(src, src, capsys)
     assert code == 0
     run_wins, export_wins = row.split()[4], row.split()[-1]  # engine.run, engine.export
     assert run_wins in ("0/1", "1/1") and export_wins in ("0/1", "1/1")
     assert len(row.split()) == 9
-    assert last == "outputs identical"
+    assert tail == ["outputs identical"]
 
 
 def test_ab_time_speedup_is_the_median_of_per_repeat_ratios():
@@ -159,9 +160,10 @@ def test_ab_time_fails_when_a_trace_moves(tmp_path, capsys):
     text = physical.read_text()
     assert "sixth = dt / 6.0" in text
     physical.write_text(text.replace("sixth = dt / 6.0", "sixth = dt / 6.0 * (1 + 1e-12)"))
-    code, _, last = ab_time_row(TOOLS.parent / "src", tmp_path, capsys)
+    code, _, tail = ab_time_row(TOOLS.parent / "src", tmp_path, capsys)
     assert code == 1
-    assert last == "1 variants differ"
+    assert tail == ["case4_td/n11: run outputs (traces, event log, attack samples "
+                    "or reports) differ", "1 variants differ"]
 
 
 def test_ab_time_fails_when_only_an_export_moves(tmp_path, capsys):
@@ -170,9 +172,9 @@ def test_ab_time_fails_when_only_an_export_moves(tmp_path, capsys):
     text = engine.read_text()
     assert 'json.dumps(report, indent=2)' in text
     engine.write_text(text.replace('json.dumps(report, indent=2)', 'json.dumps(report, indent=3)'))
-    code, _, last = ab_time_row(TOOLS.parent / "src", tmp_path, capsys)
+    code, _, tail = ab_time_row(TOOLS.parent / "src", tmp_path, capsys)
     assert code == 1
-    assert last == "1 variants differ"
+    assert tail == ["case4_td/n11: only exported files differ: report.json", "1 variants differ"]
 
 
 def test_benchmark_tracer_targets_resolve():

@@ -18,9 +18,11 @@ side's median, the speed-up and the repeats the change won.  The speed-up
 is the median over repeats of parent time over change time: a repeat's two
 sides run back to back, so a host that switches between speed modes moves
 both sides of most repeats together, where a ratio of the two medians can
-compare one side's fast runs with the other's slow ones.  The exit code
-is 1 if any run's traces, event log, attack samples or reports, or any
-exported file's bytes, differ between the two sides, else 0.
+compare one side's fast runs with the other's slow ones.  A variant whose
+run outputs (traces, event log, attack samples or reports) differ between
+the two sides gets one line saying so; a variant whose run outputs agree but
+whose exported files differ gets one line naming each differing file.  The
+exit code is 1 if any variant differs either way, else 0.
 """
 
 from __future__ import annotations
@@ -71,9 +73,14 @@ def exported_files(out_dir: Path) -> dict[str, bytes]:
             for path in sorted(out_dir.rglob("*")) if path.is_file()}
 
 
+def differing_files(a: dict[str, bytes], b: dict[str, bytes]) -> set[str]:
+    """Relative paths whose bytes differ, or that only one side exported."""
+    return {path for path in a.keys() | b.keys() if a.get(path) != b.get(path)}
+
+
 def timed_run(package, preset: str, variant: str) -> tuple[float, float, tuple]:
     """CPU seconds of ``engine.run`` and of ``engine.export``, and what the
-    run produced with every byte it exported."""
+    run produced with every byte it exported, as (fingerprint, files)."""
     sc = package.presets.preset_scenario(preset, variant)
     gc.collect()
     t0 = time.process_time()
@@ -113,7 +120,7 @@ def main(argv=None) -> int:
 
     times = {(p, v): {(side, call): [] for side in sides for call in ("run", "export")}
              for p, v in variants}
-    differing = []
+    run_differs, file_differs = set(), {(p, v): set() for p, v in variants}
     for rep in range(args.repeats):
         order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
         for preset, variant in variants:
@@ -122,17 +129,25 @@ def main(argv=None) -> int:
                 run_s, export_s, prints[side] = timed_run(sides[side], preset, variant)
                 times[(preset, variant)][(side, "run")].append(run_s)
                 times[(preset, variant)][(side, "export")].append(export_s)
-            if prints["parent"] != prints["change"] and (preset, variant) not in differing:
-                differing.append((preset, variant))
+            (parent_run, parent_files), (change_run, change_files) = \
+                prints["parent"], prints["change"]
+            if parent_run != change_run:
+                run_differs.add((preset, variant))
+            file_differs[preset, variant] |= differing_files(parent_files, change_files)
 
     print(f"{'variant':<30} {'parent_s':>9} {'change_s':>9} {'speedup':>8} {'wins':>6}"
           f" {'exp_par_s':>9} {'exp_chg_s':>9} {'exp_x':>8} {'exp_wins':>6}")
     for (preset, variant), t in times.items():
         print(f"{preset + '/' + variant:<30} {summary(t['parent', 'run'], t['change', 'run'])} "
               f"{summary(t['parent', 'export'], t['change', 'export'])}")
+    differing = [key for key in times if key in run_differs or file_differs[key]]
     for preset, variant in differing:
-        print(f"{preset}/{variant}: traces, event log, attack samples, reports "
-              f"or exported bytes differ")
+        if (preset, variant) in run_differs:
+            print(f"{preset}/{variant}: run outputs (traces, event log, attack samples "
+                  f"or reports) differ")
+        else:
+            print(f"{preset}/{variant}: only exported files differ: "
+                  f"{', '.join(sorted(file_differs[preset, variant]))}")
     print("outputs identical" if not differing else f"{len(differing)} variants differ")
     return 1 if differing else 0
 
