@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import engine, presets, risk as risk_mod, threat_model as tm
@@ -51,8 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario file (or a directory with --batch)")
     p_run.add_argument("scenario", help="scenario JSON file, or a directory of them "
                                         "with --batch")
-    p_run.add_argument("--out", default=None, help="output directory "
-                       "(default ./out or $CPES_OUT)")
+    p_run.add_argument("--out", default="out", help="output directory (default: out); "
+                       "with --batch, each run exports to OUT/<meta.name>")
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p_run.add_argument("--batch", action="store_true",
                        help="treat SCENARIO as a directory and run every *.json in it")
@@ -84,19 +84,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_out() -> Path:
-    return Path(os.environ.get("CPES_OUT", "out"))
-
-
 def _cmd_run(args) -> int:
-    out_base = Path(args.out) if args.out else _default_out()
+    out_base = Path(args.out)
     if args.batch and args.seed is not None:
         raise ValueError("--seed and --batch: a batch runs each file at its own seed")
     if args.batch:
         paths = sorted(Path(args.scenario).glob("*.json"))
         if not paths:
-            print(f"input error: no scenario files in {args.scenario}", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"no scenario files in {args.scenario}")
         scenarios = [load_scenario(p) for p in paths]
         first = {}  # meta.name -> the first file with it; each name is one export directory
         for path, sc in zip(paths, scenarios):
@@ -129,29 +124,24 @@ def _cmd_preset(args) -> int:
             print(f"{name:<12} {presets.PRESET_INFO[name]}")
         return EXIT_OK
     if not args.name:
-        print("input error: preset emit needs a name", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("preset emit needs a name")
     doc = presets.preset_doc(args.name, args.variant)
     print(json.dumps(doc, indent=2))
     return EXIT_OK
 
 
 def _cmd_risk(args) -> int:
-    report = risk_mod.risk(**parse_risk(read_json(args.input), named=True))
+    report = risk_mod.risk(**read_json(args.input, partial(parse_risk, named=True)))
     doc = risk_mod.report_to_dict(report)
     if args.json:
         print(json.dumps(doc))
     else:
-        print(f"damage: {report.damage}")
-        print(f"risk:   {report.risk}")
-        print(f"pool:   {report.pool}")
-        for obj, score in report.per_objective_scores.items():
-            print(f"  {obj.value:<28} {score}")
+        print("\n".join(engine.risk_lines(doc)), end="")
     return EXIT_OK
 
 
 def _cmd_threat(args) -> int:
-    model = parse_threat(read_json(args.path), "")
+    model = read_json(args.path, partial(parse_threat, loc=""))
     violations = tm.validate(model)
     if args.json:
         print(json.dumps({"name": model.name, "ok": not violations,
@@ -172,12 +162,12 @@ def _cmd_metrics(args) -> int:
     if version != engine.MANIFEST_SCHEMA:
         raise ValueError(f"{run_dir / 'manifest.json'}: export schema_version {version!r}, "
                          f"this version reads {engine.MANIFEST_SCHEMA}")
-    sc = scenario_from_dict(read_json(run_dir / "scenario.json"))
+    sc = read_json(run_dir / "scenario.json", scenario_from_dict)
     # only the traces the requests name; a missing one fails as an input error
     traces = {name: TimeSeries.from_csv((run_dir / "traces" / f"{name}.csv").read_text())
               for name in sorted({req["trace"] for req in sc.metrics_requested
                                   if req["kind"] != "cyber"})}
-    events = json.loads((run_dir / "events.json").read_text())["events"]
+    events = read_json(run_dir / "events.json")["events"]
     reports = engine.compute_metrics(sc, traces, events)
     doc = {"scenario": sc.name, "metrics": [r.to_dict() for r in reports]}
     if args.json:

@@ -252,8 +252,8 @@ class _Run:
             matrix[self._held_traces, first:end] = np.array(values)[:, None]
         t_axis = np.arange(n_rows) * dt
         t_axis.flags.writeable = False
-        traces = {name: TimeSeries(t=t_axis, v=column, unit=unit, name=name)
-                  for name, unit, column in zip(self.trace_names, self.trace_units, matrix)}
+        traces = {name: TimeSeries(t=t_axis, v=column, name=name)
+                  for name, column in zip(self.trace_names, matrix)}
         # at equal t: the band change of the row at t, the boundary applied
         # after that row, then the network events dispatched in the step from t
         log = list(heapq.merge(self._log_protection(traces["freq"]), self.log, self.net_log,
@@ -270,7 +270,7 @@ class _Run:
             "package_version": __version__,
             "dt_phys": self.dt,
             "horizon": n_steps * self.dt,
-            "traces": [[name, traces[name].unit] for name in sorted(traces)],
+            "traces": sorted(map(list, zip(self.trace_names, self.trace_units))),
         }
         return RunResult(scenario_name=sc.name, seed=self.seed, traces=traces,
                          event_log=log, attack_samples=self.attack_samples,
@@ -707,14 +707,16 @@ def report_text(report: dict) -> str:
     """``report.txt``, which ``cpessim run`` also prints."""
     lines = [f"scenario: {report['scenario']}", f"seed: {report['seed']}", "",
              *metric_lines(report["metrics"])]
-    risk = report.get("risk")
-    if risk:
-        lines.append("[risk]")
-        lines.append(f"  damage {risk['damage']}  risk {risk['risk']}  pool {risk['pool']}")
-        for obj, score in risk["per_objective_scores"].items():
-            lines.append(f"  {obj:<32} {score}")
-        lines.append("")
+    if report.get("risk"):
+        lines += risk_lines(report["risk"])
     return "\n".join(lines)
+
+
+def risk_lines(risk: dict) -> list[str]:
+    """A ``risk.report_to_dict`` as the ``[risk]`` text block, ending in a blank line."""
+    return ["[risk]", f"  damage {risk['damage']}  risk {risk['risk']}  pool {risk['pool']}",
+            *[f"  {obj:<32} {score}" for obj, score in risk["per_objective_scores"].items()],
+            ""]
 
 
 def metric_lines(metrics: list[dict]) -> list[str]:

@@ -34,7 +34,6 @@ def csv_time_cells(t: np.ndarray) -> list[str]:
 class TimeSeries:
     t: np.ndarray
     v: np.ndarray
-    unit: str = ""
     name: str = "series"
 
     def __post_init__(self):
@@ -48,8 +47,7 @@ class TimeSeries:
 
     def to_csv(self, t_cells: list[str]) -> str:
         """Header ``t,<name>``, then one ``repr(t),repr(v)`` row per sample;
-        the name is quoted by the ``csv`` module's rules.  The unit is not
-        written: the run's manifest keeps it.
+        the name is quoted by the ``csv`` module's rules.
 
         ``t_cells`` is ``csv_time_cells(self.t)``, which ``engine.export``
         formats once for the axis a run's traces share.  The rows are
@@ -79,7 +77,7 @@ class TimeSeries:
 
     @classmethod
     def from_csv(cls, text: str) -> "TimeSeries":
-        """Read ``to_csv``'s layout back, with ``unit=""``: the manifest keeps it."""
+        """Read ``to_csv``'s layout back."""
         lines = io.StringIO(text)
         header = next(csv.reader(lines), [])
         if len(header) != 2 or header[0] != "t":

@@ -117,7 +117,7 @@ def min_hop_path(adjacency: dict[str, list[str]], src: str, dst: str) -> list[st
     path = [src]
     cur = src
     while cur != dst:
-        cur = next(nb for nb in adjacency[cur] if dist.get(nb, math.inf) == dist[cur] - 1)
+        cur = min(nb for nb in adjacency[cur] if dist.get(nb, math.inf) == dist[cur] - 1)
         path.append(cur)
     return path
 
@@ -164,8 +164,6 @@ class NetworkSim:
             for direction in (pair, pair[::-1]):
                 self._waiting[direction] = deque()
                 self._busy_until[direction] = 0.0
-        for nb_list in self._adjacency.values():
-            nb_list.sort()
 
     # -- topology ----------------------------------------------------------
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
-DAMAGE_MIN, DAMAGE_MAX = 10, 30
 RISK_MIN, RISK_MAX = 10, 90
 DEFAULT_POOL_THRESHOLDS = (70, 50, 30)
 

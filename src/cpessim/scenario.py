@@ -39,11 +39,11 @@ SCHEMA_VERSION = 1
 
 
 class ScenarioError(ValueError):
-    """Scenario document problem; carries the field path for diagnostics."""
+    """Document problem at a field path; its text starts with the file, once known."""
 
-    def __init__(self, location: str, message: str):
-        self.location = location
-        super().__init__(f"{location}: {message}")
+    def __init__(self, location: str, message: str, file=None):
+        self.location, self.message = location, message
+        super().__init__(("" if file is None else f"{file}: ") + f"{location}: {message}")
 
 
 @dataclass
@@ -78,17 +78,20 @@ def scenario_hash(doc: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def read_json(path):
-    """The JSON document in the file at ``path``; invalid JSON fails at ``$``."""
+def read_json(path, parse=lambda doc: doc):
+    """The JSON document in the file at ``path``, through ``parse``.  Invalid
+    JSON fails at ``$``; every ``ScenarioError`` names the file."""
     try:
-        return json.loads(Path(path).read_text())
+        return parse(json.loads(Path(path).read_text()))
     except json.JSONDecodeError as exc:
         raise ScenarioError("$", f"invalid JSON at line {exc.lineno} column {exc.colno}: "
-                                 f"{exc.msg}") from exc
+                                 f"{exc.msg}", path) from exc
+    except ScenarioError as exc:
+        raise ScenarioError(exc.location, exc.message, path) from exc
 
 
 def load_scenario(path) -> Scenario:
-    return scenario_from_dict(read_json(path))
+    return read_json(path, scenario_from_dict)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

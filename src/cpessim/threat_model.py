@@ -94,7 +94,7 @@ class AdversaryModel:
     resources: frozenset[Resources]
 
     def __post_init__(self):
-        for name in ("knowledge", "access", "specificity", "resources"):
+        for name in ADVERSARY_FIELDS:
             object.__setattr__(self, name, frozenset(getattr(self, name)))
 
 
@@ -153,20 +153,8 @@ def validate(tm: ThreatModel) -> list[str]:
     return []
 
 
-PRESET_NAMES = ("cross_layer_firmware", "load_changing", "time_delay", "td_propagation")
-
-
-def preset(name: str) -> ThreatModel:
-    """Return one of the four built-in case-study threat models."""
-    try:
-        builder = _PRESETS[name]
-    except KeyError:
-        raise KeyError(f"unknown threat preset {name!r}; expected one of {PRESET_NAMES}")
-    return builder()
-
-
-def _cross_layer_firmware() -> ThreatModel:
-    return ThreatModel(
+_PRESETS = {tm.name: tm for tm in (
+    ThreatModel(
         name="cross_layer_firmware",
         adversary=AdversaryModel(
             knowledge={Knowledge.OBLIVIOUS},
@@ -185,11 +173,8 @@ def _cross_layer_firmware() -> ThreatModel:
         ),
         notes="Firmware tampering on an inverter controller; impact propagates "
               "from the device layer to microgrid operation.",
-    )
-
-
-def _load_changing() -> ThreatModel:
-    return ThreatModel(
+    ),
+    ThreatModel(
         name="load_changing",
         adversary=AdversaryModel(
             knowledge={Knowledge.LIMITED, Knowledge.OBLIVIOUS},
@@ -207,11 +192,8 @@ def _load_changing() -> ThreatModel:
                      Premise.CYBER_ASSET_CONTROL_COMMANDS},
         ),
         notes="Coordinated demand manipulation of IoT-controllable high-wattage loads.",
-    )
-
-
-def _time_delay() -> ThreatModel:
-    return ThreatModel(
+    ),
+    ThreatModel(
         name="time_delay",
         adversary=AdversaryModel(
             knowledge={Knowledge.OBLIVIOUS},
@@ -229,11 +211,8 @@ def _time_delay() -> ThreatModel:
             premise={Premise.CYBER_COMMUNICATIONS_PROTOCOLS},
         ),
         notes="Delays measurements or control commands in transit; availability attack.",
-    )
-
-
-def _td_propagation() -> ThreatModel:
-    return ThreatModel(
+    ),
+    ThreatModel(
         name="td_propagation",
         adversary=AdversaryModel(
             knowledge={Knowledge.STRONG},
@@ -251,15 +230,17 @@ def _td_propagation() -> ThreatModel:
         ),
         notes="Breaker control compromise propagating between transmission and "
               "distribution sections.",
-    )
+    ),
+)}
+PRESET_NAMES = tuple(_PRESETS)
 
 
-_PRESETS = {
-    "cross_layer_firmware": _cross_layer_firmware,
-    "load_changing": _load_changing,
-    "time_delay": _time_delay,
-    "td_propagation": _td_propagation,
-}
+def preset(name: str) -> ThreatModel:
+    """One of the four built-in case-study threat models, shared: it is frozen."""
+    try:
+        return _PRESETS[name]
+    except KeyError:
+        raise KeyError(f"unknown threat preset {name!r}; expected one of {PRESET_NAMES}")
 
 
 def to_dict(tm: ThreatModel) -> dict:

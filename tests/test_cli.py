@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cpessim import cli, presets
 from cpessim import threat_model as tm
 
@@ -31,6 +33,18 @@ def test_batch_rejects_two_files_with_one_name_before_any_run(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path), "--batch", "--out", str(out)]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert str(tmp_path / "a.json") in err and str(tmp_path / "b.json") in err
+    assert not out.exists()
+
+
+def test_batch_field_error_names_its_file(tmp_path, capsys):
+    write_doc(tmp_path / "a.json", short_doc("case2_load", "a"))
+    doc = short_doc("case2_load", "b")
+    doc["meta"]["horizon"] = -1
+    write_doc(tmp_path / "b.json", doc)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(tmp_path), "--batch", "--out", str(out)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == \
+        f"input error: {tmp_path / 'b.json'}: meta.horizon: must be > 0, got -1.0\n"
     assert not out.exists()
 
 
@@ -143,6 +157,18 @@ def test_metrics_refuses_an_export_of_another_layout(tmp_path, capsys):
     assert str(out / "manifest.json") in err and "schema_version 1" in err
 
 
+@pytest.mark.parametrize("broken", ["manifest.json", "scenario.json", "events.json"])
+def test_metrics_names_the_file_that_is_not_json(tmp_path, capsys, broken):
+    path = write_doc(tmp_path / "sc.json", short_doc("case1_dia"))
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out), "--json"]) == cli.EXIT_OK
+    capsys.readouterr()
+    (out / broken).write_text("not json")
+    assert cli.main(["metrics", str(out), "--json"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == \
+        f"input error: {out / broken}: $: invalid JSON at line 1 column 1: Expecting value\n"
+
+
 def risk_doc(**overrides):
     doc = {"name": "breach", "probability": 2,
            "impacts": {"people_health_safety": "low", "uninterrupted_operation": "high",
@@ -155,6 +181,19 @@ def test_risk_exits_ok(tmp_path, capsys):
     path = write_doc(tmp_path / "risk.json", risk_doc())
     assert cli.main(["risk", path, "--json"]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["name"] == "breach"
+
+
+def test_risk_prints_the_risk_block_of_report_txt(tmp_path, capsys):
+    doc = short_doc("case2_load", "a")
+    out = tmp_path / "out"
+    assert cli.main(["run", write_doc(tmp_path / "sc.json", doc), "--out", str(out)]) \
+        == cli.EXIT_OK
+    capsys.readouterr()
+    report_txt = (out / "report.txt").read_text()
+    assert cli.main(["risk", write_doc(tmp_path / "risk.json", doc["risk"])]) == cli.EXIT_OK
+    printed = capsys.readouterr().out
+    assert printed.startswith("[risk]\n  damage ")
+    assert report_txt.endswith("\n\n" + printed)
 
 
 def test_risk_list_priorities_exits_input_error(tmp_path, capsys):

@@ -23,8 +23,7 @@ def short(preset, variant=None, horizon=0.05, seed=None):
 
 def fingerprint(result):
     """Everything a run produces, as comparable bytes and JSON."""
-    traces = {name: (s.t.tobytes(), s.v.tobytes(), s.unit)
-              for name, s in result.traces.items()}
+    traces = {name: (s.t.tobytes(), s.v.tobytes()) for name, s in result.traces.items()}
     return (traces, json.dumps(result.event_log), json.dumps(result.attack_samples),
             json.dumps(engine.report_dict(result)), json.dumps(result.manifest))
 
@@ -745,18 +744,26 @@ def test_export_writes_each_artifact_once(preset, variant, tmp_path):
         "events": result.event_log, "attack_samples": result.attack_samples}
 
 
-@pytest.mark.parametrize("preset, variant", [
-    ("case1_dia", None), ("case2_load", "a"), ("case3_tda", "delay_0"), ("case4_td", "n1")])
-def test_manifest_keeps_the_unit_of_every_trace(preset, variant, tmp_path):
+@pytest.mark.parametrize("preset, variant, units", [
+    ("case1_dia", None, {"demand_total": "pu", "freq": "Hz", "p_fast": "pu", "p_gen": "pu",
+                         "pv_loop_meas": "signal", "pv_loop_power": "pu",
+                         "pv_loop_signal": "signal", "pv_loop_signal_pu": "pu"}),
+    ("case2_load", "a", {"demand_total": "pu", "freq": "Hz", "freq_g1": "Hz", "freq_g2": "Hz",
+                         "freq_g3": "Hz"}),
+    ("case3_tda", "delay_0", {"breaker_pcc": "state", "demand_total": "pu", "freq": "Hz",
+                              "p_fast": "pu", "p_gen": "pu", "shed_load1": "state",
+                              "shed_load2": "state"}),
+    ("case4_td", "n1", {"breaker_pcc": "state", "demand_total": "pu", "freq": "Hz",
+                        "freq_g1": "Hz", "freq_g2": "Hz", "freq_g3": "Hz", "v_dist": "pu",
+                        "v_pcc": "pu"})])
+def test_manifest_keeps_the_unit_of_every_trace(preset, variant, units, tmp_path):
     sc = short(preset, variant)
     result = engine.run(sc)
     out = engine.export(result, tmp_path / "run", scenario_doc=sc.doc)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["schema_version"] == 2
-    assert manifest["traces"] == [[name, result.traces[name].unit]
-                                  for name in sorted(result.traces)]
-    assert dict(manifest["traces"])["freq"] == "Hz"
-    assert all(unit for _, unit in manifest["traces"])
+    assert manifest["traces"] == [[name, units[name]] for name in sorted(units)]
+    assert sorted(result.traces) == sorted(units)
     assert sorted(p.stem for p in (out / "traces").iterdir()) == sorted(result.traces)
 
 

@@ -10,9 +10,8 @@ from cpessim.metrics import TimeSeries, cyber_metrics
 from cpessim.physical import FrequencyProtection
 
 
-def series(t, v, name="s", unit="u"):
-    return TimeSeries(t=np.asarray(t, float), v=np.asarray(v, float),
-                      name=name, unit=unit)
+def series(t, v, name="s"):
+    return TimeSeries(t=np.asarray(t, float), v=np.asarray(v, float), name=name)
 
 
 def first_order(tau=1.0, dt=1e-3, horizon=8.0):
@@ -35,10 +34,9 @@ def csv_text(s: TimeSeries) -> str:
 
 def test_csv_round_trip_is_bit_exact():
     rng = np.random.default_rng(2)
-    s = series(np.cumsum(rng.uniform(1e-4, 1.0, 50)), rng.normal(size=50),
-               name="freq", unit="Hz")
+    s = series(np.cumsum(rng.uniform(1e-4, 1.0, 50)), rng.normal(size=50), name="freq")
     back = TimeSeries.from_csv(csv_text(s))
-    assert back.name == "freq" and back.unit == ""  # the run's manifest keeps the unit
+    assert back.name == "freq"
     assert np.array_equal(back.t, s.t)
     assert np.array_equal(back.v, s.v)
 
@@ -50,9 +48,9 @@ ODD_VALUES = [-0.0, 1e-300, -2.5, 0.0, -2.5, NAN_A, 5e-324, float("-inf"), NAN_B
               float("inf"), 5e-324, -0.0, 0.0, 1e-300]
 
 
-@pytest.mark.parametrize("name, unit", [("volt", ""), ('volt, "bus a"', 'k"W, net')])
-def test_csv_equals_csv_module_rows_and_reads_back_bit_exact(name, unit):
-    s = series(np.arange(len(ODD_VALUES)) * 0.5, ODD_VALUES, name=name, unit=unit)
+@pytest.mark.parametrize("name", ["volt", 'volt, "bus a"'])
+def test_csv_equals_csv_module_rows_and_reads_back_bit_exact(name):
+    s = series(np.arange(len(ODD_VALUES)) * 0.5, ODD_VALUES, name=name)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t", name])
@@ -60,7 +58,7 @@ def test_csv_equals_csv_module_rows_and_reads_back_bit_exact(name, unit):
         writer.writerow([repr(float(ti)), repr(float(vi))])
     assert csv_text(s) == buf.getvalue()
     back = TimeSeries.from_csv(csv_text(s))
-    assert (back.name, back.unit) == (name, "")
+    assert back.name == name
     assert back.t.tobytes() == s.t.tobytes()
     nan = np.isnan(s.v)
     assert back.v[~nan].tobytes() == s.v[~nan].tobytes()  # keeps the sign of -0.0
@@ -69,7 +67,7 @@ def test_csv_equals_csv_module_rows_and_reads_back_bit_exact(name, unit):
 
 def test_csv_blocks_join_into_the_rows_of_one_block(monkeypatch):
     # values repeat across blocks, and the last block is short
-    s = series(np.arange(3 * len(ODD_VALUES)) * 0.25, ODD_VALUES * 3, name="v", unit="pu")
+    s = series(np.arange(3 * len(ODD_VALUES)) * 0.25, ODD_VALUES * 3, name="v")
     whole = csv_text(s)
     for block in (1, 3, 5):
         monkeypatch.setattr(mx, "CSV_BLOCK", block)
@@ -85,9 +83,9 @@ def test_csv_takes_the_time_cells_of_its_own_axis():
 
 
 def test_csv_header_shape():
-    s = series([0.0, 1.0], [2.0, 3.0], name="volt", unit="pu")
+    s = series([0.0, 1.0], [2.0, 3.0], name="volt")
     lines = csv_text(s).splitlines()
-    assert lines == ["t,volt", "0.0,2.0", "1.0,3.0"]  # no row carries the unit
+    assert lines == ["t,volt", "0.0,2.0", "1.0,3.0"]  # the manifest keeps the unit
 
 
 def test_csv_reader_rejects_the_layout_with_a_unit_column():

@@ -182,9 +182,12 @@ def test_route_disconnected_raises():
         min_hop_path({"a": [], "b": []}, "a", "b")
 
 
-def test_route_ring_prefers_lexicographically_smaller():
-    # 4-node ring a-b-d-c-a: two equal-hop routes a->d; pick via smallest node ids
+@pytest.mark.parametrize("order", [1, -1], ids=["sorted", "reversed"])
+def test_route_ring_prefers_lexicographically_smaller(order):
+    # 4-node ring a-b-d-c-a: two equal-hop routes a->d; pick via smallest node ids,
+    # whatever the order of the neighbour lists
     adj = {"a": ["b", "c"], "b": ["a", "d"], "c": ["a", "d"], "d": ["b", "c"]}
+    adj = {node: nbs[::order] for node, nbs in adj.items()}
     got = min_hop_path(adj, "a", "d")
     # exhaustive enumeration oracle over all min-hop paths
     def all_paths(cur, dst, seen):

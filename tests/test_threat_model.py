@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -16,6 +17,19 @@ def test_all_presets_validate():
 def test_unknown_preset_name():
     with pytest.raises(KeyError):
         tm.preset("nope")
+
+
+def test_presets_are_shared_frozen_constants_in_their_order():
+    assert tm.PRESET_NAMES == ("cross_layer_firmware", "load_changing", "time_delay",
+                               "td_propagation")
+    for name in tm.PRESET_NAMES:
+        model = tm.preset(name)
+        assert model is tm.preset(name) and model.name == name
+        assert all(isinstance(getattr(model.adversary, f), frozenset)
+                   for f in tm.ADVERSARY_FIELDS)
+        assert all(isinstance(getattr(model.attack, f), frozenset) for f in tm.ATTACK_FIELDS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.adversary.knowledge = frozenset()
 
 
 def test_cross_layer_firmware_fields():

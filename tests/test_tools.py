@@ -29,8 +29,7 @@ def write_tree(root: Path, traces: dict[str, list[float]]) -> Path:
     for name, values in traces.items():
         path = root / "case" / "seed1" / "traces" / f"{name}.csv"
         path.parent.mkdir(parents=True, exist_ok=True)
-        series = TimeSeries(t=np.arange(len(values)) * 0.5, v=np.array(values), unit="pu",
-                            name=name)
+        series = TimeSeries(t=np.arange(len(values)) * 0.5, v=np.array(values), name=name)
         path.write_text(series.to_csv(csv_time_cells(series.t)))
     return root
 

@@ -60,9 +60,11 @@ def load_package(src: Path, alias: str):
 
 
 def fingerprint(package, result) -> tuple:
-    """Everything a run exports, as bytes and text: each trace's name, unit
-    and samples, the event log, the attack samples and the reports."""
-    traces = tuple((name, s.unit, s.t.tobytes(), s.v.tobytes())
+    """Everything a run exports, as bytes and text: each trace's name and
+    samples, the event log, the attack samples and the reports.  A trace's
+    unit is not on the series but in the manifest, so it is compared through
+    the exported ``manifest.json``."""
+    traces = tuple((name, s.t.tobytes(), s.v.tobytes())
                    for name, s in result.traces.items())
     return (traces, json.dumps(result.event_log), json.dumps(result.attack_samples),
             json.dumps(package.engine.report_dict(result)))
