@@ -16,8 +16,8 @@ from pathlib import Path
 from . import engine, presets, risk as risk_mod, threat_model as tm
 from .metrics import TimeSeries
 from .physical import IntegrationDivergedError, SingularBoundaryError
-from .scenario import (Scenario, load_scenario, parse_risk, parse_threat, read_json,
-                       scenario_from_dict)
+from .scenario import (Scenario, load_scenario, parse_events, parse_risk, parse_threat,
+                       read_json, scenario_from_dict)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -120,8 +120,8 @@ def _export_run(result, sc: Scenario, out_dir: Path, args) -> None:
 
 def _cmd_preset(args) -> int:
     if args.action == "list":
-        for name in presets.PRESET_NAMES:
-            print(f"{name:<12} {presets.PRESET_INFO[name]}")
+        for name, (_, variants, _, info) in presets.PRESETS.items():
+            print(f"{name:<12} {info} (variants: {', '.join(variants)})")
         return EXIT_OK
     if not args.name:
         raise ValueError("preset emit needs a name")
@@ -163,11 +163,15 @@ def _cmd_metrics(args) -> int:
         raise ValueError(f"{run_dir / 'manifest.json'}: export schema_version {version!r}, "
                          f"this version reads {engine.MANIFEST_SCHEMA}")
     sc = read_json(run_dir / "scenario.json", scenario_from_dict)
-    # only the traces the requests name; a missing one fails as an input error
-    traces = {name: TimeSeries.from_csv((run_dir / "traces" / f"{name}.csv").read_text())
-              for name in sorted({req["trace"] for req in sc.metrics_requested
-                                  if req["kind"] != "cyber"})}
-    events = read_json(run_dir / "events.json")["events"]
+    traces = {}  # only the traces the requests name; a missing one fails as an input error
+    for name in sorted({req["trace"] for req in sc.metrics_requested
+                        if req["kind"] != "cyber"}):
+        path = run_dir / "traces" / f"{name}.csv"
+        try:
+            traces[name] = TimeSeries.from_csv(path.read_text())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    events = read_json(run_dir / "events.json", parse_events)
     reports = engine.compute_metrics(sc, traces, events)
     doc = {"scenario": sc.name, "metrics": [r.to_dict() for r in reports]}
     if args.json:

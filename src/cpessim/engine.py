@@ -176,14 +176,13 @@ class _Run:
 
     def _boundary_schedule(self) -> dict[int, list]:
         """Step index -> the scheduled actions due at it, called with its time:
-        the commands delivered during the step before, in arrival order (a
-        command dispatched at t is delivered in the first step j with
-        t < (j+1)*dt, as the step loop would dispatch it), then breaker
-        actions in time order (at equal t, breakers in grid order, each
+        the commands delivered during the step before, in arrival order, then
+        breaker actions in time order (at equal t, breakers in grid order, each
         one's own schedule before the ``breaker`` attacks on it, in list order),
         contingencies in time order, then all load attacks again if a window
-        edge falls in the step.  An action or contingency at t fires at the
-        first k with t <= k*dt + 1e-12, a window edge at the first k with edge <= k*dt."""
+        edge falls in the step.  A command delivered at t fires at the first
+        step k with k*dt > t, an action or contingency at t at the first k with
+        t <= k*dt + 1e-12, a window edge at the first k with edge <= k*dt."""
         grid, dt, steps = self.grid, self.dt, range(self.n_steps)
         timed = sorted([(t, partial(self._set_breaker, b, action == "close"))
                         for b in grid.breakers
@@ -195,7 +194,7 @@ class _Run:
                          for t, machine_id in grid.contingencies], key=lambda e: e[0])
         schedule: dict[int, list] = {}
         for t, asset, action in self.commands:
-            k = bisect.bisect_right(steps, t, key=lambda j: (j + 1) * dt) + 1
+            k = bisect.bisect_right(steps, t, key=lambda k: k * dt)
             schedule.setdefault(k, []).append(partial(self._apply_command, asset, action))
         for t, action in timed:
             k = bisect.bisect_left(steps, t, key=lambda k: k * dt + 1e-12)
@@ -343,11 +342,9 @@ class _AggregateTier:
         # scenario load gives each tap at most one attack, of its layer's type
         attacks = {spec.tap: spec for spec in sc.attacks
                    if isinstance(spec, (DiaCombined, ControlDia))}
-        # (plant, whether it is noisy, measurement-tap attack, control-tap attack,
-        # and the taps their samples are logged under) per control loop
+        # per control loop: (plant, whether it is noisy, meas-tap attack, ctrl-tap attack)
         self.loops = [(plant, plant.noise_std > 0, attacks.get(f"meas:{plant.name}"),
-                       attacks.get(f"ctrl:{plant.name}"), f"meas:{plant.name}",
-                       f"ctrl:{plant.name}") for plant in grid.plants]
+                       attacks.get(f"ctrl:{plant.name}")) for plant in grid.plants]
         # the whole run's plant noise, drawn before the first step: step after
         # step, one draw per noisy plant in plant order, the values one scalar
         # draw each would give.  Drawing it block by block inside the loop left
@@ -372,26 +369,22 @@ class _AggregateTier:
 
     def _advance_plants(self, t: float) -> None:
         noise_draws = self._noise
-        for i, (plant, noisy, spec, cspec, meas_tap, ctrl_tap) in enumerate(self.loops):
+        for i, (plant, noisy, spec, cspec) in enumerate(self.loops):
             op = plant.operating_point
             noise = next(noise_draws) if noisy else 0.0
             x_next, y_dev = lti_step(plant, noise)
-            y_abs = op + y_dev
+            y_att = op + y_dev
             if spec is not None:
-                y_att, dy = apply_dia(y_abs, t, spec, self.rng_attack)
+                y_att, dy = apply_dia(y_att, t, spec, self.rng_attack)
                 if dy != 0:
-                    self.attack_samples.append({"t": t, "tap": meas_tap,
-                                                "delta": [dy]})
-            else:
-                y_att = y_abs
+                    self.attack_samples.append({"t": t, "tap": spec.tap, "delta": [dy]})
             error = y_att - op
             u_cmd = [gain * error for gain in plant.control_matrix]
             if cspec is not None:
                 for j, u_j in enumerate(u_cmd):
                     u_cmd[j], du = apply_control_dia(u_j, t, cspec)
                 if du != 0:
-                    self.attack_samples.append({"t": t, "tap": ctrl_tap,
-                                                "delta": [du]})
+                    self.attack_samples.append({"t": t, "tap": cspec.tap, "delta": [du]})
             plant.x = x_next
             plant.u = u_cmd
             self._meas[i] = y_att
@@ -636,23 +629,15 @@ def compute_metrics(sc: Scenario, traces: dict[str, TimeSeries],
 
 
 def _cyber_report(sc: Scenario, event_log: list[dict]) -> MetricReport:
-    baselines = {}
-    flow_links = {}
-    bandwidths = {}
+    """The cyber report over the path of every flow that sends a packet."""
+    paths = {}
     if sc.network is not None:
         topo = NetworkSim(sc.network.nodes, sc.network.links,
                           message_bytes=sc.network.message_bytes)
-        bandwidths = {l.id: l.bandwidth for l in sc.network.links}
-        flows = set()
-        for e in event_log:
-            if e["event"] == "send":
-                flows.add((e["node"], e["detail"]["dst"]))
-        for src, dst in sorted(flows):
-            key = f"{src}->{dst}"
-            baselines[key] = topo.baseline_delay(src, dst)
-            flow_links[key] = [link.id for link in topo.links_on(src, dst)]
-    return cyber_metrics(event_log, horizon=sc.horizon, baselines=baselines,
-                         flow_links=flow_links, bandwidths=bandwidths)
+        flows = {(e["node"], e["detail"]["dst"]) for e in event_log if e["event"] == "send"}
+        paths = {f"{src}->{dst}": (topo.baseline_delay(src, dst), topo.links_on(src, dst))
+                 for src, dst in sorted(flows)}
+    return cyber_metrics(event_log, sc.horizon, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +657,12 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def export(result: RunResult, out_dir, scenario_doc: dict) -> Path:
-    """Write traces, event log, reports, manifest and scenario under out_dir."""
+    """Write one run's traces, event log, reports, manifest and scenario under out_dir."""
     out = Path(out_dir)
+    written = {f"{name}.csv" for name in result.traces}
+    stale = sorted(p.name for p in (out / "traces").glob("*.csv") if p.name not in written)
+    if stale:  # deletes nothing: the directory may hold another run's results
+        raise ValueError(f"{out / 'traces'} holds another run's traces: {', '.join(stale)}")
     (out / "traces").mkdir(parents=True, exist_ok=True)
     t_cells = {}  # id of a time axis -> its CSV column; a run's traces share one axis
     for name, series in sorted(result.traces.items()):

@@ -77,16 +77,20 @@ class TimeSeries:
 
     @classmethod
     def from_csv(cls, text: str) -> "TimeSeries":
-        """Read ``to_csv``'s layout back."""
+        """Read ``to_csv``'s layout back; a malformed line fails with its number."""
         lines = io.StringIO(text)
-        header = next(csv.reader(lines), [])
+        reader = csv.reader(lines)
+        header = next(reader, [])
         if len(header) != 2 or header[0] != "t":
-            raise ValueError(f"trace CSV must have header (t,<name>), got {header!r}")
+            raise ValueError(f"line 1: trace CSV must have header (t,<name>), got {header!r}")
         t, v = [], []
-        for line in lines:
-            ti, vi = line.split(",")
-            t.append(float(ti))
-            v.append(float(vi))
+        for n, line in enumerate(lines, reader.line_num + 1):
+            try:
+                ti, vi = line.split(",")
+                t.append(float(ti))
+                v.append(float(vi))
+            except ValueError:
+                raise ValueError(f"line {n}: expected t,<value>: {line.rstrip()!r}") from None
         return cls(t=np.array(t), v=np.array(v), name=header[1])
 
 
@@ -265,25 +269,32 @@ def control_metrics(s: TimeSeries, command: float,
                 "iae": iae(s, command)})
 
 
-def cyber_metrics(event_log: Sequence[dict], horizon: float, baselines: dict,
-                  flow_links: dict, bandwidths: dict) -> MetricReport:
+def cyber_metrics(event_log: Sequence[dict], horizon: float, paths: dict) -> MetricReport:
     """Aggregate the network event log over ``horizon`` seconds.
 
-    ``baselines`` maps "src->dst" to the deterministic path delay used for the
-    delayed-packet count; ``flow_links`` maps the same keys to link-id lists
-    and ``bandwidths`` maps link ids to bit rates for channel utilization.  A
-    run without a network passes the three maps empty.
+    ``paths`` maps each flow "src->dst" to its route: (the deterministic path
+    delay, which a delivery must exceed by more than ``DELAY_EPS`` to count as
+    delayed, and the route's links in hop order, whose ids and bit rates give
+    the channel utilization).  A run without a network passes it empty.
     """
-    deliveries = [e for e in event_log if e["event"] == "deliver"]
     sends = [e for e in event_log if e["event"] == "send"]
-    drops = [e for e in event_log if e["event"] == "drop"]
+    dropped_n = sum(e["event"] == "drop" for e in event_log)
     size_bits = {e["packet_id"]: e["detail"]["size"] * 8.0 for e in sends}
 
-    delays = [e["detail"]["delay"] for e in deliveries]
+    delays, delivered_bits, packets_delayed = [], [], 0
     flows: dict[str, list[float]] = {}
-    for e in deliveries:
+    per_link: dict[str, list] = {}  # link id -> [bit rate, bits carried]
+    for e in (e for e in event_log if e["event"] == "deliver"):
         key = f"{e['detail']['src']}->{e['detail']['dst']}"
-        flows.setdefault(key, []).append(e["detail"]["delay"])
+        delay, bits = e["detail"]["delay"], size_bits.get(e["packet_id"], 0.0)
+        delays.append(delay)
+        delivered_bits.append(bits)
+        flows.setdefault(key, []).append(delay)
+        base, links = paths.get(key, (np.inf, ()))  # a flow with no path is never delayed
+        if delay > base + DELAY_EPS:
+            packets_delayed += 1
+        for link in links:
+            per_link.setdefault(link.id, [link.bandwidth, 0.0])[1] += bits
 
     diffs = []
     per_flow_jitter = {}
@@ -291,34 +302,21 @@ def cyber_metrics(event_log: Sequence[dict], horizon: float, baselines: dict,
         fd = [d if d > DELAY_EPS else 0.0 for d in (abs(b - a) for a, b in zip(ds, ds[1:]))]
         per_flow_jitter[key] = float(np.mean(fd)) if fd else 0.0
         diffs.extend(fd)
+    utilization = {link_id: bits / (bandwidth * horizon)
+                   for link_id, (bandwidth, bits) in sorted(per_link.items())}
 
-    packets_delayed = 0
-    bits_per_link: dict[str, float] = {}
-    for e in deliveries:
-        key = f"{e['detail']['src']}->{e['detail']['dst']}"
-        base = baselines.get(key)
-        if base is not None and e["detail"]["delay"] > base + DELAY_EPS:
-            packets_delayed += 1
-        bits = size_bits.get(e["packet_id"], 0.0)
-        for link_id in flow_links.get(key, ()):
-            bits_per_link[link_id] = bits_per_link.get(link_id, 0.0) + bits
-    utilization = {link_id: bits / (bandwidths[link_id] * horizon)
-                   for link_id, bits in sorted(bits_per_link.items())}
-
-    sent_n, delivered_n, dropped_n = len(sends), len(deliveries), len(drops)
     values = {
-        "packets_sent": sent_n,
-        "packets_delivered": delivered_n,
+        "packets_sent": len(sends),
+        "packets_delivered": len(delays),
         "packets_dropped": dropped_n,
         "avg_delay": float(np.mean(delays)) if delays else 0.0,
         "max_delay": float(np.max(delays)) if delays else 0.0,
         "jitter": float(np.mean(diffs)) if diffs else 0.0,
         "per_flow_jitter": per_flow_jitter,
-        "packet_error_rate": dropped_n / sent_n if sent_n else 0.0,
+        "packet_error_rate": dropped_n / len(sends) if sends else 0.0,
         "packets_delayed": packets_delayed,
-        "throughput_bps": sum(size_bits.get(e["packet_id"], 0.0) for e in deliveries)
-                          / horizon,
+        "throughput_bps": sum(delivered_bits) / horizon,
         "channel_utilization": utilization,
-        "hop_counts": {key: len(links) for key, links in sorted(flow_links.items())},
+        "hop_counts": {key: len(links) for key, (_, links) in sorted(paths.items())},
     }
     return MetricReport(kind="cyber", trace="event_log", values=values)

@@ -1,15 +1,16 @@
 """Virtual-time discrete-event communication network.
 
 Nodes exchange typed packets over links with bandwidth, propagation delay,
-optional jitter, and loss.  Routing is static minimum-hop, fixed at scenario
-load.  Master/outstation apps implement polling semantics: the master polls
-each outstation periodically and each outstation answers with an empty
-measurement report.  A control command's payload is its action; when it
+optional jitter, and loss.  Routing is static minimum-hop: each simulator
+computes a route on its first use, from the topology that scenario load
+checked, and keeps it.  Master/outstation apps implement polling semantics: the
+master polls each outstation periodically and each outstation answers with an
+empty measurement report.  A control command's payload is its action; when it
 reaches the asset's outstation it is kept in ``NetworkSim.commands`` with its
-dispatch time, for the grid to apply.  ``NetworkSim.now`` is the one clock:
-each event runs at the time it was pushed, never before ``now``, and reads that
-time from the simulator; ties run in insertion order, reproducibly.  Every hop
-ends with the receiving node's processing delay, the destination's included.
+dispatch time, for the grid to apply.  ``NetworkSim.now`` is the one clock: each
+event runs at the time it was pushed, never before ``now``, and reads that time
+from the simulator; ties run in insertion order, reproducibly.  Every hop ends
+with the receiving node's processing delay, the destination's included.
 """
 
 from __future__ import annotations

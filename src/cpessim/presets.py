@@ -10,29 +10,6 @@ from __future__ import annotations
 from . import threat_model as tm
 from .scenario import Scenario, scenario_from_dict
 
-PRESET_NAMES = ("case1_dia", "case2_load", "case3_tda", "case4_td")
-
-PRESET_INFO = {
-    "case1_dia": "Aggregate microgrid with an inverter control loop; combined "
-                 "scaling+sinusoid data-integrity attack on its sensed voltage "
-                 "(variants: default)",
-    "case2_load": "Three-machine system; coordinated load-changing attack over a "
-                  "0.5 s window (variants: a=20%/1 load, b=20%/2, c=50%/2, d=50%/3)",
-    "case3_tda": "Islanding microgrid with a polled control network; time-delay "
-                 "attack on the load-shed command (variants: delay_0, delay_0_5, "
-                 "delay_5, delay_15)",
-    "case4_td": "Transmission/distribution RL circuit over a nodal boundary; breaker "
-                "and contingency attacks (variants: breaker_open, breaker_open_close, "
-                "breaker_triple, n1, n11, n2)",
-}
-
-DEFAULT_VARIANTS = {
-    "case1_dia": "default",
-    "case2_load": "a",
-    "case3_tda": "delay_5",
-    "case4_td": "breaker_triple",
-}
-
 
 def preset_scenario(name: str, variant: str | None = None) -> Scenario:
     """Build a preset scenario; unknown names raise KeyError."""
@@ -41,14 +18,14 @@ def preset_scenario(name: str, variant: str | None = None) -> Scenario:
 
 def preset_doc(name: str, variant: str | None = None) -> dict:
     """The raw scenario document for a preset (JSON-ready dict)."""
-    if name not in PRESET_NAMES:
+    if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
-    variant = variant or DEFAULT_VARIANTS[name]
-    if variant not in VARIANTS[name]:
-        raise ValueError(f"{name} variant must be one of {sorted(VARIANTS[name])}, "
+    build, variants, default, _ = PRESETS[name]
+    variant = variant or default
+    if variant not in variants:
+        raise ValueError(f"{name} variant must be one of {sorted(variants)}, "
                          f"got {variant!r}")
-    return {"case1_dia": _case1, "case2_load": _case2, "case3_tda": _case3,
-            "case4_td": _case4}[name](variant)
+    return build(variant)
 
 
 def _case1(variant: str) -> dict:
@@ -319,6 +296,20 @@ def _case4(variant: str) -> dict:
     }
 
 
-# preset name -> its variants, in the order of each preset's own table
-VARIANTS = {"case1_dia": ("default",), "case2_load": tuple(_CASE2_VARIANTS),
-            "case3_tda": tuple(_CASE3_DELAYS), "case4_td": tuple(_CASE4_VARIANTS)}
+# name -> (builder, variants in the order of its own table, default variant, description)
+PRESETS = {
+    "case1_dia": (_case1, ("default",), "default",
+                  "Aggregate microgrid with an inverter control loop; combined "
+                  "scaling+sinusoid data-integrity attack on its sensed voltage"),
+    "case2_load": (_case2, tuple(_CASE2_VARIANTS), "a",
+                   "Three-machine system; coordinated load-changing attack over a "
+                   "0.5 s window, +20% or +50% on one to three loads"),
+    "case3_tda": (_case3, tuple(_CASE3_DELAYS), "delay_5",
+                  "Islanding microgrid with a polled control network; time-delay "
+                  "attack on the load-shed command"),
+    "case4_td": (_case4, tuple(_CASE4_VARIANTS), "breaker_triple",
+                 "Transmission/distribution RL circuit over a nodal boundary; breaker "
+                 "and contingency attacks"),
+}
+PRESET_NAMES = tuple(PRESETS)
+VARIANTS = {name: variants for name, (_, variants, _, _) in PRESETS.items()}

@@ -4,8 +4,8 @@ A scenario is one JSON document with sections {meta, grid, network?, attacks,
 threat?, risk?, metrics, seed}.  Parsing is strict: every error is a
 ``ScenarioError`` that names the offending field, so the CLI can report it and
 exit with the input-error code.  This module reads every input document: the
-scenario with its ``threat`` and ``risk`` sections, and the threat-model and
-risk files that ``cpessim threat validate`` and ``cpessim risk`` take.  Two
+scenario with its ``threat`` and ``risk`` sections, the files ``cpessim threat
+validate`` and ``cpessim risk`` take, and an export's ``events.json``.  Two
 rules hold for every object read here:
 
 - a key the object does not define is rejected as ``<path>.<key>: unknown
@@ -493,6 +493,12 @@ def parse_risk(raw: dict, named: bool = False) -> dict:
     if named:
         inputs["name"] = _value(raw, "risk", "name", "str", "")
     return inputs
+
+
+def parse_events(raw: dict) -> list:
+    """The event log of an export's ``events.json``."""
+    _check_keys(raw, "", "events attack_samples")
+    return _value(raw, "", "events", "list")
 
 
 _METRIC_KEYS = {"frequency_stability": "trace", "voltage_stability": "trace limits",

@@ -169,6 +169,51 @@ def test_metrics_names_the_file_that_is_not_json(tmp_path, capsys, broken):
         f"input error: {out / broken}: $: invalid JSON at line 1 column 1: Expecting value\n"
 
 
+def test_metrics_names_the_line_of_a_trace_it_cannot_read(tmp_path, capsys):
+    path = write_doc(tmp_path / "sc.json", short_doc("case2_load", "a"))
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out), "--json"]) == cli.EXIT_OK
+    capsys.readouterr()
+    (out / "traces" / "freq.csv").write_text("t,freq\n0.0\n")
+    assert cli.main(["metrics", str(out), "--json"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == \
+        f"input error: {out / 'traces' / 'freq.csv'}: line 2: expected t,<value>: '0.0'\n"
+
+
+def test_metrics_names_the_events_file_without_an_event_list(tmp_path, capsys):
+    path = write_doc(tmp_path / "sc.json", short_doc("case2_load", "a"))
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--out", str(out), "--json"]) == cli.EXIT_OK
+    capsys.readouterr()
+    (out / "events.json").write_text("{}")
+    assert cli.main(["metrics", str(out), "--json"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == \
+        f"input error: {out / 'events.json'}: events: missing field\n"
+
+
+def test_run_refuses_a_directory_holding_another_runs_traces(tmp_path, capsys):
+    out = tmp_path / "out"
+    first = write_doc(tmp_path / "c1.json", short_doc("case1_dia"))
+    assert cli.main(["run", first, "--out", str(out), "--json"]) == cli.EXIT_OK
+    assert cli.main(["run", first, "--out", str(out), "--json"]) == cli.EXIT_OK  # same run
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    second = write_doc(tmp_path / "c2.json", short_doc("case2_load", "a"))
+    assert cli.main(["run", second, "--out", str(out), "--json"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(out / "traces") in err
+    assert "p_fast.csv, p_gen.csv, pv_loop_meas.csv" in err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_preset_list_prints_every_variant_of_every_preset(capsys):
+    assert cli.main(["preset", "list"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(presets.PRESET_NAMES)
+    for line, variants in zip(lines, presets.VARIANTS.values()):
+        assert line.endswith(f"(variants: {', '.join(variants)})")
+
+
 def risk_doc(**overrides):
     doc = {"name": "breach", "probability": 2,
            "impacts": {"people_health_safety": "low", "uninterrupted_operation": "high",

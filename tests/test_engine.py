@@ -239,6 +239,18 @@ def test_boundary_event_fires_at_the_first_step_it_is_due(t, fired_at):
         assert fired == ([] if fired_at is None else [fired_at]), kind
 
 
+def test_a_delivered_command_fires_at_the_first_step_after_it():
+    # a command delivered at t fires at the first step k with k*dt > t
+    run = engine._Run(scenario_from_dict(boundary_doc()), None)
+    run.commands = [(0.002, "l1", "shed"), (0.002 - 1e-6, "l1", "unshed"),
+                    (0.004, "l1", "shed")]  # the last at the horizon
+    schedule = run._boundary_schedule()
+    assert [(k, len(actions)) for k, actions in sorted(schedule.items())
+            if k < run.n_steps] == [(2, 1), (3, 1)]
+    assert [action.args for action in schedule[2] + schedule[3]] == [
+        ("l1", "unshed"), ("l1", "shed")]
+
+
 def test_boundary_entries_come_before_the_network_entries_of_their_step():
     # the 2 ms poll is dispatched in the step that the 2 ms boundary starts
     doc = boundary_doc()

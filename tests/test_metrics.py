@@ -7,6 +7,7 @@ import pytest
 
 from cpessim import metrics as mx
 from cpessim.metrics import TimeSeries, cyber_metrics
+from cpessim.network import NetLink
 from cpessim.physical import FrequencyProtection
 
 
@@ -276,10 +277,8 @@ def sample_log():
 
 
 def test_cyber_metrics_aggregation():
-    rep = cyber_metrics(sample_log(), horizon=1.0,
-                        baselines={"a->b": 0.001, "b->a": 0.001},
-                        flow_links={"a->b": ["l1"], "b->a": ["l1"]},
-                        bandwidths={"l1": 1e6})
+    l1 = NetLink("l1", "a", "b", bandwidth=1e6)
+    rep = cyber_metrics(sample_log(), 1.0, {"a->b": (0.001, [l1]), "b->a": (0.001, [l1])})
     v = rep.values
     assert v["packets_sent"] == 4
     assert v["packets_delivered"] == 3
@@ -302,19 +301,17 @@ def test_delay_residue_counts_as_none_in_jitter_and_delayed_packets():
 
     residue = mx.DELAY_EPS / 2
     log = [deliver(1, 0.002), deliver(2, 0.002 + residue), deliver(3, 0.002)]
-    v = cyber_metrics(log, horizon=10.0, baselines={"a->b": 0.002}, flow_links={},
-                      bandwidths={}).values
+    v = cyber_metrics(log, 10.0, {"a->b": (0.002, [])}).values
     assert v["per_flow_jitter"]["a->b"] == v["jitter"] == 0.0
     assert v["packets_delayed"] == 0
     late = 0.002 + 2 * mx.DELAY_EPS
     log[1] = deliver(2, late)
-    v = cyber_metrics(log, horizon=10.0, baselines={"a->b": 0.002}, flow_links={},
-                      bandwidths={}).values
+    v = cyber_metrics(log, 10.0, {"a->b": (0.002, [])}).values
     assert v["per_flow_jitter"]["a->b"] == v["jitter"] == pytest.approx(late - 0.002)
     assert v["packets_delayed"] == 1
 
 
 def test_cyber_metrics_empty_log():
-    rep = cyber_metrics([], horizon=1.0, baselines={}, flow_links={}, bandwidths={})
+    rep = cyber_metrics([], 1.0, {})
     assert rep.values["packets_sent"] == 0
     assert rep.values["avg_delay"] == 0.0
